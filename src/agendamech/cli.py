@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .model import (
     Economy,
@@ -171,17 +169,6 @@ def load_model(path: str):
     solver = raw.get("solver", {})
     output = raw.get("output", {})
     return econ, solver, output
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MECH_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap >= 1:
-        return cap
-    return min(4, os.cpu_count() or 1)
 
 
 def _float_str(x: float) -> str:
@@ -345,9 +332,7 @@ def cmd_sweep(args) -> int:
     if code is not None:
         return code
     grid = _parse_grid(args.grid)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(lambda g: _sweep_row(econ, g), grid))
+    rows = [_sweep_row(econ, g) for g in grid]
 
     fmt = args.format or output.get("format", "csv")
     if fmt == "json":

@@ -32,6 +32,7 @@ from .solver_core import (
     GammaRepresentation,
     Partition,
     SolverError,
+    bisect,
     efficient_level,
     gamma_star_constant,
     gamma_weight_sum,
@@ -163,14 +164,8 @@ def _middle_gamma(econ: Economy) -> GammaRepresentation:
     w1, w0 = w(1.0), w(0.0)
     if not w1 - 1e-9 <= target <= w0 + 1e-9:
         return GammaRepresentation.constant(0.5)
-    lo, hi = 0.0, 1.0  # w is decreasing in gamma
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if w(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return GammaRepresentation.constant(0.5 * (lo + hi))
+    # w is decreasing in gamma
+    return GammaRepresentation.constant(bisect(lambda gam: w(gam) > target, 0.0, 1.0, 100))
 
 
 def _posted_solution(econ: Economy, thresholds: Thresholds | None = None,
@@ -344,14 +339,7 @@ def _invert_phi_by_bisection(tech, target: float) -> float:
         if float(tech.phi(hi)) >= target:
             break
         hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(tech.phi(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda g: float(tech.phi(g)) < target, 0.0, hi, 200)
 
 
 def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
@@ -461,14 +449,9 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
         elif s == r and phis[r] <= edges[r + 1]:
             anchor, gamma = econ.theta_hi, GammaRepresentation.point_mass_at_high()
         else:
-            a, b = points[s], points[s + 1]
-            for _ in range(200):  # reservation slope decreases in type
-                m = 0.5 * (a + b)
-                if float(econ.reservation.slope(m, econ.outside_g)) > phis[s]:
-                    a = m
-                else:
-                    b = m
-            anchor = 0.5 * (a + b)
+            # reservation slope decreases in type
+            anchor = bisect(lambda m: float(econ.reservation.slope(m, econ.outside_g)) > phis[s],
+                            points[s], points[s + 1], 200)
             gamma = GammaRepresentation.interior_mass(anchor)
         blend = None
     else:
@@ -489,14 +472,8 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
             w = base + virtual_value_gamma(dist_j, t_j, gam)
             return float(econ.tech.phi(solve_weighted_foc(econ.tech, w)))
 
-        a, b = 0.0, 1.0  # level decreases as the blend weight rises
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if phi_at(m) > target:
-                a = m
-            else:
-                b = m
-        gamma_j = 0.5 * (a + b)
+        # level decreases as the blend weight rises
+        gamma_j = bisect(lambda gam: phi_at(gam) > target, 0.0, 1.0, 200)
         w_star = base + virtual_value_gamma(dist_j, t_j, gamma_j)
         g_star = solve_weighted_foc(econ.tech, w_star)
         anchor = t_j
@@ -1059,10 +1036,4 @@ def _bisect_increasing(f, lo: float, hi: float, iters: int = 100):
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0 or f_hi < 0:
         return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda x: f(x) < 0, lo, hi, iters)

@@ -4,7 +4,6 @@ by every regime solver."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -44,6 +43,34 @@ class ContiguityViolation(SolverError):
 
 class FixedPointDivergence(SolverError):
     """No consistent cutoff/partition configuration was found."""
+
+
+# ---------------------------------------------------------------------------
+# Scalar bisection
+# ---------------------------------------------------------------------------
+
+
+def bisect(below: Callable, lo: float, hi: float, max_iter: int,
+           tol: float | None = None) -> float:
+    """Midpoint of a bisected bracket: ``lo`` moves to the midpoint where
+    ``below(mid)`` holds, ``hi`` otherwise.
+
+    Stops after ``max_iter`` steps, once ``hi - lo <= tol`` after a step, or
+    when the midpoint rounds onto an endpoint. From there on a step either
+    leaves the bracket as it is or collapses it onto that endpoint, so every
+    further step returns the same float and is skipped.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if tol is not None and hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +261,11 @@ def sigma(econ: Economy, gamma: GammaRepresentation, g: float) -> float:
     return gamma_weight_sum(econ, gamma) * float(econ.tech.phi(g)) - g
 
 
-def solve_weighted_foc(tech: Technology, weight: float, g_cap: float | None = None) -> float:
+def solve_weighted_foc(tech: Technology, weight: float) -> float:
     """Solve weight * phi'(g) = 1 for g >= 0; 0 at the corner.
 
     Uses the technology's closed form when available, otherwise bisection on
-    an auto-expanding bracket. ``g_cap`` optionally bounds the search from
-    above (the bracket expansion stops there).
+    an auto-expanding bracket.
     """
     if weight <= 0.0:
         return 0.0
@@ -253,25 +279,13 @@ def solve_weighted_foc(tech: Technology, weight: float, g_cap: float | None = No
         return weight * float(tech.phi_prime(g)) - 1.0
 
     hi = 1.0
-    limit = g_cap if g_cap is not None else math.inf
     for _ in range(200):
-        if excess(hi) < 0.0 or hi >= limit:
+        if excess(hi) < 0.0:
             break
         hi *= 2.0
     else:
         raise UnboundedObjective(f"phi' stays above 1/{weight:.6g}; benefit not concave enough")
-    if excess(hi) > 0.0:
-        raise UnboundedObjective(f"no interior optimum below cap {limit:.6g}")
-    lo = 0.0
-    for _ in range(FOC_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= FOC_TOL:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(lambda g: excess(g) > 0.0, 0.0, hi, FOC_MAX_ITER, FOC_TOL)
 
 
 def xi_argmax(econ: Economy, gamma: GammaRepresentation) -> float:
@@ -343,13 +357,4 @@ def gamma_star_constant(econ: Economy, theta_window: tuple,
         return hi_b
     if r_lo <= 0.0:
         return lo_b
-    lo, hi = lo_b, hi_b
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(lambda gam: residual(gam) > 0.0, lo_b, hi_b, 200, tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Economy, hazard_high, hazard_low, virtual_value_gamma
-from .solver_core import solve_weighted_foc
+from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
 RENT_GRID = 201
@@ -133,16 +133,12 @@ class FocSchedule:
         for level, is_floor in levels:
             if not g_lo - 1e-14 <= level <= g_hi + 1e-14 or g_hi - g_lo <= 1e-14:
                 continue
-            a, b = lo, hi
-            for _ in range(80):
-                m = 0.5 * (a + b)
+
+            def below(m):
                 g_m = float(self.allocation(m))
-                below = g_m <= level + 1e-14 if is_floor else g_m < level - 1e-14
-                if below:
-                    a = m
-                else:
-                    b = m
-            kinks.append(0.5 * (a + b))
+                return g_m <= level + 1e-14 if is_floor else g_m < level - 1e-14
+
+            kinks.append(bisect(below, lo, hi, 80))
         return kinks
 
     def _build(self, nodes: int, pin):
@@ -189,14 +185,7 @@ class FocSchedule:
         candidates = [(float(u[best_idx]), float(xs[best_idx]))]
         crossings = np.flatnonzero((s[:-1] < 0.0) & (s[1:] > 0.0))
         for k in crossings:
-            a, b = xs[k], xs[k + 1]
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                if float(self._slope(m)) < 0.0:
-                    a = m
-                else:
-                    b = m
-            x_star = 0.5 * (a + b)
+            x_star = bisect(lambda m: float(self._slope(m)) < 0.0, xs[k], xs[k + 1], 60)
             candidates.append((float(self._raw_rent(x_star)), float(x_star)))
         val, arg = min(candidates)
         return arg, val

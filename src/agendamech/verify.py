@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AGENDA_SETTER, Economy, InvalidEconomy, ModelError
-from .solver_core import GammaRepresentation, gamma_weight_sum, solve_weighted_foc
+from .solver_core import GammaRepresentation, bisect, gamma_weight_sum, solve_weighted_foc
 from .transfers import agenda_setter_payoff
 
 ORACLE_GRID = 41
@@ -310,14 +310,7 @@ def _invert_phi(tech, target: float, hi_start: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise ModelError("benefit target unreachable")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(tech.phi(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda g: float(tech.phi(g)) < target, 0.0, hi, 200)
 
 
 # ---------------------------------------------------------------------------

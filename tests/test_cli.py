@@ -212,15 +212,3 @@ def test_sweep_json_format(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 5 and rows[0]["status"] == "ok"
-
-
-def test_sweep_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
-    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("MECH_THREADS", "3")
-    assert main(["sweep", "--model", model, "--grid", "0:2:21",
-                 "--out", str(out_a)]) == 0
-    monkeypatch.setenv("MECH_THREADS", "1")
-    assert main(["sweep", "--model", model, "--grid", "0:2:21",
-                 "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()

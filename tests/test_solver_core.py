@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import agendamech as am
-from agendamech.solver_core import GammaRepresentation, rent_gap
+from agendamech import cli, regimes, solver_core, transfers, verify
+from agendamech.solver_core import GammaRepresentation, bisect, rent_gap
 from oracles import foc_level, simpson
 
 
@@ -205,3 +207,126 @@ def test_gamma_star_constant_bracket_failure_guard(convex_economy):
         am.gamma_star_constant(
             convex_economy, (0.0, 1.0),
             weight_fn=lambda gam: 1.0 + gam)  # rising weight: gap increases
+
+
+# ---------------------------------------------------------------------------
+# bisection helper
+# ---------------------------------------------------------------------------
+
+
+def reference_bisect(below, lo, hi, max_iter, tol=None):
+    """``bisect`` without its early stop: every step runs until ``max_iter``
+    or the tolerance ends the loop."""
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if tol is not None and hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+STEP_PREDICATES = {
+    "<": lambda root: lambda x: x < root,
+    "<=": lambda root: lambda x: x <= root,
+    ">": lambda root: lambda x: x > root,
+    ">=": lambda root: lambda x: x >= root,
+}
+
+
+@st.composite
+def bisection_cases(draw):
+    scale = draw(st.sampled_from([1e-300, 1e-12, 1.0, 1e6]))
+    a = draw(st.floats(-1.0, 1.0)) * scale
+    b = draw(st.floats(-1.0, 1.0)) * scale
+    lo, hi = min(a, b), max(a, b)
+    if draw(st.integers(0, 3)) == 0:
+        hi = lo
+    where = draw(st.sampled_from(
+        ["lo", "hi", "above_lo", "below_hi", "inside", "outside_lo", "outside_hi", "tiny"]))
+    root = {
+        "lo": lo,
+        "hi": hi,
+        "above_lo": math.nextafter(lo, math.inf),
+        "below_hi": math.nextafter(hi, -math.inf),
+        "inside": lo + draw(st.floats(0.0, 1.0)) * (hi - lo),
+        "outside_lo": lo - scale,
+        "outside_hi": hi + scale,
+        "tiny": draw(st.floats(1e-310, 1e-298)),
+    }[where]
+    sense = draw(st.sampled_from(sorted(STEP_PREDICATES)))
+    max_iter = draw(st.integers(0, 1200))
+    tol = draw(st.sampled_from([None, 0.0, 1e-300, 1e-12 * scale, 1e-3 * scale]))
+    return STEP_PREDICATES[sense](root), lo, hi, max_iter, tol
+
+
+@given(case=bisection_cases())
+@settings(max_examples=400, deadline=None)
+def test_bisect_equals_fixed_count_loop(case):
+    below, lo, hi, max_iter, tol = case
+    assert bisect(below, lo, hi, max_iter, tol) == reference_bisect(below, lo, hi, max_iter, tol)
+
+
+@pytest.mark.parametrize("root", [0.0, 5e-324, 1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0])
+@pytest.mark.parametrize("sense", sorted(STEP_PREDICATES))
+def test_bisect_edge_roots_on_unit_interval(root, sense):
+    below = STEP_PREDICATES[sense](root)
+    assert bisect(below, 0.0, 1.0, 1200) == reference_bisect(below, 0.0, 1.0, 1200)
+
+
+def test_bisect_degenerate_bracket_calls_nothing():
+    calls = []
+    assert bisect(calls.append, 0.7, 0.7, 200) == 0.7
+    assert calls == []
+
+
+def test_bisect_stops_once_the_bracket_is_two_adjacent_floats():
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x < 0.3
+
+    got = bisect(below, 0.0, 1.0, 200)
+    assert got == reference_bisect(lambda x: x < 0.3, 0.0, 1.0, 200)
+    assert len(calls) <= 60
+
+
+CONCAVE_WINDOW_MODEL = {
+    "economy": {
+        "agenda_setter_type": 0.5,
+        "agent_types": [0.2, 0.45, 0.55, 0.9],
+        "quota": 3,
+        "outside_g": 1.3,
+        "distributions": {"family": "uniform", "lo": 0.0, "hi": 1.0},
+        "technology": {"family": "log"},
+        "reservation": {"family": "quadratic_share", "slope": 1.4, "curve": -0.5},
+    }
+}
+
+
+def _bisection_outputs(tmp_path, tag):
+    tech = am.log_technology()
+    convex = am.Economy(0.6, (0.4,), am.uniform(0.0, 1.0), tech,
+                        am.quadratic_share_reservation(tech, 0.3, 0.5), 2, 1.0)
+    table = am.threshold_table(convex)
+    # a technology without the closed-form argmax bisects every FOC level
+    stripped = am.Technology(phi=tech.phi, phi_prime=tech.phi_prime, name="log-nofast")
+    blind = am.Economy(0.6, (0.3, 0.5, 0.8), am.uniform(0.0, 1.0), stripped,
+                       am.quadratic_share_reservation(stripped, 1.4, -0.5), 4, 1.0)
+    sol = am.solve(blind)
+    model = tmp_path / "window.json"
+    model.write_text(json.dumps(CONCAVE_WINDOW_MODEL))
+    out = tmp_path / f"{tag}.csv"
+    assert cli.main(["sweep", "--model", str(model), "--grid", "1.0:1.6:4",
+                     "--out", str(out)]) == 0
+    return table, (sol.g_star, sol.cutoff_types, sol.transfers), out.read_bytes()
+
+
+def test_bisect_early_stop_keeps_every_output_bit_identical(tmp_path, monkeypatch):
+    fast = _bisection_outputs(tmp_path, "fast")
+    for module in (solver_core, transfers, regimes, verify):
+        monkeypatch.setattr(module, "bisect", reference_bisect)
+    assert _bisection_outputs(tmp_path, "reference") == fast
