@@ -128,33 +128,29 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
 
 def hazard_low(dist: TypeDistribution, theta):
     """Downward-distorted virtual type: theta - (1 - F(theta)) / f(theta)."""
-    scalar = np.isscalar(theta) or np.ndim(theta) == 0
-    if scalar:
-        dist.check_support(float(theta))
-        return float(theta) - (1.0 - dist.F(theta)) / dist.f(theta)
-    return np.asarray(theta, float) - (1.0 - dist.F(theta)) / dist.f(theta)
+    return virtual_value_gamma(dist, theta, 1.0)
 
 
 def hazard_high(dist: TypeDistribution, theta):
     """Upward-distorted virtual type: theta + F(theta) / f(theta)."""
-    scalar = np.isscalar(theta) or np.ndim(theta) == 0
-    if scalar:
-        dist.check_support(float(theta))
-        return float(theta) + dist.F(theta) / dist.f(theta)
-    return np.asarray(theta, float) + dist.F(theta) / dist.f(theta)
+    return virtual_value_gamma(dist, theta, 0.0)
 
 
 def virtual_value_gamma(dist: TypeDistribution, theta, gamma_at):
     """Virtual type under a shadow weight: theta - (gamma - F(theta)) / f(theta).
 
-    Interpolates between hazard_low (gamma_at = 1) and hazard_high
-    (gamma_at = 0).
+    gamma_at = 1 gives hazard_low (the understating side), gamma_at = 0
+    hazard_high (the overstating side).
     """
-    g = np.asarray(gamma_at, float)
-    if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
-        raise ModelError("gamma_at must lie in [0, 1]")
-    scalar = np.isscalar(theta) or np.ndim(theta) == 0
-    if scalar:
+    if np.isscalar(gamma_at):
+        g = float(gamma_at)
+        if g < -1e-12 or g > 1 + 1e-12:
+            raise ModelError("gamma_at must lie in [0, 1]")
+    else:
+        g = np.asarray(gamma_at, float)
+        if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
+            raise ModelError("gamma_at must lie in [0, 1]")
+    if np.isscalar(theta) or np.ndim(theta) == 0:
         dist.check_support(float(theta))
         return float(theta) - (float(g) - dist.F(theta)) / dist.f(theta)
     return np.asarray(theta, float) - (g - dist.F(theta)) / dist.f(theta)
@@ -182,7 +178,8 @@ class Technology:
 
     def marginal_at_zero(self) -> float:
         try:
-            v = float(self.phi_prime(0.0))
+            with np.errstate(divide="ignore"):
+                v = float(self.phi_prime(0.0))
         except (ZeroDivisionError, OverflowError, ValueError):
             return math.inf
         return v if math.isfinite(v) else math.inf

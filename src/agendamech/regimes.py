@@ -9,6 +9,7 @@ per-agent report schedules that certify incentive compatibility.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import random
@@ -22,8 +23,6 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
-    hazard_high,
-    hazard_low,
     virtual_value_gamma,
 )
 from .solver_core import (
@@ -36,20 +35,12 @@ from .solver_core import (
     efficient_level,
     gamma_star_constant,
     gamma_weight_sum,
+    invert_phi,
     partition_types,
     rent_gap,
     solve_weighted_foc,
 )
-from .transfers import (
-    GAMMA_BLEND,
-    HAZARD_HIGH,
-    HAZARD_LOW,
-    FlatSchedule,
-    FocSchedule,
-    agenda_setter_payoff,
-    posted_outside_schedule,
-    realized_transfers,
-)
+from .transfers import FlatSchedule, FocSchedule, agenda_setter_payoff, realized_transfers
 
 BRANCH_TOL = 1e-12
 CONSISTENCY_TOL = 1e-9
@@ -151,7 +142,8 @@ def _middle_gamma(econ: Economy) -> GammaRepresentation:
     """Constant shadow weight rationalizing the status-quo level, if any."""
     g_circ = econ.outside_g
     try:
-        dphi = float(econ.tech.phi_prime(g_circ))
+        with np.errstate(divide="ignore"):
+            dphi = float(econ.tech.phi_prime(g_circ))
     except (ZeroDivisionError, OverflowError, ValueError):
         dphi = math.inf
     if not (math.isfinite(dphi) and dphi > 0):
@@ -168,33 +160,67 @@ def _middle_gamma(econ: Economy) -> GammaRepresentation:
     return GammaRepresentation.constant(bisect(lambda gam: w(gam) > target, 0.0, 1.0, 100))
 
 
-def _posted_solution(econ: Economy, thresholds: Thresholds | None = None,
+def _posted_solution(econ: Economy, g: float, thresholds: Thresholds | None = None,
                      thresholds_raw: Thresholds | None = None,
                      notes: tuple = ()) -> MechanismSolution:
-    """Status-quo outcome: every agent, the proposer included, gets exactly
-    the reservation bundle; financing is the status quo's own."""
-    g_circ = econ.outside_g
-    schedules = tuple(posted_outside_schedule(econ, i) for i in econ.agents)
-    phi_g = float(econ.tech.phi(g_circ))
-    t_a = econ.agenda_setter_type * phi_g - float(
-        econ.reservation.value(econ.agenda_setter_type, g_circ))
-    transfers = (t_a, *(s.t_value for s in schedules))
-    thr = thresholds or Thresholds(g_circ, g_circ)
+    """Posted outcome at level g: every agent, the proposer included, pays
+    the report-independent tax that leaves it exactly its reservation
+    utility; financing is the status quo's own. At g = g_circ this is the
+    status quo itself."""
+    phi_g = float(econ.tech.phi(g))
+    taxes = tuple(
+        econ.type_of(i) * phi_g - float(econ.reservation.value(econ.type_of(i), econ.outside_g))
+        for i in range(econ.n))
+    thr = thresholds or Thresholds(g, g)
     return MechanismSolution(
-        g_star=g_circ,
+        g_star=g,
         regime=Regime.OUTSIDE_OPTION,
         coalition=_pick_coalition(econ, (), econ.agents),
         excluded=frozenset(),
         bunched=frozenset(),
         cutoff_types=(),
-        partition=partition_types(econ, g_circ),
+        partition=partition_types(econ, g),
         gamma=_middle_gamma(econ),
-        transfers=transfers,
+        transfers=taxes,
         thresholds=thr,
         thresholds_raw=thresholds_raw or thr,
-        schedules=schedules,
+        schedules=tuple(FlatSchedule(econ, i, g, taxes[i]) for i in econ.agents),
         notes=notes,
     )
+
+
+def _one_sided(econ: Economy, side: str, k: int):
+    """One-sided configuration with the k cheapest agents on `side` forced in.
+
+    Side "low" (shadow weight 1): every type understates and the k lowest
+    agents are excluded and pooled at the lowest member's type; side "high"
+    (shadow weight 0) is the mirror image. At least one agent stays a member
+    to anchor participation. Returns (members in type order, excluded,
+    cutoff type or None, shadow weight, FOC weight).
+    """
+    k = min(k, len(econ.agents) - 1)
+    excluded = _exclusion_order(econ, side)[:k]
+    members = sorted(set(econ.agents) - set(excluded), key=lambda i: (econ.type_of(i), i))
+    gamma = 1.0 if side == "low" else 0.0
+    cutoff = econ.type_of(members[0] if side == "low" else members[-1]) if k else None
+    weight = econ.agenda_setter_type + (k * cutoff if k else 0.0)
+    weight += sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma) for i in members)
+    return members, excluded, cutoff, gamma, weight
+
+
+def _outer_thresholds(econ: Economy, k: int):
+    """Provision levels of the two one-sided configurations, capped at the
+    efficient level when agents are forced in, and raw: the plateaus the
+    step function reaches at extreme outside levels."""
+    eff = efficient_level(econ)
+    _, excluded, _, _, w_low = _one_sided(econ, "low", k)
+    _, _, _, _, w_high = _one_sided(econ, "high", k)
+    raw_low = solve_weighted_foc(econ.tech, w_low)
+    raw_high = solve_weighted_foc(econ.tech, w_high)
+    raw = Thresholds(raw_low, raw_high)
+    if not excluded:
+        return raw, raw
+    return Thresholds(min(raw_low, eff), max(raw_high, eff)), raw
 
 
 def _uniform_sign_candidate(econ: Economy, side: str, exclusions: int,
@@ -212,32 +238,21 @@ def _uniform_sign_candidate(econ: Economy, side: str, exclusions: int,
     side "high" is the mirror image. Returns None when the envelope-slope
     sign check fails (the candidate is infeasible at this outside option).
     """
-    r = len(econ.agents)
-    k = min(exclusions, r - 1)  # keep one agent anchoring participation
     eff = efficient_level(econ)
-    excluded = _exclusion_order(econ, side)[:k]
-    coalition_members = sorted(set(econ.agents) - set(excluded),
-                               key=lambda i: (econ.type_of(i), i))
-
+    coalition_members, excluded, cutoff, shadow, weight = _one_sided(econ, side, exclusions)
+    k = len(excluded)
+    g_raw = solve_weighted_foc(econ.tech, weight)
     if side == "low":
-        cutoff = econ.type_of(coalition_members[0]) if k else None
-        weight = econ.agenda_setter_type + (k * cutoff if k else 0.0)
-        weight += sum(hazard_low(econ.dist_of(i), econ.type_of(i)) for i in coalition_members)
-        g_raw = solve_weighted_foc(econ.tech, weight)
         g_star = min(g_raw, eff) if (k and cap_to_efficient) else g_raw
-        family, clip = HAZARD_LOW, {"clip_hi": eff if (k and cap_to_efficient and g_raw > eff) else None}
+        clip = {"clip_hi": eff if (k and cap_to_efficient and g_raw > eff) else None}
         anchor_default = econ.theta_lo
         gamma = (GammaRepresentation.interior_mass(cutoff) if k
                  else GammaRepresentation.point_mass_at_low())
         default_regime = Regime.UNDERSTATE_INTERIOR
         cutoff_agent = coalition_members[0] if k else None
     else:
-        cutoff = econ.type_of(coalition_members[-1]) if k else None
-        weight = econ.agenda_setter_type + (k * cutoff if k else 0.0)
-        weight += sum(hazard_high(econ.dist_of(i), econ.type_of(i)) for i in coalition_members)
-        g_raw = solve_weighted_foc(econ.tech, weight)
         g_star = max(g_raw, eff) if (k and cap_to_efficient) else g_raw
-        family, clip = HAZARD_HIGH, {"clip_lo": eff if (k and cap_to_efficient and g_raw < eff) else None}
+        clip = {"clip_lo": eff if (k and cap_to_efficient and g_raw < eff) else None}
         anchor_default = econ.theta_hi
         gamma = (GammaRepresentation.interior_mass(cutoff) if k
                  else GammaRepresentation.point_mass_at_high())
@@ -255,9 +270,8 @@ def _uniform_sign_candidate(econ: Economy, side: str, exclusions: int,
 
     schedules = {}
     for i in coalition_members:
-        own = (hazard_low if family == HAZARD_LOW else hazard_high)(
-            econ.dist_of(i), econ.type_of(i))
-        schedules[i] = FocSchedule(econ, i, weight - own, family, **clip)
+        own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), shadow)
+        schedules[i] = FocSchedule(econ, i, weight - own, shadow, **clip)
     if k:
         pool_transfer = float(schedules[cutoff_agent].transfer(econ.type_of(cutoff_agent)))
         for i in excluded:
@@ -294,91 +308,26 @@ def _uniform_sign_candidate(econ: Economy, side: str, exclusions: int,
 # ---------------------------------------------------------------------------
 
 
-def _linear_posted_solution(econ: Economy, d: float, thresholds: Thresholds,
-                            thresholds_raw: Thresholds) -> MechanismSolution:
-    """Middle branch under a linear profile: post the reservation-tracking
-    level (phi equal to the common slope d) with the report-independent tax
-    that leaves every type exactly its reservation utility. For the
-    status-quo-with-head-tax profile this is the bundle (g_circ, g_circ/n)."""
-    if econ.tech.phi_inverse is not None:
-        g_track = float(econ.tech.phi_inverse(d)) if d > 0 else 0.0
-    else:
-        g_track = _invert_phi_by_bisection(econ.tech, d)
-    g_track = max(g_track, 0.0)
-    phi_g = float(econ.tech.phi(g_track))
-    schedules = []
-    t_others = []
-    for i in econ.agents:
-        theta = econ.type_of(i)
-        t = theta * phi_g - float(econ.reservation.value(theta, econ.outside_g))
-        schedules.append(FlatSchedule(econ, i, g_track, t))
-        t_others.append(t)
-    t_a = econ.agenda_setter_type * phi_g - float(
-        econ.reservation.value(econ.agenda_setter_type, econ.outside_g))
-    return MechanismSolution(
-        g_star=g_track,
-        regime=Regime.OUTSIDE_OPTION,
-        coalition=_pick_coalition(econ, (), econ.agents),
-        excluded=frozenset(),
-        bunched=frozenset(),
-        cutoff_types=(),
-        partition=partition_types(econ, g_track),
-        gamma=_middle_gamma(econ),
-        transfers=(t_a, *t_others),
-        thresholds=thresholds,
-        thresholds_raw=thresholds_raw,
-        schedules=tuple(schedules),
-    )
-
-
-def _invert_phi_by_bisection(tech, target: float) -> float:
-    if target <= 0.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if float(tech.phi(hi)) >= target:
-            break
-        hi *= 2.0
-    return bisect(lambda g: float(tech.phi(g)) < target, 0.0, hi, 200)
-
-
 def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
-    r = len(econ.agents)
-    k = min(exclusions, r - 1)  # keep one agent anchoring participation
-    eff = efficient_level(econ)
-
-    members_low = sorted(set(econ.agents) - set(_exclusion_order(econ, "low")[:k]),
-                         key=lambda i: econ.type_of(i))
-    cutoff_low = econ.type_of(members_low[0]) if k else None
-    w_low = econ.agenda_setter_type + (k * cutoff_low if k else 0.0) + sum(
-        hazard_low(econ.dist_of(i), econ.type_of(i)) for i in members_low)
-    raw_low = solve_weighted_foc(econ.tech, w_low)
-    g_low = min(raw_low, eff) if k else raw_low
-
-    members_high = sorted(set(econ.agents) - set(_exclusion_order(econ, "high")[:k]),
-                          key=lambda i: econ.type_of(i))
-    cutoff_high = econ.type_of(members_high[-1]) if k else None
-    w_high = econ.agenda_setter_type + (k * cutoff_high if k else 0.0) + sum(
-        hazard_high(econ.dist_of(i), econ.type_of(i)) for i in members_high)
-    raw_high = solve_weighted_foc(econ.tech, w_high)
-    g_high = max(raw_high, eff) if k else raw_high
-
-    raw = Thresholds(raw_low, raw_high)
+    thr, raw = _outer_thresholds(econ, exclusions)
+    g_low, g_high, raw_low, raw_high = thr.g_low, thr.g_high, raw.g_low, raw.g_high
     # slope of the reservation profile is type-independent under linearity
     d = float(econ.reservation.slope(econ.agent_types[0], econ.outside_g))
     phi = lambda g: float(econ.tech.phi(g))
 
     if raw_low <= raw_high + BRANCH_TOL:
-        thr = Thresholds(g_low, g_high)
         if d < phi(g_low) - BRANCH_TOL:
             return _uniform_sign_candidate(
-                econ, "low", k, enforce_slope_sign=False,
+                econ, "low", exclusions, enforce_slope_sign=False,
                 thresholds=thr, thresholds_raw=raw)
         if d > phi(g_high) + BRANCH_TOL:
             return _uniform_sign_candidate(
-                econ, "high", k, enforce_slope_sign=False,
+                econ, "high", exclusions, enforce_slope_sign=False,
                 thresholds=thr, thresholds_raw=raw)
-        return _linear_posted_solution(econ, d, thresholds=thr, thresholds_raw=raw)
+        # post the reservation-tracking level, phi equal to the common slope
+        # d; under the head-tax profile this is the bundle (g_circ, g_circ/n)
+        return _posted_solution(econ, invert_phi(econ.tech, d), thresholds=thr,
+                                thresholds_raw=raw)
 
     # non-monotone configuration: two branches split at the low provision,
     # the boundary itself assigned to the low branch
@@ -386,10 +335,10 @@ def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
     note = (f"non-monotone thresholds: raw low {raw_low:.12g} exceeds raw high {raw_high:.12g}",)
     if d <= phi(g_low) + BRANCH_TOL:
         return _uniform_sign_candidate(
-            econ, "low", k, enforce_slope_sign=False, thresholds=thr,
+            econ, "low", exclusions, enforce_slope_sign=False, thresholds=thr,
             thresholds_raw=raw, regime=Regime.NON_MONOTONE_LOW, notes=note)
     return _uniform_sign_candidate(
-        econ, "high", k, enforce_slope_sign=False, thresholds=thr,
+        econ, "high", exclusions, enforce_slope_sign=False, thresholds=thr,
         thresholds_raw=raw, regime=Regime.NON_MONOTONE_HIGH,
         cap_to_efficient=False, notes=note)
 
@@ -416,16 +365,21 @@ def solve_majority_linear(econ: Economy) -> MechanismSolution:
 # ---------------------------------------------------------------------------
 
 
+def _split_weights(econ: Economy, order: list):
+    """Types and virtual types at shadow weights 1 (hl) and 0 (hh) of the
+    agents in type order, and the FOC weight of every split s = 0..r: the s
+    lowest agents overstate, the others understate."""
+    types = [econ.type_of(i) for i in order]
+    hl = [virtual_value_gamma(econ.dist_of(i), t, 1.0) for i, t in zip(order, types)]
+    hh = [virtual_value_gamma(econ.dist_of(i), t, 0.0) for i, t in zip(order, types)]
+    weights = [econ.agenda_setter_type + sum(hh[:s]) + sum(hl[s:]) for s in range(len(order) + 1)]
+    return types, hl, hh, weights
+
+
 def _concave_unanimity(econ: Economy) -> MechanismSolution:
     order = econ.sorted_agents()
     r = len(order)
-    types = [econ.type_of(i) for i in order]
-    hl = [hazard_low(econ.dist_of(i), t) for i, t in zip(order, types)]
-    hh = [hazard_high(econ.dist_of(i), t) for i, t in zip(order, types)]
-
-    weights = []
-    for s in range(r + 1):
-        weights.append(econ.agenda_setter_type + sum(hh[:s]) + sum(hl[s:]))
+    types, hl, hh, weights = _split_weights(econ, order)
     levels = [solve_weighted_foc(econ.tech, w) for w in weights]
     phis = [float(econ.tech.phi(g)) for g in levels]
 
@@ -482,13 +436,13 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
     schedules = {}
     for pos, i in enumerate(order):
         if blend is not None and pos == blend:
-            fam, gam_val, own = GAMMA_BLEND, gamma.at_star, virtual_value_gamma(
-                econ.dist_of(i), types[pos], gamma.at_star)
+            gam = gamma.at_star
+            own = virtual_value_gamma(econ.dist_of(i), types[pos], gam)
         elif pos < s:
-            fam, gam_val, own = HAZARD_HIGH, None, hh[pos]
+            gam, own = 0.0, hh[pos]
         else:
-            fam, gam_val, own = HAZARD_LOW, None, hl[pos]
-        schedules[i] = FocSchedule(econ, i, w_star - own, fam, gamma=gam_val)
+            gam, own = 1.0, hl[pos]
+        schedules[i] = FocSchedule(econ, i, w_star - own, gam)
     ordered = tuple(schedules[i] for i in econ.agents)
     transfers = realized_transfers(econ, ordered, g_star)
 
@@ -541,7 +495,7 @@ def _convex_unanimity(econ: Economy) -> MechanismSolution:
     schedules = []
     for i in econ.agents:
         own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma_const)
-        schedules.append(FocSchedule(econ, i, w_star - own, GAMMA_BLEND, gamma=gamma_const))
+        schedules.append(FocSchedule(econ, i, w_star - own, gamma_const))
     ordered = tuple(schedules)
     transfers = realized_transfers(econ, ordered, g_star)
     return MechanismSolution(
@@ -578,7 +532,8 @@ def solve_unanimity_general(econ: Economy) -> MechanismSolution:
         try:
             return _concave_unanimity(econ)
         except FixedPointDivergence:
-            return _posted_solution(econ, notes=("no consistent cutoff; status quo implemented",))
+            return _posted_solution(econ, econ.outside_g,
+                                    notes=("no consistent cutoff; status quo implemented",))
     return _convex_unanimity(econ)
 
 
@@ -609,8 +564,8 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     if theta_q <= theta_p + 1e-12:
         return None
 
-    hh_below = sum(hazard_high(econ.dist_of(i), econ.type_of(i)) for i in below)
-    hl_above = sum(hazard_low(econ.dist_of(i), econ.type_of(i)) for i in above)
+    hh_below = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), 0.0) for i in below)
+    hl_above = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), 1.0) for i in above)
 
     def weight_fn(gam):
         mid = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam) for i in window)
@@ -639,16 +594,13 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
         return None
 
     schedules = {}
-    for i in below:
-        own = hazard_high(econ.dist_of(i), econ.type_of(i))
-        schedules[i] = FocSchedule(econ, i, w_star - own, HAZARD_HIGH)
-    for i in above:
-        own = hazard_low(econ.dist_of(i), econ.type_of(i))
-        schedules[i] = FocSchedule(econ, i, w_star - own, HAZARD_LOW)
+    for group, shadow in ((below, 0.0), (above, 1.0)):
+        for i in group:
+            own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), shadow)
+            schedules[i] = FocSchedule(econ, i, w_star - own, shadow)
     for i, dip in zip(window, dips):
         own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam)
-        schedules[i] = FocSchedule(econ, i, w_star - own, GAMMA_BLEND, gamma=gam,
-                                   pin=(econ.type_of(i), dip))
+        schedules[i] = FocSchedule(econ, i, w_star - own, gam, pin=(econ.type_of(i), dip))
     ordered = tuple(schedules[i] for i in econ.agents)
     transfers = realized_transfers(econ, ordered, g_star)
 
@@ -719,7 +671,7 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
     schedules = {}
     for i in members:
         own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam)
-        schedules[i] = FocSchedule(econ, i, w_star - own, GAMMA_BLEND, gamma=gam)
+        schedules[i] = FocSchedule(econ, i, w_star - own, gam)
     if k_lo:
         pool = float(schedules[members[0]].transfer(theta_p))
         for i in low_tail:
@@ -779,7 +731,7 @@ def solve_majority_general(econ: Economy) -> MechanismSolution:
     if curv is Curvature.NEGATIVE_SLOPE:
         return _uniform_sign_candidate(econ, "low", k, enforce_slope_sign=False)
 
-    thresholds, thresholds_raw = _majority_outer_thresholds(econ, k)
+    thresholds, thresholds_raw = _outer_thresholds(econ, k)
     # uniform-sign regimes apply mechanically: force the cheapest tail in,
     # bunch it at the cutoff bundle, cap at the efficient level
     low = _uniform_sign_candidate(econ, "low", k, enforce_slope_sign=True,
@@ -812,39 +764,13 @@ def solve_majority_general(econ: Economy) -> MechanismSolution:
                 candidates.append(_convex_tail_candidate(econ, k_lo, k_hi))
     best = _better_of(econ, *candidates)
     if best is None:
-        return _posted_solution(econ, thresholds=thresholds,
+        return _posted_solution(econ, econ.outside_g, thresholds=thresholds,
                                 thresholds_raw=thresholds_raw,
                                 notes=("no consistent configuration; status quo implemented",))
     if len(best.coalition) != econ.quota:
         best = _with_trimmed_coalition(econ, best)
     return dataclasses.replace(best, thresholds=thresholds,
                                thresholds_raw=thresholds_raw)
-
-
-def _majority_outer_thresholds(econ: Economy, k: int):
-    """Provision levels of the two one-sided configurations, capped and raw:
-    the plateaus the step function reaches at extreme outside levels."""
-    eff = efficient_level(econ)
-    out = []
-    for side in ("low", "high"):
-        excluded = _exclusion_order(econ, side)[: min(k, econ.n - 2)]
-        members = [i for i in econ.agents if i not in excluded]
-        members.sort(key=lambda i: econ.type_of(i))
-        kk = len(excluded)
-        if side == "low":
-            cutoff = econ.type_of(members[0]) if kk else 0.0
-            w = econ.agenda_setter_type + kk * cutoff + sum(
-                hazard_low(econ.dist_of(i), econ.type_of(i)) for i in members)
-            raw = solve_weighted_foc(econ.tech, w)
-            out.append((min(raw, eff) if kk else raw, raw))
-        else:
-            cutoff = econ.type_of(members[-1]) if kk else 0.0
-            w = econ.agenda_setter_type + kk * cutoff + sum(
-                hazard_high(econ.dist_of(i), econ.type_of(i)) for i in members)
-            raw = solve_weighted_foc(econ.tech, w)
-            out.append((max(raw, eff) if kk else raw, raw))
-    (g_low, raw_low), (g_high, raw_high) = out
-    return Thresholds(g_low, g_high), Thresholds(raw_low, raw_high)
 
 
 def _with_trimmed_coalition(econ: Economy, sol: MechanismSolution) -> MechanismSolution:
@@ -889,9 +815,10 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
     schedules = {}
     transfers = {AGENDA_SETTER: 0.0}
     for pos, i in enumerate(members):
-        inner_sched = inner_sol.schedules[pos]
-        sched = _relabel_schedule(inner_sched, i)
-        schedules[i] = sched
+        # the schedule keeps the sub-economy and its distribution; only the
+        # agent index changes
+        schedules[i] = copy.copy(inner_sol.schedules[pos])
+        schedules[i].agent = i
         transfers[i] = inner_sol.transfers[pos + 1]
     outsiders = [i for i in econ.agents if i not in members]
     for i in outsiders:
@@ -954,29 +881,6 @@ def _singleton_coalition_solution(econ: Economy, tau_bar: float, seed: int) -> M
     )
 
 
-class _RelabeledSchedule:
-    """Schedule borrowed from a sub-economy, re-addressed to the full one."""
-
-    def __init__(self, inner, agent):
-        self._inner = inner
-        self.agent = agent
-        self.kind = inner.kind
-        self.anchor = inner.anchor
-
-    def allocation(self, x):
-        return self._inner.allocation(x)
-
-    def transfer(self, x):
-        return self._inner.transfer(x)
-
-    def rent(self, x):
-        return self._inner.rent(x)
-
-
-def _relabel_schedule(inner, agent):
-    return _RelabeledSchedule(inner, agent)
-
-
 def threshold_table(econ: Economy, g_circ_max: float | None = None) -> ThresholdTable:
     """Outside-option levels at which the solution's split indices step.
 
@@ -1002,12 +906,9 @@ def threshold_table(econ: Economy, g_circ_max: float | None = None) -> Threshold
 
     rungs = []
     if curv is Curvature.CONCAVE:
-        types = [econ.type_of(i) for i in order]
-        hl = [hazard_low(econ.dist_of(i), t) for i, t in zip(order, types)]
-        hh = [hazard_high(econ.dist_of(i), t) for i, t in zip(order, types)]
+        types, _, _, weights = _split_weights(econ, order)
         for s in range(r):
-            w = econ.agenda_setter_type + sum(hh[:s]) + sum(hl[s:])
-            phi_s = float(econ.tech.phi(solve_weighted_foc(econ.tech, w)))
+            phi_s = float(econ.tech.phi(solve_weighted_foc(econ.tech, weights[s])))
             target_theta = types[s]
             g_circ = _bisect_increasing(lambda gc: slope_at(target_theta, gc) - phi_s,
                                         0.0, hi_cap)

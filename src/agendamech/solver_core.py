@@ -288,6 +288,25 @@ def solve_weighted_foc(tech: Technology, weight: float) -> float:
     return bisect(lambda g: excess(g) > 0.0, 0.0, hi, FOC_MAX_ITER, FOC_TOL)
 
 
+def invert_phi(tech: Technology, target: float, hi: float = 1.0) -> float:
+    """Level g >= 0 with phi(g) = target; 0 for a nonpositive target.
+
+    Uses the technology's closed-form inverse when available, otherwise
+    bisection on a bracket doubled from ``hi`` until phi reaches the target.
+    """
+    if target <= 0.0:
+        return 0.0
+    if tech.phi_inverse is not None:
+        return max(float(tech.phi_inverse(target)), 0.0)
+    for _ in range(200):
+        if float(tech.phi(hi)) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise UnboundedObjective(f"phi stays below {target:.6g}; benefit target unreachable")
+    return bisect(lambda g: float(tech.phi(g)) < target, 0.0, hi, 200)
+
+
 def xi_argmax(econ: Economy, gamma: GammaRepresentation) -> float:
     """Unique maximizer of the shadow-adjusted surplus over g >= 0."""
     return solve_weighted_foc(econ.tech, gamma_weight_sum(econ, gamma))

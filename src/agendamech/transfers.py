@@ -13,24 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Economy, hazard_high, hazard_low, virtual_value_gamma
+from .model import Economy, virtual_value_gamma
 from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
 RENT_GRID = 201
-
-HAZARD_LOW = "hazard_low"
-HAZARD_HIGH = "hazard_high"
-GAMMA_BLEND = "gamma_blend"
-
-
-def _weight_values(econ: Economy, agent: int, x, family: str, gamma: float | None):
-    dist = econ.dist_of(agent)
-    if family == HAZARD_LOW:
-        return hazard_low(dist, x)
-    if family == HAZARD_HIGH:
-        return hazard_high(dist, x)
-    return virtual_value_gamma(dist, x, gamma)
 
 
 class FlatSchedule:
@@ -68,7 +55,9 @@ class FocSchedule:
     """First-order-condition schedule for one agent's own reports.
 
     The level solves (base_weight + w(x)) * phi'(g) = 1 where w is the
-    agent's virtual-type family, optionally clipped to [clip_lo, clip_hi].
+    agent's virtual type under the constant shadow weight gamma (1 on the
+    understating side, 0 on the overstating side), optionally clipped to
+    [clip_lo, clip_hi].
     Rents accumulate the envelope slope along the schedule; by default the
     curve is shifted so its minimum is exactly zero (participation binds
     where the slope crosses zero), or it can be pinned to a target value at
@@ -77,14 +66,13 @@ class FocSchedule:
 
     kind = "foc"
 
-    def __init__(self, econ: Economy, agent: int, base_weight: float, family: str,
-                 gamma: float | None = None, clip_lo: float | None = None,
-                 clip_hi: float | None = None, pin: tuple | None = None,
-                 nodes: int = RENT_NODES):
+    def __init__(self, econ: Economy, agent: int, base_weight: float, gamma: float,
+                 clip_lo: float | None = None, clip_hi: float | None = None,
+                 pin: tuple | None = None, nodes: int = RENT_NODES):
         self._econ = econ
+        self._dist = econ.dist_of(agent)
         self.agent = agent
         self.base_weight = float(base_weight)
-        self.family = family
         self.gamma = gamma
         self.clip_lo = clip_lo
         self.clip_hi = clip_hi
@@ -98,8 +86,7 @@ class FocSchedule:
         econ = self._econ
         scalar = np.ndim(x) == 0
         xs = np.atleast_1d(np.asarray(x, float))
-        w = self.base_weight + np.asarray(
-            _weight_values(econ, self.agent, xs, self.family, self.gamma), float)
+        w = self.base_weight + np.asarray(virtual_value_gamma(self._dist, xs, self.gamma), float)
         if econ.tech.weighted_argmax is not None:
             g = np.maximum(np.asarray(econ.tech.weighted_argmax(w), float), 0.0)
         else:
@@ -206,14 +193,6 @@ class FocSchedule:
         return float(out[0]) if scalar else out
 
 
-def posted_outside_schedule(econ: Economy, agent: int) -> FlatSchedule:
-    """Status-quo bundle: level g_circ and the reservation-consistent tax."""
-    theta = econ.type_of(agent)
-    t = theta * float(econ.tech.phi(econ.outside_g)) - float(
-        econ.reservation.value(theta, econ.outside_g))
-    return FlatSchedule(econ, agent, econ.outside_g, t)
-
-
 def realized_transfers(econ: Economy, schedules, g_star: float) -> tuple:
     """Per-agent transfers at the realized profile; the agenda setter's own
     contribution makes the resource constraint bind exactly."""
@@ -228,21 +207,19 @@ def realized_transfers(econ: Economy, schedules, g_star: float) -> tuple:
 
 
 def transfer_understate(econ: Economy, schedule, theta_i: float) -> float:
-    """Envelope transfer for an agent on the understating side.
+    """Envelope transfer of an agent at type theta_i.
 
-    Rents integrate upward from the binding anchor, so the reported payment
-    is the gross value minus the accumulated gain above the anchor,
-    normalized so the anchor type earns exactly its reservation utility.
+    Rents integrate from the binding anchor, at the bottom of the support
+    for an agent on the understating side and at the top on the overstating
+    side, so the payment is the gross value minus the rent accumulated from
+    the anchor, normalized so the anchor type earns exactly its reservation
+    utility.
     """
     econ.dist_of(schedule.agent).check_support(theta_i)
     return float(schedule.transfer(theta_i))
 
 
-def transfer_overstate(econ: Economy, schedule, theta_i: float) -> float:
-    """Envelope transfer on the overstating side: rents integrate downward
-    from the binding anchor at the top."""
-    econ.dist_of(schedule.agent).check_support(theta_i)
-    return float(schedule.transfer(theta_i))
+transfer_overstate = transfer_understate
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AGENDA_SETTER, Economy, InvalidEconomy, ModelError
-from .solver_core import GammaRepresentation, bisect, gamma_weight_sum, solve_weighted_foc
+from .solver_core import GammaRepresentation, gamma_weight_sum, invert_phi, solve_weighted_foc
 from .transfers import agenda_setter_payoff
 
 ORACLE_GRID = 41
@@ -287,10 +287,7 @@ def stochastic_dominance_check(econ: Economy, lotteries, samples: int = 0) -> Do
         phi_vals = np.asarray(econ.tech.phi_at(support), float)
         mean_phi = float(phi_vals @ probs)
         mean_g = float(support @ probs)
-        if econ.tech.phi_inverse is not None:
-            g_det = float(econ.tech.phi_inverse(mean_phi))
-        else:
-            g_det = _invert_phi(econ.tech, mean_phi, float(support.max()))
+        g_det = invert_phi(econ.tech, mean_phi, hi=max(float(support.max()), 1.0))
         sigma_det = weight * mean_phi - g_det
         sigma_lot = weight * mean_phi - mean_g
         mc_err = None
@@ -300,17 +297,6 @@ def stochastic_dominance_check(econ: Economy, lotteries, samples: int = 0) -> Do
         rows.append(LotteryRow(tuple(support), tuple(probs), g_det,
                                sigma_det, sigma_lot, sigma_det - sigma_lot, mc_err))
     return DominanceReport(tuple(rows))
-
-
-def _invert_phi(tech, target: float, hi_start: float) -> float:
-    if target <= 0.0:
-        return 0.0
-    hi = max(hi_start, 1.0)
-    while float(tech.phi(hi)) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ModelError("benefit target unreachable")
-    return bisect(lambda g: float(tech.phi(g)) < target, 0.0, hi, 200)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,51 @@ def test_virtual_value_nonincreasing_in_gamma(theta, g1, g2, name):
             <= am.virtual_value_gamma(d, theta, lo) + 1e-12)
 
 
+def reference_hazard_low(dist, theta):
+    """The separate downward-distortion formula the shadow weight replaced."""
+    if np.isscalar(theta) or np.ndim(theta) == 0:
+        dist.check_support(float(theta))
+        return float(theta) - (1.0 - dist.F(theta)) / dist.f(theta)
+    return np.asarray(theta, float) - (1.0 - dist.F(theta)) / dist.f(theta)
+
+
+def reference_hazard_high(dist, theta):
+    """The separate upward-distortion formula the shadow weight replaced."""
+    if np.isscalar(theta) or np.ndim(theta) == 0:
+        dist.check_support(float(theta))
+        return float(theta) + dist.F(theta) / dist.f(theta)
+    return np.asarray(theta, float) + dist.F(theta) / dist.f(theta)
+
+
+@pytest.mark.parametrize("name", sorted(DISTS))
+def test_virtual_value_gamma_equals_hazard_formulas_exactly(name):
+    d = DISTS[name]()
+    grid = np.linspace(0.0, 1.0, 97)
+    for gamma, reference, public in ((1.0, reference_hazard_low, am.hazard_low),
+                                     (0.0, reference_hazard_high, am.hazard_high)):
+        want = reference(d, grid)
+        for got in (am.virtual_value_gamma(d, grid, gamma), public(d, grid)):
+            assert got.tolist() == want.tolist()
+        for theta in grid:
+            want_t = reference(d, float(theta))
+            assert am.virtual_value_gamma(d, float(theta), gamma) == want_t
+            assert public(d, float(theta)) == want_t
+            assert type(public(d, float(theta))) is float
+
+
+def test_virtual_value_gamma_range_check():
+    d = am.uniform(0.0, 1.0)
+    with pytest.raises(am.ModelError):
+        am.virtual_value_gamma(d, np.array([0.2, 0.4]), np.array([0.5, 1.5]))
+    with pytest.raises(am.ModelError):
+        am.virtual_value_gamma(d, 0.4, np.array(-0.1))
+    with pytest.raises(am.ModelError):
+        am.virtual_value_gamma(d, 0.4, -1e-9)
+    # the tolerance admits rounding just outside [0, 1]; NaN is not rejected
+    assert am.virtual_value_gamma(d, 0.4, 1.0 + 1e-13) == pytest.approx(-0.2)
+    assert math.isnan(am.virtual_value_gamma(d, 0.4, math.nan))
+
+
 # ---------------------------------------------------------------------------
 # technologies and reservation profiles
 # ---------------------------------------------------------------------------

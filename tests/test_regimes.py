@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import agendamech as am
+from agendamech.regimes import _posted_solution
+from agendamech.solver_core import invert_phi
 from oracles import all_coalitions, foc_level
 
 LOG_PRIME = lambda g: 1.0 / (1.0 + g)
@@ -531,6 +533,43 @@ def test_stochastic_coalition_quota_one(five_agent_economy):
                                         tau_bar=0.1)
     assert sol.coalition == frozenset({0})
     assert all(sol.transfers[i] == 0.1 for i in five_agent_economy.agents)
+
+
+def test_stochastic_coalition_schedules_keep_their_distribution(log_tech):
+    dists = (am.uniform(0.0, 1.0), am.truncated_exponential(1.5, 0.0, 1.0),
+             am.truncated_normal(0.6, 0.3, 0.0, 1.0), am.uniform(0.0, 1.0))
+    econ = am.Economy(1.5, (0.55, 0.7, 0.8, 0.95), dists, log_tech,
+                      am.linear_reservation(log_tech, 5), 3, 0.0)
+    grid = np.linspace(0.0, 1.0, 17)
+    shifted = 0
+    for seed in range(8):
+        sol = am.solve_stochastic_coalition(econ, seed, tau_bar=0.05)
+        members = sorted(sol.coalition - {0})
+        inner = am.solve(econ.restricted_to(members))
+        for pos, i in enumerate(members):
+            sched, want = sol.schedule_for(i), inner.schedules[pos]
+            assert sched.agent == i and want.agent == pos + 1
+            assert sched.kind == want.kind == "foc"
+            for method in ("allocation", "transfer", "rent"):
+                assert (np.asarray(getattr(sched, method)(grid)).tolist()
+                        == np.asarray(getattr(want, method)(grid)).tolist())
+            shifted += i != pos + 1
+    assert shifted  # some member sits at another index in the sub-economy
+
+
+@pytest.mark.parametrize("fixture", ["golden_economy", "concave_economy", "convex_economy"])
+def test_posted_solution_leaves_every_agent_its_reservation(fixture, request):
+    econ = request.getfixturevalue(fixture)
+    d = float(econ.reservation.slope(econ.agent_types[0], econ.outside_g))
+    for g in (econ.outside_g, invert_phi(econ.tech, d)):
+        sol = _posted_solution(econ, g)
+        assert sol.regime is am.Regime.OUTSIDE_OPTION
+        assert sol.g_star == g
+        report = am.verify_solution(econ, sol)
+        assert report.passed, report.summary()
+        for agent, slack in report.participation_slack:
+            if agent != 0:
+                assert abs(slack) <= 1e-12
 
 
 def test_solution_invariants_randomized():

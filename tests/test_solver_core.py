@@ -1,13 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import agendamech as am
-from agendamech import cli, regimes, solver_core, transfers, verify
-from agendamech.solver_core import GammaRepresentation, bisect, rent_gap
+from agendamech import cli, regimes, solver_core, transfers
+from agendamech.solver_core import GammaRepresentation, bisect, invert_phi, rent_gap
 from oracles import foc_level, simpson
 
 
@@ -327,6 +328,46 @@ def _bisection_outputs(tmp_path, tag):
 
 def test_bisect_early_stop_keeps_every_output_bit_identical(tmp_path, monkeypatch):
     fast = _bisection_outputs(tmp_path, "fast")
-    for module in (solver_core, transfers, regimes, verify):
+    for module in (solver_core, transfers, regimes):
         monkeypatch.setattr(module, "bisect", reference_bisect)
     assert _bisection_outputs(tmp_path, "reference") == fast
+
+
+def _without_closed_forms(tech):
+    return am.Technology(phi=tech.phi, phi_prime=tech.phi_prime, name=tech.name + "-nofast")
+
+
+@pytest.mark.parametrize("g_circ", [0.0, 0.7])
+def test_power_technology_without_closed_forms_solves_without_warnings(g_circ):
+    # phi'(0) of a power benefit is a division by zero that numpy reports as
+    # a RuntimeWarning unless the caller expects it
+    tech = _without_closed_forms(am.power_technology(0.5))
+    econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), tech,
+                      am.linear_reservation(tech, 2), 2, g_circ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = am.solve(econ)
+        assert am.verify_solution(econ, sol).passed
+    assert tech.marginal_at_zero() == math.inf
+
+
+@pytest.mark.parametrize("tech", [am.log_technology(), am.power_technology(0.3),
+                                  am.power_technology(0.7)], ids=lambda t: t.name)
+def test_invert_phi_bisection_matches_closed_form(tech):
+    blind = _without_closed_forms(tech)
+    for target in (0.0, 1e-6, 0.05, 0.3, 1.0, 2.5, 7.0):
+        closed = invert_phi(tech, target)
+        assert closed == max(float(tech.phi_inverse(target)), 0.0)
+        for hi in (1.0, 3.0):
+            got = invert_phi(blind, target, hi=hi)
+            assert abs(got - closed) <= 1e-12 * closed
+    assert invert_phi(blind, 0.0) == 0.0 == invert_phi(tech, -1.0)
+
+
+def test_invert_phi_unreachable_target_raises():
+    saturating = am.Technology(phi=lambda g: 1.0 - np.exp(-np.asarray(g, float)),
+                               phi_prime=lambda g: np.exp(-np.asarray(g, float)),
+                               name="saturating")
+    assert invert_phi(saturating, 0.5) == pytest.approx(math.log(2.0), rel=1e-12)
+    with pytest.raises(am.UnboundedObjective):
+        invert_phi(saturating, 1.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import agendamech as am
-from agendamech.transfers import HAZARD_LOW, FocSchedule
+from agendamech.transfers import FocSchedule
 from oracles import cumulative_trapezoid, simpson
 
 # Frozen with the independent quadrature below: the golden economy's agent
@@ -73,7 +73,7 @@ def test_constant_allocation_transfer_hand_integral(log_tech):
     econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), log_tech,
                       am.zero_reservation(), 2, 0.0)
     level = 0.4
-    sched = FocSchedule(econ, 1, base_weight=0.5, family=HAZARD_LOW,
+    sched = FocSchedule(econ, 1, base_weight=0.5, gamma=1.0,
                         clip_lo=level, clip_hi=level)
     assert float(sched.allocation(0.3)) == level
     assert sched.anchor == pytest.approx(0.0, abs=1e-12)
