@@ -160,6 +160,60 @@ def _middle_gamma(econ: Economy) -> GammaRepresentation:
     return GammaRepresentation.constant(bisect(lambda gam: w(gam) > target, 0.0, 1.0, 100))
 
 
+def _solution(econ: Economy, g_star: float, regime: Regime, schedules: dict,
+              coalition: frozenset, gamma: GammaRepresentation, cutoff_types: tuple,
+              excluded=(), bunched=(), thresholds: Thresholds | None = None,
+              thresholds_raw: Thresholds | None = None, notes: tuple = (),
+              transfers: tuple | None = None) -> MechanismSolution:
+    """The one constructor of a solved mechanism.
+
+    `schedules` maps every non-agenda agent to its report rule. Transfers
+    default to the schedules' realized ones, thresholds to the level itself
+    and raw thresholds to the thresholds.
+    """
+    ordered = tuple(schedules[i] for i in econ.agents)
+    if transfers is None:
+        transfers = realized_transfers(econ, ordered, g_star)
+    thr = thresholds or Thresholds(g_star, g_star)
+    return MechanismSolution(
+        g_star=g_star,
+        regime=regime,
+        coalition=coalition,
+        excluded=frozenset(excluded),
+        bunched=frozenset(bunched),
+        cutoff_types=cutoff_types,
+        partition=partition_types(econ, g_star),
+        gamma=gamma,
+        transfers=transfers,
+        thresholds=thr,
+        thresholds_raw=thresholds_raw or thr,
+        schedules=ordered,
+        notes=notes,
+    )
+
+
+def _foc_schedules(econ: Economy, agents, weight: float, gamma: float, **kw) -> dict:
+    """FOC schedule of each agent at the common weight minus its own virtual
+    type under the shadow weight gamma."""
+    own = lambda i: virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma)
+    return {i: FocSchedule(econ, i, weight - own(i), gamma, **kw) for i in agents}
+
+
+def _pool(econ: Economy, schedules: dict, tail, donor: int, theta: float, g_star: float):
+    """Bunch the tail agents at level g_star and the donor's transfer at theta."""
+    if tail:
+        pool = float(schedules[donor].transfer(theta))
+        schedules.update((i, FlatSchedule(econ, i, g_star, pool)) for i in tail)
+
+
+def _short_of_reservation(econ: Economy, agents, g: float, transfers) -> list:
+    """Agents whose realized payoff at level g falls below their reservation."""
+    phi_g = float(econ.tech.phi(g))
+    return [i for i in agents
+            if econ.type_of(i) * phi_g - transfers[i]
+            - float(econ.reservation.value(econ.type_of(i), econ.outside_g)) < -1e-12]
+
+
 def _posted_solution(econ: Economy, g: float, thresholds: Thresholds | None = None,
                      thresholds_raw: Thresholds | None = None,
                      notes: tuple = ()) -> MechanismSolution:
@@ -171,22 +225,11 @@ def _posted_solution(econ: Economy, g: float, thresholds: Thresholds | None = No
     taxes = tuple(
         econ.type_of(i) * phi_g - float(econ.reservation.value(econ.type_of(i), econ.outside_g))
         for i in range(econ.n))
-    thr = thresholds or Thresholds(g, g)
-    return MechanismSolution(
-        g_star=g,
-        regime=Regime.OUTSIDE_OPTION,
-        coalition=_pick_coalition(econ, (), econ.agents),
-        excluded=frozenset(),
-        bunched=frozenset(),
-        cutoff_types=(),
-        partition=partition_types(econ, g),
-        gamma=_middle_gamma(econ),
-        transfers=taxes,
-        thresholds=thr,
-        thresholds_raw=thresholds_raw or thr,
-        schedules=tuple(FlatSchedule(econ, i, g, taxes[i]) for i in econ.agents),
-        notes=notes,
-    )
+    return _solution(econ, g, Regime.OUTSIDE_OPTION,
+                     {i: FlatSchedule(econ, i, g, taxes[i]) for i in econ.agents},
+                     _pick_coalition(econ, (), econ.agents), _middle_gamma(econ), (),
+                     thresholds=thresholds, thresholds_raw=thresholds_raw, notes=notes,
+                     transfers=taxes)
 
 
 def _one_sided(econ: Economy, side: str, k: int):
@@ -196,7 +239,7 @@ def _one_sided(econ: Economy, side: str, k: int):
     agents are excluded and pooled at the lowest member's type; side "high"
     (shadow weight 0) is the mirror image. At least one agent stays a member
     to anchor participation. Returns (members in type order, excluded,
-    cutoff type or None, shadow weight, FOC weight).
+    cutoff type or None, shadow weight, FOC weight, FOC level).
     """
     k = min(k, len(econ.agents) - 1)
     excluded = _exclusion_order(econ, side)[:k]
@@ -205,102 +248,72 @@ def _one_sided(econ: Economy, side: str, k: int):
     cutoff = econ.type_of(members[0] if side == "low" else members[-1]) if k else None
     weight = econ.agenda_setter_type + (k * cutoff if k else 0.0)
     weight += sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma) for i in members)
-    return members, excluded, cutoff, gamma, weight
+    return members, excluded, cutoff, gamma, weight, solve_weighted_foc(econ.tech, weight)
 
 
 def _outer_thresholds(econ: Economy, k: int):
     """Provision levels of the two one-sided configurations, capped at the
     efficient level when agents are forced in, and raw: the plateaus the
-    step function reaches at extreme outside levels."""
+    step function reaches at extreme outside levels. Also returns the
+    efficient level and both configurations, keyed by side, for the
+    uniform-sign candidates."""
     eff = efficient_level(econ)
-    _, excluded, _, _, w_low = _one_sided(econ, "low", k)
-    _, _, _, _, w_high = _one_sided(econ, "high", k)
-    raw_low = solve_weighted_foc(econ.tech, w_low)
-    raw_high = solve_weighted_foc(econ.tech, w_high)
-    raw = Thresholds(raw_low, raw_high)
-    if not excluded:
-        return raw, raw
-    return Thresholds(min(raw_low, eff), max(raw_high, eff)), raw
+    sides = {side: _one_sided(econ, side, k) for side in ("low", "high")}
+    raw = Thresholds(sides["low"][5], sides["high"][5])
+    thr = Thresholds(min(raw.g_low, eff), max(raw.g_high, eff)) if sides["low"][1] else raw
+    return thr, raw, eff, sides
 
 
-def _uniform_sign_candidate(econ: Economy, side: str, exclusions: int,
+def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
                             enforce_slope_sign: bool,
                             thresholds: Thresholds | None = None,
                             thresholds_raw: Thresholds | None = None,
                             regime: Regime | None = None,
                             cap_to_efficient: bool = True,
-                            notes: tuple = ()) -> MechanismSolution | None:
+                            notes: tuple = (),
+                            eff: float | None = None) -> MechanismSolution | None:
     """One-sided solution: every type mis-reports in the same direction.
 
-    side "low": all understate, participation anchored at the bottom of the
-    coalition; the `exclusions` lowest agents are forced in, bunched at the
-    cutoff agent's bundle, and provision is capped at the efficient level.
-    side "high" is the mirror image. Returns None when the envelope-slope
-    sign check fails (the candidate is infeasible at this outside option).
+    `config` is the `_one_sided` configuration of `side`. side "low": all
+    understate, participation anchored at the bottom of the coalition; the
+    excluded lowest agents are forced in, bunched at the cutoff agent's
+    bundle, and provision is capped at the efficient level `eff`, which is
+    needed only when agents are excluded. side "high" is the mirror image.
+    Returns None when the envelope-slope sign check fails (the candidate is
+    infeasible at this outside option).
     """
-    eff = efficient_level(econ)
-    coalition_members, excluded, cutoff, shadow, weight = _one_sided(econ, side, exclusions)
+    members, excluded, cutoff, shadow, weight, g_raw = config
     k = len(excluded)
-    g_raw = solve_weighted_foc(econ.tech, weight)
-    if side == "low":
+    low = side == "low"
+    if low:
         g_star = min(g_raw, eff) if (k and cap_to_efficient) else g_raw
         clip = {"clip_hi": eff if (k and cap_to_efficient and g_raw > eff) else None}
-        anchor_default = econ.theta_lo
-        gamma = (GammaRepresentation.interior_mass(cutoff) if k
-                 else GammaRepresentation.point_mass_at_low())
-        default_regime = Regime.UNDERSTATE_INTERIOR
-        cutoff_agent = coalition_members[0] if k else None
     else:
         g_star = max(g_raw, eff) if (k and cap_to_efficient) else g_raw
         clip = {"clip_lo": eff if (k and cap_to_efficient and g_raw < eff) else None}
-        anchor_default = econ.theta_hi
-        gamma = (GammaRepresentation.interior_mass(cutoff) if k
-                 else GammaRepresentation.point_mass_at_high())
-        default_regime = Regime.OVERSTATE_INTERIOR
-        cutoff_agent = coalition_members[-1] if k else None
 
     if enforce_slope_sign:
         grid = np.linspace(econ.theta_lo, econ.theta_hi, 41)
         slopes = float(econ.tech.phi(g_star)) - np.asarray(
             econ.reservation.slope(grid, econ.outside_g), float)
-        if side == "low" and slopes.min() < -CONSISTENCY_TOL:
-            return None
-        if side == "high" and slopes.max() > CONSISTENCY_TOL:
+        if (slopes.min() < -CONSISTENCY_TOL) if low else (slopes.max() > CONSISTENCY_TOL):
             return None
 
-    schedules = {}
-    for i in coalition_members:
-        own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), shadow)
-        schedules[i] = FocSchedule(econ, i, weight - own, shadow, **clip)
-    if k:
-        pool_transfer = float(schedules[cutoff_agent].transfer(econ.type_of(cutoff_agent)))
-        for i in excluded:
-            schedules[i] = FlatSchedule(econ, i, g_star, pool_transfer)
-    ordered = tuple(schedules[i] for i in econ.agents)
-    transfers = realized_transfers(econ, ordered, g_star)
-    thr = thresholds or Thresholds(g_star, g_star)
+    schedules = _foc_schedules(econ, members, weight, shadow, **clip)
+    _pool(econ, schedules, excluded, members[0] if low else members[-1], cutoff, g_star)
     need = econ.quota - 1
-    if need <= 0:
-        required = ()
-    elif side == "low":
-        required = coalition_members[-need:]
+    required = () if need <= 0 else members[-need:] if low else members[:need]
+    if k:
+        gamma, cutoff_types = GammaRepresentation.interior_mass(cutoff), (cutoff,)
+    elif low:
+        gamma, cutoff_types = GammaRepresentation.point_mass_at_low(), (econ.theta_lo,)
     else:
-        required = coalition_members[:need]
-    return MechanismSolution(
-        g_star=g_star,
-        regime=regime or default_regime,
-        coalition=_pick_coalition(econ, required, coalition_members),
-        excluded=frozenset(excluded),
-        bunched=frozenset(excluded),
-        cutoff_types=(cutoff,) if k else (anchor_default,),
-        partition=partition_types(econ, g_star),
-        gamma=gamma,
-        transfers=transfers,
-        thresholds=thr,
-        thresholds_raw=thresholds_raw or Thresholds(g_raw, g_raw),
-        schedules=ordered,
-        notes=notes,
-    )
+        gamma, cutoff_types = GammaRepresentation.point_mass_at_high(), (econ.theta_hi,)
+    default_regime = Regime.UNDERSTATE_INTERIOR if low else Regime.OVERSTATE_INTERIOR
+    return _solution(econ, g_star, regime or default_regime, schedules,
+                     _pick_coalition(econ, required, members), gamma, cutoff_types,
+                     excluded=excluded, bunched=excluded, thresholds=thresholds,
+                     thresholds_raw=thresholds_raw or Thresholds(g_raw, g_raw), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +322,21 @@ def _uniform_sign_candidate(econ: Economy, side: str, exclusions: int,
 
 
 def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
-    thr, raw = _outer_thresholds(econ, exclusions)
+    thr, raw, eff, sides = _outer_thresholds(econ, exclusions)
     g_low, g_high, raw_low, raw_high = thr.g_low, thr.g_high, raw.g_low, raw.g_high
     # slope of the reservation profile is type-independent under linearity
     d = float(econ.reservation.slope(econ.agent_types[0], econ.outside_g))
     phi = lambda g: float(econ.tech.phi(g))
 
+    def candidate(side, thresholds, **kw):
+        return _uniform_sign_candidate(econ, side, sides[side], enforce_slope_sign=False,
+                                       thresholds=thresholds, thresholds_raw=raw, eff=eff, **kw)
+
     if raw_low <= raw_high + BRANCH_TOL:
         if d < phi(g_low) - BRANCH_TOL:
-            return _uniform_sign_candidate(
-                econ, "low", exclusions, enforce_slope_sign=False,
-                thresholds=thr, thresholds_raw=raw)
+            return candidate("low", thr)
         if d > phi(g_high) + BRANCH_TOL:
-            return _uniform_sign_candidate(
-                econ, "high", exclusions, enforce_slope_sign=False,
-                thresholds=thr, thresholds_raw=raw)
+            return candidate("high", thr)
         # post the reservation-tracking level, phi equal to the common slope
         # d; under the head-tax profile this is the bundle (g_circ, g_circ/n)
         return _posted_solution(econ, invert_phi(econ.tech, d), thresholds=thr,
@@ -334,13 +347,9 @@ def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
     thr = Thresholds(g_low, raw_high)
     note = (f"non-monotone thresholds: raw low {raw_low:.12g} exceeds raw high {raw_high:.12g}",)
     if d <= phi(g_low) + BRANCH_TOL:
-        return _uniform_sign_candidate(
-            econ, "low", exclusions, enforce_slope_sign=False, thresholds=thr,
-            thresholds_raw=raw, regime=Regime.NON_MONOTONE_LOW, notes=note)
-    return _uniform_sign_candidate(
-        econ, "high", exclusions, enforce_slope_sign=False, thresholds=thr,
-        thresholds_raw=raw, regime=Regime.NON_MONOTONE_HIGH,
-        cap_to_efficient=False, notes=note)
+        return candidate("low", thr, regime=Regime.NON_MONOTONE_LOW, notes=note)
+    return candidate("high", thr, regime=Regime.NON_MONOTONE_HIGH, cap_to_efficient=False,
+                     notes=note)
 
 
 def solve_unanimity_linear(econ: Economy) -> MechanismSolution:
@@ -366,20 +375,20 @@ def solve_majority_linear(econ: Economy) -> MechanismSolution:
 
 
 def _split_weights(econ: Economy, order: list):
-    """Types and virtual types at shadow weights 1 (hl) and 0 (hh) of the
-    agents in type order, and the FOC weight of every split s = 0..r: the s
-    lowest agents overstate, the others understate."""
+    """Types and virtual types at shadow weight 1 (hl) of the agents in type
+    order, and the FOC weight of every split s = 0..r: the s lowest agents
+    overstate (shadow weight 0), the others understate."""
     types = [econ.type_of(i) for i in order]
     hl = [virtual_value_gamma(econ.dist_of(i), t, 1.0) for i, t in zip(order, types)]
     hh = [virtual_value_gamma(econ.dist_of(i), t, 0.0) for i, t in zip(order, types)]
     weights = [econ.agenda_setter_type + sum(hh[:s]) + sum(hl[s:]) for s in range(len(order) + 1)]
-    return types, hl, hh, weights
+    return types, hl, weights
 
 
 def _concave_unanimity(econ: Economy) -> MechanismSolution:
     order = econ.sorted_agents()
     r = len(order)
-    types, hl, hh, weights = _split_weights(econ, order)
+    types, hl, weights = _split_weights(econ, order)
     levels = [solve_weighted_foc(econ.tech, w) for w in weights]
     phis = [float(econ.tech.phi(g)) for g in levels]
 
@@ -407,7 +416,7 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
             anchor = bisect(lambda m: float(econ.reservation.slope(m, econ.outside_g)) > phis[s],
                             points[s], points[s + 1], 200)
             gamma = GammaRepresentation.interior_mass(anchor)
-        blend = None
+        gamma_s = 1.0  # the agent at split s understates
     else:
         blend = None
         for s in range(r):
@@ -427,45 +436,23 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
             return float(econ.tech.phi(solve_weighted_foc(econ.tech, w)))
 
         # level decreases as the blend weight rises
-        gamma_j = bisect(lambda gam: phi_at(gam) > target, 0.0, 1.0, 200)
-        w_star = base + virtual_value_gamma(dist_j, t_j, gamma_j)
+        gamma_s = bisect(lambda gam: phi_at(gam) > target, 0.0, 1.0, 200)
+        w_star = base + virtual_value_gamma(dist_j, t_j, gamma_s)
         g_star = solve_weighted_foc(econ.tech, w_star)
         anchor = t_j
-        gamma = GammaRepresentation.interior_mass(t_j, at_star=gamma_j)
+        gamma = GammaRepresentation.interior_mass(t_j, at_star=gamma_s)
 
-    schedules = {}
-    for pos, i in enumerate(order):
-        if blend is not None and pos == blend:
-            gam = gamma.at_star
-            own = virtual_value_gamma(econ.dist_of(i), types[pos], gam)
-        elif pos < s:
-            gam, own = 0.0, hh[pos]
-        else:
-            gam, own = 1.0, hl[pos]
-        schedules[i] = FocSchedule(econ, i, w_star - own, gam)
-    ordered = tuple(schedules[i] for i in econ.agents)
-    transfers = realized_transfers(econ, ordered, g_star)
-
+    schedules = {**_foc_schedules(econ, order[:s], w_star, 0.0),
+                 **_foc_schedules(econ, order[s:s + 1], w_star, gamma_s),
+                 **_foc_schedules(econ, order[s + 1:], w_star, 1.0)}
     if anchor <= econ.theta_lo + 1e-12:
         regime = Regime.UNDERSTATE_INTERIOR
     elif anchor >= econ.theta_hi - 1e-12:
         regime = Regime.OVERSTATE_INTERIOR
     else:
         regime = Regime.MIXED_INTERIOR
-    return MechanismSolution(
-        g_star=g_star,
-        regime=regime,
-        coalition=_pick_coalition(econ, order, order),
-        excluded=frozenset(),
-        bunched=frozenset(),
-        cutoff_types=(anchor,),
-        partition=partition_types(econ, g_star),
-        gamma=gamma,
-        transfers=transfers,
-        thresholds=thr,
-        thresholds_raw=thr,
-        schedules=ordered,
-    )
+    return _solution(econ, g_star, regime, schedules, _pick_coalition(econ, order, order),
+                     gamma, (anchor,), thresholds=thr)
 
 
 # ---------------------------------------------------------------------------
@@ -481,37 +468,19 @@ def _convex_unanimity(econ: Economy) -> MechanismSolution:
     thr = Thresholds(solve_weighted_foc(econ.tech, w_low),
                      solve_weighted_foc(econ.tech, w_high))
 
-    if gamma_const >= 1.0 - 1e-12:
-        sol = _uniform_sign_candidate(econ, "low", 0, enforce_slope_sign=False,
-                                      thresholds=thr, thresholds_raw=thr)
-        return sol
-    if gamma_const <= 1e-12:
-        return _uniform_sign_candidate(econ, "high", 0, enforce_slope_sign=False,
-                                       thresholds=thr, thresholds_raw=thr)
+    side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
+    if side is not None:
+        return _uniform_sign_candidate(econ, side, _one_sided(econ, side, 0),
+                                       enforce_slope_sign=False, thresholds=thr,
+                                       thresholds_raw=thr)
 
     gamma = GammaRepresentation.constant(gamma_const)
     w_star = gamma_weight_sum(econ, gamma)
     g_star = solve_weighted_foc(econ.tech, w_star)
-    schedules = []
-    for i in econ.agents:
-        own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma_const)
-        schedules.append(FocSchedule(econ, i, w_star - own, gamma_const))
-    ordered = tuple(schedules)
-    transfers = realized_transfers(econ, ordered, g_star)
-    return MechanismSolution(
-        g_star=g_star,
-        regime=Regime.MIXED_INTERIOR,
-        coalition=_pick_coalition(econ, econ.agents, econ.agents),
-        excluded=frozenset(),
-        bunched=frozenset(),
-        cutoff_types=(lo, hi),
-        partition=partition_types(econ, g_star),
-        gamma=gamma,
-        transfers=transfers,
-        thresholds=thr,
-        thresholds_raw=thr,
-        schedules=ordered,
-    )
+    return _solution(econ, g_star, Regime.MIXED_INTERIOR,
+                     _foc_schedules(econ, econ.agents, w_star, gamma_const),
+                     _pick_coalition(econ, econ.agents, econ.agents), gamma, (lo, hi),
+                     thresholds=thr)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +496,8 @@ def solve_unanimity_general(econ: Economy) -> MechanismSolution:
     if curv is Curvature.LINEAR:
         return _linear_solve(econ, 0)
     if curv is Curvature.NEGATIVE_SLOPE:
-        return _uniform_sign_candidate(econ, "low", 0, enforce_slope_sign=False)
+        return _uniform_sign_candidate(econ, "low", _one_sided(econ, "low", 0),
+                                       enforce_slope_sign=False)
     if curv is Curvature.CONCAVE:
         try:
             return _concave_unanimity(econ)
@@ -593,40 +563,19 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     if any(d > -1e-12 for d in dips):
         return None
 
-    schedules = {}
-    for group, shadow in ((below, 0.0), (above, 1.0)):
-        for i in group:
-            own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), shadow)
-            schedules[i] = FocSchedule(econ, i, w_star - own, shadow)
+    schedules = {**_foc_schedules(econ, below, w_star, 0.0),
+                 **_foc_schedules(econ, above, w_star, 1.0)}
     for i, dip in zip(window, dips):
-        own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam)
-        schedules[i] = FocSchedule(econ, i, w_star - own, gam, pin=(econ.type_of(i), dip))
-    ordered = tuple(schedules[i] for i in econ.agents)
-    transfers = realized_transfers(econ, ordered, g_star)
-
+        schedules.update(_foc_schedules(econ, [i], w_star, gam, pin=(econ.type_of(i), dip)))
     gamma = GammaRepresentation.piecewise(
         pieces=((econ.theta_lo, theta_p, 0.0), (theta_p, theta_q, gam),
                 (theta_q, econ.theta_hi, 1.0)),
         atoms=((theta_p, 0.0), (theta_q, 1.0)),
     )
-    outside = below + above
-    binding = [order[start - 1], order[end + 1]]
-    required = binding if econ.quota >= len(binding) + 1 else binding[:econ.quota - 1]
-    return MechanismSolution(
-        g_star=g_star,
-        regime=Regime.MIXED_INTERIOR,
-        coalition=_pick_coalition(econ, required, outside),
-        excluded=frozenset(window),
-        bunched=frozenset(),
-        cutoff_types=(theta_p, theta_q),
-        partition=partition_types(econ, g_star),
-        gamma=gamma,
-        transfers=transfers,
-        thresholds=Thresholds(g_star, g_star),
-        thresholds_raw=Thresholds(g_star, g_star),
-        schedules=ordered,
-        notes=(f"excluded interior window of {width} agent(s)",),
-    )
+    required = [order[start - 1], order[end + 1]][:econ.quota - 1]
+    return _solution(econ, g_star, Regime.MIXED_INTERIOR, schedules,
+                     _pick_coalition(econ, required, below + above), gamma, (theta_p, theta_q),
+                     excluded=window, notes=(f"excluded interior window of {width} agent(s)",))
 
 
 def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolution | None:
@@ -668,26 +617,11 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
     if k_hi and phi_g - float(econ.reservation.slope(theta_q, econ.outside_g)) > CONSISTENCY_TOL:
         return None
 
-    schedules = {}
-    for i in members:
-        own = virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam)
-        schedules[i] = FocSchedule(econ, i, w_star - own, gam)
-    if k_lo:
-        pool = float(schedules[members[0]].transfer(theta_p))
-        for i in low_tail:
-            schedules[i] = FlatSchedule(econ, i, g_star, pool)
-    if k_hi:
-        pool = float(schedules[members[-1]].transfer(theta_q))
-        for i in high_tail:
-            schedules[i] = FlatSchedule(econ, i, g_star, pool)
-    ordered = tuple(schedules[i] for i in econ.agents)
-    transfers = realized_transfers(econ, ordered, g_star)
-
-    excluded = [
-        i for i in (*low_tail, *high_tail)
-        if econ.type_of(i) * phi_g - transfers[i]
-        - float(econ.reservation.value(econ.type_of(i), econ.outside_g)) < -1e-12
-    ]
+    schedules = _foc_schedules(econ, members, w_star, gam)
+    _pool(econ, schedules, low_tail, members[0], theta_p, g_star)
+    _pool(econ, schedules, high_tail, members[-1], theta_q, g_star)
+    tails = (*low_tail, *high_tail)
+    transfers = realized_transfers(econ, [schedules[i] for i in econ.agents], g_star)
     pieces = []
     atoms = []
     if k_lo:
@@ -700,22 +634,12 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
         atoms.append((theta_q, gam))
     gamma = GammaRepresentation.piecewise(pieces=pieces, atoms=atoms)
     binding = ([members[0]] if k_lo else []) + ([members[-1]] if k_hi else [])
-    required = binding if econ.quota >= len(binding) + 1 else binding[:econ.quota - 1]
-    return MechanismSolution(
-        g_star=g_star,
-        regime=Regime.MIXED_INTERIOR,
-        coalition=_pick_coalition(econ, required, members),
-        excluded=frozenset(excluded),
-        bunched=frozenset((*low_tail, *high_tail)),
-        cutoff_types=(theta_p, theta_q),
-        partition=partition_types(econ, g_star),
-        gamma=gamma,
-        transfers=transfers,
-        thresholds=Thresholds(g_star, g_star),
-        thresholds_raw=Thresholds(g_star, g_star),
-        schedules=ordered,
-        notes=(f"excluded tails ({k_lo} low, {k_hi} high)",),
-    )
+    return _solution(econ, g_star, Regime.MIXED_INTERIOR, schedules,
+                     _pick_coalition(econ, binding[:econ.quota - 1], members), gamma,
+                     (theta_p, theta_q),
+                     excluded=_short_of_reservation(econ, tails, g_star, transfers),
+                     bunched=tails, notes=(f"excluded tails ({k_lo} low, {k_hi} high)",),
+                     transfers=transfers)
 
 
 def solve_majority_general(econ: Economy) -> MechanismSolution:
@@ -725,23 +649,22 @@ def solve_majority_general(econ: Economy) -> MechanismSolution:
     if econ.quota == econ.n:
         return solve_unanimity_general(econ)
     curv = econ.reservation.curvature
-    if curv is Curvature.LINEAR:
-        return _linear_solve(econ, econ.n - econ.quota)
     k = econ.n - econ.quota
+    if curv is Curvature.LINEAR:
+        return _linear_solve(econ, k)
     if curv is Curvature.NEGATIVE_SLOPE:
-        return _uniform_sign_candidate(econ, "low", k, enforce_slope_sign=False)
+        return _uniform_sign_candidate(econ, "low", _one_sided(econ, "low", k),
+                                       enforce_slope_sign=False, eff=efficient_level(econ))
 
-    thresholds, thresholds_raw = _outer_thresholds(econ, k)
+    thresholds, thresholds_raw, eff, sides = _outer_thresholds(econ, k)
     # uniform-sign regimes apply mechanically: force the cheapest tail in,
     # bunch it at the cutoff bundle, cap at the efficient level
-    low = _uniform_sign_candidate(econ, "low", k, enforce_slope_sign=True,
-                                  thresholds=thresholds, thresholds_raw=thresholds_raw)
-    if low is not None:
-        return low
-    high = _uniform_sign_candidate(econ, "high", k, enforce_slope_sign=True,
-                                   thresholds=thresholds, thresholds_raw=thresholds_raw)
-    if high is not None:
-        return high
+    for side in ("low", "high"):
+        sol = _uniform_sign_candidate(econ, side, sides[side], enforce_slope_sign=True,
+                                      thresholds=thresholds, thresholds_raw=thresholds_raw,
+                                      eff=eff)
+        if sol is not None:
+            return sol
 
     # countervailing region: curvature-specific exclusion candidates compete
     # on the proposer's realized payoff (the no-exclusion configuration is
@@ -767,21 +690,15 @@ def solve_majority_general(econ: Economy) -> MechanismSolution:
         return _posted_solution(econ, econ.outside_g, thresholds=thresholds,
                                 thresholds_raw=thresholds_raw,
                                 notes=("no consistent configuration; status quo implemented",))
-    if len(best.coalition) != econ.quota:
-        best = _with_trimmed_coalition(econ, best)
-    return dataclasses.replace(best, thresholds=thresholds,
+    coalition = best.coalition
+    if len(coalition) != econ.quota:
+        coalition = _pick_coalition(econ, (), [i for i in econ.agents if i not in best.excluded])
+    return dataclasses.replace(best, coalition=coalition, thresholds=thresholds,
                                thresholds_raw=thresholds_raw)
 
 
-def _with_trimmed_coalition(econ: Economy, sol: MechanismSolution) -> MechanismSolution:
-    eligible = [i for i in econ.agents if i not in sol.excluded]
-    return dataclasses.replace(sol, coalition=_pick_coalition(econ, (), eligible))
-
-
 def solve(econ: Economy) -> MechanismSolution:
-    """Dispatch on quota and curvature."""
-    if econ.quota == econ.n:
-        return solve_unanimity_general(econ)
+    """Solve at the economy's quota and curvature (unanimity when quota = n)."""
     return solve_majority_general(econ)
 
 
@@ -806,79 +723,35 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
         raise InvalidEconomy("tau_bar must be nonnegative")
     rng = random.Random(seed)
     members = sorted(rng.sample(list(econ.agents), econ.quota - 1))
-    if not members:
-        return _singleton_coalition_solution(econ, tau_bar, seed)
-    inner = econ.restricted_to(members)
-    inner_sol = solve(inner)
-    g_star = inner_sol.g_star
-
-    schedules = {}
-    transfers = {AGENDA_SETTER: 0.0}
-    for pos, i in enumerate(members):
-        # the schedule keeps the sub-economy and its distribution; only the
-        # agent index changes
-        schedules[i] = copy.copy(inner_sol.schedules[pos])
-        schedules[i].agent = i
-        transfers[i] = inner_sol.transfers[pos + 1]
+    schedules, paid = {}, {}
+    if members:
+        inner = solve(econ.restricted_to(members))
+        g_star, regime, gamma = inner.g_star, inner.regime, inner.gamma
+        cutoff_types, thr, thr_raw = inner.cutoff_types, inner.thresholds, inner.thresholds_raw
+        note = f"coalition drawn with seed {seed}; outsiders taxed {tau_bar}"
+        for pos, i in enumerate(members):
+            # the schedule keeps the sub-economy and its distribution; only
+            # the agent index changes
+            schedules[i] = copy.copy(inner.schedules[pos])
+            schedules[i].agent = i
+            paid[i] = inner.transfers[pos + 1]
+    else:
+        # quota of one: the proposer needs no votes and provides its own
+        # optimum
+        g_star = solve_weighted_foc(econ.tech, econ.agenda_setter_type)
+        regime, gamma = Regime.UNDERSTATE_INTERIOR, GammaRepresentation.point_mass_at_low()
+        cutoff_types, thr, thr_raw = (), None, None
+        note = f"singleton coalition (seed {seed}); outsiders taxed {tau_bar}"
     outsiders = [i for i in econ.agents if i not in members]
     for i in outsiders:
         schedules[i] = FlatSchedule(econ, i, g_star, tau_bar)
-        transfers[i] = tau_bar
-    t_others = [transfers[i] for i in econ.agents]
-    t_a = g_star - sum(t_others)
-    ordered = tuple(schedules[i] for i in econ.agents)
-
-    phi_g = float(econ.tech.phi(g_star))
-    excluded = frozenset(
-        i for i in outsiders
-        if econ.type_of(i) * phi_g - tau_bar
-        - float(econ.reservation.value(econ.type_of(i), econ.outside_g)) < -1e-12
-    )
-    return MechanismSolution(
-        g_star=g_star,
-        regime=inner_sol.regime,
-        coalition=frozenset({AGENDA_SETTER, *members}),
-        excluded=excluded,
-        bunched=frozenset(),
-        cutoff_types=inner_sol.cutoff_types,
-        partition=partition_types(econ, g_star),
-        gamma=inner_sol.gamma,
-        transfers=(t_a, *t_others),
-        thresholds=inner_sol.thresholds,
-        thresholds_raw=inner_sol.thresholds_raw,
-        schedules=ordered,
-        notes=(f"coalition drawn with seed {seed}; outsiders taxed {tau_bar}",),
-    )
-
-
-def _singleton_coalition_solution(econ: Economy, tau_bar: float, seed: int) -> MechanismSolution:
-    """Quota of one: the proposer needs no votes, provides his own optimum
-    and taxes everyone else at the bound."""
-    g_star = solve_weighted_foc(econ.tech, econ.agenda_setter_type)
-    schedules = tuple(FlatSchedule(econ, i, g_star, tau_bar) for i in econ.agents)
-    t_others = [tau_bar] * len(econ.agents)
-    t_a = g_star - sum(t_others)
-    phi_g = float(econ.tech.phi(g_star))
-    excluded = frozenset(
-        i for i in econ.agents
-        if econ.type_of(i) * phi_g - tau_bar
-        - float(econ.reservation.value(econ.type_of(i), econ.outside_g)) < -1e-12
-    )
-    return MechanismSolution(
-        g_star=g_star,
-        regime=Regime.UNDERSTATE_INTERIOR,
-        coalition=frozenset({AGENDA_SETTER}),
-        excluded=excluded,
-        bunched=frozenset(),
-        cutoff_types=(),
-        partition=partition_types(econ, g_star),
-        gamma=GammaRepresentation.point_mass_at_low(),
-        transfers=(t_a, *t_others),
-        thresholds=Thresholds(g_star, g_star),
-        thresholds_raw=Thresholds(g_star, g_star),
-        schedules=schedules,
-        notes=(f"singleton coalition (seed {seed}); outsiders taxed {tau_bar}",),
-    )
+        paid[i] = tau_bar
+    t_others = [paid[i] for i in econ.agents]
+    transfers = (g_star - sum(t_others), *t_others)
+    return _solution(econ, g_star, regime, schedules, frozenset({AGENDA_SETTER, *members}),
+                     gamma, cutoff_types,
+                     excluded=_short_of_reservation(econ, outsiders, g_star, transfers),
+                     thresholds=thr, thresholds_raw=thr_raw, notes=(note,), transfers=transfers)
 
 
 def threshold_table(econ: Economy, g_circ_max: float | None = None) -> ThresholdTable:
@@ -906,7 +779,7 @@ def threshold_table(econ: Economy, g_circ_max: float | None = None) -> Threshold
 
     rungs = []
     if curv is Curvature.CONCAVE:
-        types, _, _, weights = _split_weights(econ, order)
+        types, _, weights = _split_weights(econ, order)
         for s in range(r):
             phi_s = float(econ.tech.phi(solve_weighted_foc(econ.tech, weights[s])))
             target_theta = types[s]
@@ -914,8 +787,6 @@ def threshold_table(econ: Economy, g_circ_max: float | None = None) -> Threshold
                                         0.0, hi_cap)
             if g_circ is not None:
                 rungs.append(LadderRung(g_circ, k=s, l=s + 1))
-        g_low = rungs[0].g_circ if rungs else 0.0
-        g_high = rungs[-1].g_circ if rungs else 0.0
     else:
         for pos in range(r - 1, -1, -1):
             theta = econ.type_of(order[pos])
@@ -927,8 +798,8 @@ def threshold_table(econ: Economy, g_circ_max: float | None = None) -> Threshold
             g_circ = _bisect_increasing(flip, 0.0, hi_cap)
             if g_circ is not None:
                 rungs.append(LadderRung(g_circ, k=pos + 1, l=pos + 1))
-        g_low = rungs[0].g_circ if rungs else 0.0
-        g_high = rungs[-1].g_circ if rungs else 0.0
+    g_low = rungs[0].g_circ if rungs else 0.0
+    g_high = rungs[-1].g_circ if rungs else 0.0
     return ThresholdTable(g_low, g_high, tuple(rungs))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -626,3 +627,102 @@ def test_coalition_tie_break_lexicographic(log_tech):
     assert sol.coalition == frozenset({0, 1, 3})
     assert sol.excluded == frozenset({2, 4})
     assert am.verify_solution(econ, sol).passed
+
+
+# ---------------------------------------------------------------------------
+# Every solution field, pinned
+# ---------------------------------------------------------------------------
+
+# case: (fixture, solver, expected record); the records were written down
+# from the solver before its regimes shared one solution constructor, and
+# every float is compared exactly.
+PINNED = {
+    "golden": (
+        "golden_economy", am.solve,
+        (0.10000000000000009, "understate_interior", [0, 1], [], [], (0.0,), ([], [], [1]),
+         "point mass at support bottom", (0.026172455048905904, 0.07382754495109418),
+         (0.10000000000000009, 1.1), (0.10000000000000009, 1.1), ())),
+    "majority": (
+        "majority_economy", am.solve,
+        (0.5, "non_monotone_low", [0, 2], [1], [1], (0.8,), ([], [], [1, 2]),
+         "mass at theta=0.8 (weight 1 on the point)",
+         (0.12163953243244086, 0.18918023378377957, 0.18918023378377957),
+         (0.5, 0.10000000000000009), (0.9000000000000001, 0.10000000000000009),
+         ("non-monotone thresholds: raw low 0.9 exceeds raw high 0.1",))),
+    "concave": (
+        "concave_economy", am.solve,
+        (0.866065983073615, "mixed_interior", [0, 1, 2, 3], [], [], (0.5,), ([1], [2], [3]),
+         "mass at theta=0.5 (weight 0.933934016926 on the point)",
+         (1.0984138228403644, -0.07831733598119764, -0.08664339756999306, -0.06738710621555868),
+         (0.0, 2.8000000000000003), (0.0, 2.8000000000000003), ())),
+    "convex": (
+        "convex_economy", am.solve,
+        (0.7411011265915477, "mixed_interior", [0, 1, 2, 3], [], [], (0.0, 1.0),
+         ([3], [2], [1]), "constant 0.686299624469 with end-point jumps",
+         (0.577067217556799, 0.0559979813940687, 0.08664339756979197, 0.021392530070888024),
+         (0.0, 2.8000000000000003), (0.0, 2.8000000000000003), ())),
+    "concave_window": (
+        "concave_window_economy", am.solve,
+        (1.029872035758399, "mixed_interior", [0, 1, 4], [2, 3], [], (0.2, 0.9),
+         ([1, 2], [3], [4]), "piecewise [0,0.2)=0, [0.2,0.9)=0.835064, [0.9,1)=1",
+         (1.3764399554638413, -0.09898865896164105, -0.07496182106420896, -0.07496182106420894,
+          -0.0976556186153835),
+         (1.5, 1.7000000000000002), (1.5, 1.7000000000000002),
+         ("excluded interior window of 2 agent(s)",))),
+    "convex_tail": (
+        "convex_tail_economy", am.solve,
+        (1.5499999999999998, "understate_interior", [0, 3, 4], [1, 2], [1, 2], (0.55,),
+         ([], [], [1, 2, 3, 4]), "mass at theta=0.55 (weight 1 on the point)",
+         (0.8117483517582929, 0.12702881170337318, 0.12702881170337318, 0.12702881170337318,
+          0.3571652131315875),
+         (1.5499999999999998, 1.5499999999999998), (1.6, 1.5), ())),
+    "golden_posted": (
+        "golden_economy", lambda e: am.solve(e.with_outside_g(0.5)),
+        (0.5, "outside_option", [0, 1], [], [], (), ([], [1], []),
+         "constant 0.6 with end-point jumps", (0.25, 0.25), (0.10000000000000009, 1.1),
+         (0.10000000000000009, 1.1), ())),
+    "window_trimmed": (
+        "concave_window_economy", lambda e: am.solve(e.with_quota(2).with_outside_g(1.0)),
+        (0.9000000000000001, "mixed_interior", [0, 1], [2, 3], [], (0.2, 0.9),
+         ([1, 2], [], [3, 4]), "piecewise [0,0.2)=0, [0.2,0.9)=0.9, [0.9,1)=1",
+         (1.1051535154173964, -0.06241468912654562, -0.05184748971110685, -0.05184748971110676,
+          -0.03904384686863699),
+         (1.6, 1.6), (3.0, 0.5), ("excluded interior window of 2 agent(s)",))),
+    "tails_both": (
+        "convex_tail_economy", lambda e: am.solve(e.with_quota(2).with_outside_g(2.0)),
+        (1.4082246852813118, "mixed_interior", [0, 2], [1, 4], [1, 4], (0.45, 0.55),
+         ([3, 4], [], [1, 2]), "piecewise [0,0.45)=0, [0.45,0.55)=0.545888, [0.55,1)=1",
+         (1.063574671946969, 0.09710816953751991, 0.09710816953751991, 0.07521683712965149,
+          0.07521683712965149),
+         (1.5499999999999998, 1.5499999999999998), (3.25, 0.0),
+         ("excluded tails (1 low, 1 high)",))),
+    "stochastic_quota_one": (
+        "convex_tail_economy", lambda e: am.solve_stochastic_coalition(
+        dataclasses.replace(e, agenda_setter_type=1.6, quota=1), 4, 0.05),
+        (0.6000000000000001, "understate_interior", [0], [1, 2, 3, 4], [], (),
+         ([2, 3, 4], [], [1]), "point mass at support bottom",
+         (0.4000000000000001, 0.05, 0.05, 0.05, 0.05), (0.6000000000000001, 0.6000000000000001),
+         (0.6000000000000001, 0.6000000000000001),
+         ("singleton coalition (seed 4); outsiders taxed 0.05",))),
+    "stochastic_drawn": (
+        "concave_window_economy", lambda e: am.solve_stochastic_coalition(e, 1, 0.1),
+        (1.0298720357589022, "mixed_interior", [0, 2, 3], [1, 4], [], (0.55,),
+         ([1, 2], [3], [4]), "mass at theta=0.55 (weight 0.470127964241 on the point)",
+         (1.0795857543383436, 0.1, -0.12373621373550692, -0.1259775048439344, 0.1), (0.0, 1.5),
+         (0.0, 1.5), ("coalition drawn with seed 1; outsiders taxed 0.1",))),
+}
+
+
+def _record(sol):
+    p = sol.partition
+    return (sol.g_star, sol.regime.value, sorted(sol.coalition), sorted(sol.excluded),
+            sorted(sol.bunched), sol.cutoff_types, (sorted(p.K), sorted(p.L), sorted(p.M)),
+            sol.gamma.describe(), sol.transfers,
+            (sol.thresholds.g_low, sol.thresholds.g_high),
+            (sol.thresholds_raw.g_low, sol.thresholds_raw.g_high), sol.notes)
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_every_solution_field_pinned(case, request):
+    fixture, solver, expected = PINNED[case]
+    assert _record(solver(request.getfixturevalue(fixture))) == expected
