@@ -1,0 +1,108 @@
+"""Write a ``repr`` dump of the program's outputs, for a byte comparison of
+two checkouts.
+
+Run from the root of a checkout::
+
+    python scripts/dump_outputs.py OUT
+
+The program is imported from ``src/`` and the economy generators from
+``perfbench/workloads.py``. Dump the parent and the change into two files
+and compare them with ``cmp``: any output that moved shows as a difference.
+
+The dump covers every second draw of the benchmark's 2048-economy corpus
+(validation, every solution field, the shadow weight at a type grid and at
+the realized types, each schedule's allocation and transfer at 17 reports,
+and the oracle report), re-solves at every quota and two drawn coalitions on
+every 32nd draw, and 54 threshold tables: every 4th ladder economy and the
+six sweep fixtures.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import agendamech as am  # noqa: E402
+from agendamech.cli import load_model  # noqa: E402
+from workloads import (CORPUS_POOL, LADDER_CANDIDATES, SWEEP_MODELS,  # noqa: E402
+                       corpus_economy, ladder_economy)
+
+REPORTS = 17
+
+
+def _solution_lines(econ, sol, agents=None) -> list:
+    lo, hi = econ.theta_lo, econ.theta_hi
+    grid = [float(t) for t in np.linspace(lo, hi, REPORTS)]
+    realized = [econ.type_of(i) for i in econ.agents]
+    lines = [repr((sol.g_star, sol.regime, sorted(sol.coalition), sorted(sol.excluded),
+                   sorted(sol.bunched), sol.cutoff_types, sol.partition, sol.transfers,
+                   sol.thresholds, sol.thresholds_raw, sol.notes)),
+             sol.gamma.describe(),
+             repr([sol.gamma.value(t, lo, hi) for t in grid + realized])]
+    for s in sol.schedules:
+        lines.append(repr((s.kind, s.agent, s.anchor, [float(s.allocation(t)) for t in grid],
+                           [float(s.transfer(t)) for t in grid])))
+    lines.append(repr(am.verify_solution(econ, sol, agents=agents)))
+    return lines
+
+
+def _solved(econ, solve, agents=None) -> list:
+    try:
+        sol = solve(econ)
+    except am.SolverError as exc:
+        return [f"{type(exc).__name__}: {exc}"]
+    return _solution_lines(econ, sol, agents(sol) if agents else None)
+
+
+def _corpus(index: int) -> list:
+    econ = corpus_economy(am, index)
+    report = am.validate_economy(econ)
+    lines = [f"corpus {index}", repr(report)]
+    if not report.passed:
+        return lines
+    lines += _solved(econ, am.solve)
+    if index % 32 == 0:
+        for quota in range(1, econ.n + 1):
+            lines.append(f"quota {quota}")
+            lines += _solved(econ.with_quota(quota), am.solve)
+        for seed in (1, 2):
+            lines.append(f"coalition seed {seed}")
+            lines += _solved(econ, lambda e: am.solve_stochastic_coalition(e, seed, 0.05),
+                             agents=lambda sol: sorted(sol.coalition - {0}))
+    return lines
+
+
+def _table(name: str, econ) -> list:
+    try:
+        return [name, repr(am.threshold_table(econ))]
+    except am.SolverError as exc:
+        return [name, f"{type(exc).__name__}: {exc}"]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    lines = []
+    for index in range(0, CORPUS_POOL, 2):
+        lines += _corpus(index)
+    for index in range(0, LADDER_CANDIDATES, 4):
+        lines += _table(f"ladder {index}", ladder_economy(am, index))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, model in SWEEP_MODELS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(model))
+            lines += _table(f"fixture {name}", load_model(str(path))[0])
+    Path(argv[1]).write_text("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

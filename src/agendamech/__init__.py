@@ -8,7 +8,6 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
-    LinearOutsideOption,
     ModelError,
     ReservationProfile,
     Technology,

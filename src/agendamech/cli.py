@@ -23,7 +23,8 @@ Model files are JSON with three blocks::
 per agent. Families: uniform(lo, hi), truncated_exponential(rate, lo, hi),
 truncated_normal(mu, sigma, lo, hi). Technologies: log, power(alpha).
 Reservations: linear, zero, quadratic_share(slope, curve),
-negative_slope(level, slope).
+negative_slope(level, slope). Every family parameter must be a finite JSON
+number, not a bool, in the family's range; a bad one is a parse error.
 
 Exit codes: 0 success, 2 model-file parse error, 3 validation or
 precondition failure, 4 oracle or verification failure.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .model import (
@@ -77,21 +79,32 @@ def _need(block: dict, field: str, path: str):
     return block[field]
 
 
-def _build_distribution(spec: dict, path: str):
-    family = _need(spec, "family", path)
+def _number(spec: dict, field: str, path: str, default=None):
+    """Family parameter: a finite JSON number, never a bool; required without a default."""
+    value = _need(spec, field, path) if default is None else spec.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
+        raise ModelFileError(f"{path}.{field}", f"must be a finite JSON number, got {value!r}")
+    return value
+
+
+def _made(path: str, make, *args):
+    """make(*args), with a ModelError from the library reported against path."""
     try:
-        if family == "uniform":
-            return uniform(spec.get("lo", 0.0), spec.get("hi", 1.0))
-        if family == "truncated_exponential":
-            return truncated_exponential(_need(spec, "rate", path),
-                                         spec.get("lo", 0.0), spec.get("hi", 1.0))
-        if family == "truncated_normal":
-            return truncated_normal(_need(spec, "mu", path), _need(spec, "sigma", path),
-                                    spec.get("lo", 0.0), spec.get("hi", 1.0))
-    except ModelFileError:
-        raise
+        return make(*args)
     except ModelError as exc:
         raise ModelFileError(path, str(exc)) from exc
+
+
+def _build_distribution(spec: dict, path: str):
+    family = _need(spec, "family", path)
+    support = (_number(spec, "lo", path, 0.0), _number(spec, "hi", path, 1.0))
+    if family == "uniform":
+        return _made(path, uniform, *support)
+    if family == "truncated_exponential":
+        return _made(path, truncated_exponential, _number(spec, "rate", path), *support)
+    if family == "truncated_normal":
+        mu, sigma = _number(spec, "mu", path), _number(spec, "sigma", path)
+        return _made(path, truncated_normal, mu, sigma, *support)
     raise ModelFileError(f"{path}.family", f"unknown distribution family {family!r}")
 
 
@@ -100,7 +113,7 @@ def _build_technology(spec: dict, path: str):
     if family == "log":
         return log_technology()
     if family == "power":
-        return power_technology(_need(spec, "alpha", path))
+        return _made(path, power_technology, _number(spec, "alpha", path))
     raise ModelFileError(f"{path}.family", f"unknown technology family {family!r}")
 
 
@@ -111,11 +124,11 @@ def _build_reservation(spec: dict, tech, n: int, path: str):
     if family == "zero":
         return zero_reservation()
     if family == "quadratic_share":
-        return quadratic_share_reservation(tech, _need(spec, "slope", path),
-                                           _need(spec, "curve", path))
+        return quadratic_share_reservation(tech, _number(spec, "slope", path),
+                                           _number(spec, "curve", path))
     if family == "negative_slope":
-        return negative_slope_reservation(tech, _need(spec, "level", path),
-                                          _need(spec, "slope", path))
+        return _made(path, negative_slope_reservation, tech, _number(spec, "level", path),
+                     _number(spec, "slope", path))
     raise ModelFileError(f"{path}.family", f"unknown reservation family {family!r}")
 
 
@@ -169,10 +182,6 @@ def load_model(path: str):
     solver = raw.get("solver", {})
     output = raw.get("output", {})
     return econ, solver, output
-
-
-def _float_str(x: float) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def _solution_record(econ, solution, oracle) -> dict:
@@ -343,7 +352,7 @@ def cmd_sweep(args) -> int:
             cells = []
             for col in SWEEP_COLUMNS:
                 val = row.get(col, "")
-                cells.append(_float_str(val) if isinstance(val, float) else str(val))
+                cells.append(FLOAT_FMT % val if isinstance(val, float) else str(val))
             lines.append(",".join(cells))
         body = "\n".join(lines) + "\n"
     out = args.out or output.get("out")

@@ -176,10 +176,11 @@ class Technology:
     weighted_argmax: Callable | None = None
     phi_inverse: Callable | None = None
 
-    def marginal_at_zero(self) -> float:
+    def marginal(self, g: float) -> float:
+        """phi'(g) as a float; inf where it is infinite or undefined (power benefits at 0)."""
         try:
             with np.errstate(divide="ignore"):
-                v = float(self.phi_prime(0.0))
+                v = float(self.phi_prime(g))
         except (ZeroDivisionError, OverflowError, ValueError):
             return math.inf
         return v if math.isfinite(v) else math.inf
@@ -244,21 +245,6 @@ class ReservationProfile:
 
     def slope(self, theta, g_circ: float):
         return _as_array(lambda t: self.v_bar_dtheta(t, g_circ), theta)
-
-
-@dataclass(frozen=True)
-class LinearOutsideOption:
-    """Status-quo level funded by a uniform head tax across n agents."""
-
-    g_circ: float
-    n: int
-
-    @property
-    def per_capita_tax(self) -> float:
-        return self.g_circ / self.n
-
-    def induced_value(self, theta: float, tech: Technology) -> float:
-        return theta * float(tech.phi(self.g_circ)) - self.per_capita_tax
 
 
 def linear_reservation(tech: Technology, n: int) -> ReservationProfile:
@@ -456,8 +442,8 @@ def _first_bad(grid, mask):
     return float(grid[idx[0]]) if idx.size else None
 
 
-def _check_distribution(dist: TypeDistribution, grid_points: int) -> list:
-    grid = np.linspace(dist.theta_lo, dist.theta_hi, grid_points)
+def _check_distribution(dist: TypeDistribution) -> list:
+    grid = np.linspace(dist.theta_lo, dist.theta_hi, VALIDATION_GRID)
     pdf = dist.f(grid)
     cdf = dist.F(grid)
     checks = []
@@ -488,8 +474,8 @@ def _check_distribution(dist: TypeDistribution, grid_points: int) -> list:
     return checks
 
 
-def _check_technology(tech: Technology, grid_points: int, g_max: float) -> list:
-    grid = np.linspace(0.0, g_max, grid_points)
+def _check_technology(tech: Technology, g_max: float) -> list:
+    grid = np.linspace(0.0, g_max, VALIDATION_GRID)
     phi = np.asarray(_as_array(tech.phi, grid), float)
     checks = [CheckResult("phi(0) = 0", abs(phi[0]) <= 1e-12, detail=f"phi(0)={phi[0]:.3g}")]
     checks.append(CheckResult(
@@ -505,8 +491,8 @@ def _check_technology(tech: Technology, grid_points: int, g_max: float) -> list:
 
 
 def _check_reservation(res: ReservationProfile, lo: float, hi: float,
-                       g_circ: float, grid_points: int) -> list:
-    grid = np.linspace(lo, hi, grid_points)
+                       g_circ: float) -> list:
+    grid = np.linspace(lo, hi, VALIDATION_GRID)
     checks = []
 
     at_zero = res.value(grid, 0.0)
@@ -561,7 +547,7 @@ def _check_reservation(res: ReservationProfile, lo: float, hi: float,
     return checks
 
 
-def validate_economy(econ: Economy, grid_points: int = VALIDATION_GRID) -> ValidationReport:
+def validate_economy(econ: Economy) -> ValidationReport:
     """Report-style validation of every standing assumption.
 
     Never raises: each assumption is listed with pass/fail and the first
@@ -573,7 +559,7 @@ def validate_economy(econ: Economy, grid_points: int = VALIDATION_GRID) -> Valid
         if id(dist) in seen:
             continue
         seen.add(id(dist))
-        checks.extend(_check_distribution(dist, grid_points))
+        checks.extend(_check_distribution(dist))
 
     lo, hi = econ.theta_lo, econ.theta_hi
     same_support = all(
@@ -583,6 +569,6 @@ def validate_economy(econ: Economy, grid_points: int = VALIDATION_GRID) -> Valid
     checks.append(CheckResult("shared type support", same_support))
 
     g_max = max(4.0, 4.0 * econ.outside_g, 2.0 * (econ.agenda_setter_type + sum(econ.agent_types)))
-    checks.extend(_check_technology(econ.tech, grid_points, g_max))
-    checks.extend(_check_reservation(econ.reservation, lo, hi, econ.outside_g, grid_points))
+    checks.extend(_check_technology(econ.tech, g_max))
+    checks.extend(_check_reservation(econ.reservation, lo, hi, econ.outside_g))
     return ValidationReport(tuple(checks))

@@ -103,9 +103,6 @@ class MechanismSolution:
                 return s
         raise KeyError(f"no schedule for agent {agent}")
 
-    def transfer_of(self, agent: int) -> float:
-        return self.transfers[agent]
-
 
 # ---------------------------------------------------------------------------
 # Shared construction helpers
@@ -140,12 +137,7 @@ def _pick_coalition(econ: Economy, required, eligible) -> frozenset:
 
 def _middle_gamma(econ: Economy) -> GammaRepresentation:
     """Constant shadow weight rationalizing the status-quo level, if any."""
-    g_circ = econ.outside_g
-    try:
-        with np.errstate(divide="ignore"):
-            dphi = float(econ.tech.phi_prime(g_circ))
-    except (ZeroDivisionError, OverflowError, ValueError):
-        dphi = math.inf
+    dphi = econ.tech.marginal(econ.outside_g)
     if not (math.isfinite(dphi) and dphi > 0):
         return GammaRepresentation.constant(0.5)
     target = 1.0 / dphi
@@ -754,7 +746,7 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
                      thresholds=thr, thresholds_raw=thr_raw, notes=(note,), transfers=transfers)
 
 
-def threshold_table(econ: Economy, g_circ_max: float | None = None) -> ThresholdTable:
+def threshold_table(econ: Economy) -> ThresholdTable:
     """Outside-option levels at which the solution's split indices step.
 
     For concave profiles each rung is the level where the binding type
@@ -763,19 +755,17 @@ def threshold_table(econ: Economy, g_circ_max: float | None = None) -> Threshold
     flips sign at the solution (positional indices fall). Linear profiles
     have only the two outer thresholds.
     """
-    order = econ.sorted_agents()
-    r = len(order)
     curv = econ.reservation.curvature
-    base = solve(econ.with_outside_g(0.0))
-    hi_cap = g_circ_max if g_circ_max is not None else max(
-        8.0, 16.0 * base.thresholds.g_high + 8.0)
-
-    def slope_at(theta, gc):
-        return float(econ.reservation.slope(theta, gc))
-
     if curv is Curvature.LINEAR:
         sol = solve(econ)
         return ThresholdTable(sol.thresholds.g_low, sol.thresholds.g_high, ())
+
+    order = econ.sorted_agents()
+    r = len(order)
+    hi_cap = max(8.0, 16.0 * solve(econ.with_outside_g(0.0)).thresholds.g_high + 8.0)
+
+    def slope_at(theta, gc):
+        return float(econ.reservation.slope(theta, gc))
 
     rungs = []
     if curv is Curvature.CONCAVE:
@@ -803,9 +793,9 @@ def threshold_table(econ: Economy, g_circ_max: float | None = None) -> Threshold
     return ThresholdTable(g_low, g_high, tuple(rungs))
 
 
-def _bisect_increasing(f, lo: float, hi: float, iters: int = 100):
+def _bisect_increasing(f, lo: float, hi: float):
     """Root of an increasing function on [lo, hi], or None without a sign change."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0 or f_hi < 0:
         return None
-    return bisect(lambda x: f(x) < 0, lo, hi, iters)
+    return bisect(lambda x: f(x) < 0, lo, hi, 100)

@@ -4,6 +4,7 @@ by every regime solver."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -22,7 +23,6 @@ FOC_TOL = 1e-10
 FOC_MAX_ITER = 200
 SLOPE_TOL = 1e-7  # membership tolerance for the zero-slope set
 SIMPSON_PANELS = 400
-GAMMA_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -88,57 +88,60 @@ class GammaKind(Enum):
 
 @dataclass(frozen=True)
 class GammaRepresentation:
-    """Cumulative shadow-weight function over the type space.
+    """Cumulative shadow-weight function over the type space: a step function.
 
     Values lie in [0, 1], are nondecreasing in type, and reach 1 at the top
-    of the support. ``at_star`` carries the weight assigned exactly at an
-    interior mass point (an agent sitting on the binding type splits the
-    jump). ``pieces`` is a tuple of (lo, hi, value) half-open intervals, with
-    optional exact overrides in ``atoms``.
+    of the support. ``pieces`` holds (lo, hi, value) half-open intervals and
+    ``atoms`` (type, value) exact overrides, such as the share of the jump
+    an agent sitting on a binding type carries. ``kind`` names the shape for
+    ``describe`` only.
     """
 
     kind: GammaKind
-    theta_star: float | None = None
-    at_star: float | None = None
-    gamma: float | None = None
-    pieces: tuple | None = None
-    atoms: tuple | None = None
+    pieces: tuple
+    atoms: tuple = ()
 
     @classmethod
     def point_mass_at_low(cls):
-        return cls(GammaKind.POINT_MASS_AT_LOW)
+        return cls(GammaKind.POINT_MASS_AT_LOW, ((-math.inf, math.inf, 1.0),))
 
     @classmethod
     def point_mass_at_high(cls):
-        return cls(GammaKind.POINT_MASS_AT_HIGH)
+        return cls(GammaKind.POINT_MASS_AT_HIGH, ((-math.inf, math.inf, 0.0),))
 
     @classmethod
     def interior_mass(cls, theta_star: float, at_star: float = 1.0):
-        return cls(GammaKind.INTERIOR_MASS, theta_star=theta_star, at_star=at_star)
+        return cls(GammaKind.INTERIOR_MASS,
+                   ((-math.inf, theta_star, 0.0), (theta_star, math.inf, 1.0)),
+                   ((theta_star, at_star),))
 
     @classmethod
     def constant(cls, gamma: float):
-        return cls(GammaKind.CONSTANT, gamma=gamma)
+        return cls(GammaKind.CONSTANT, ((-math.inf, math.inf, gamma),))
 
     @classmethod
     def piecewise(cls, pieces, atoms=()):
-        return cls(GammaKind.PIECEWISE, pieces=tuple(pieces), atoms=tuple(atoms))
+        return cls(GammaKind.PIECEWISE, tuple(pieces), tuple(atoms))
+
+    @property
+    def theta_star(self) -> float | None:
+        """Type of the first atom, None without atoms."""
+        return self.atoms[0][0] if self.atoms else None
+
+    @property
+    def at_star(self) -> float | None:
+        """Weight on the first atom, None without atoms."""
+        return self.atoms[0][1] if self.atoms else None
+
+    @property
+    def gamma(self) -> float | None:
+        """Weight below the top of the support when it is one constant."""
+        return self.pieces[0][2] if len(self.pieces) == 1 else None
 
     def value(self, theta: float, theta_lo: float, theta_hi: float) -> float:
-        if self.kind is GammaKind.POINT_MASS_AT_LOW:
-            return 1.0
-        if self.kind is GammaKind.POINT_MASS_AT_HIGH:
-            return 1.0 if theta >= theta_hi - 1e-12 else 0.0
-        if self.kind is GammaKind.INTERIOR_MASS:
-            if abs(theta - self.theta_star) <= 1e-12:
-                return self.at_star
-            return 1.0 if theta > self.theta_star else 0.0
-        if self.kind is GammaKind.CONSTANT:
-            return 1.0 if theta >= theta_hi - 1e-12 else self.gamma
-        if self.atoms:
-            for at, val in self.atoms:
-                if abs(theta - at) <= 1e-12:
-                    return val
+        for at, val in self.atoms:
+            if abs(theta - at) <= 1e-12:
+                return val
         if theta >= theta_hi - 1e-12:
             return 1.0
         for lo, hi, val in self.pieces:
@@ -146,12 +149,9 @@ class GammaRepresentation:
                 return val
         return self.pieces[-1][2]
 
-    def grid_values(self, grid, theta_lo: float, theta_hi: float):
-        return np.array([self.value(float(t), theta_lo, theta_hi) for t in grid])
-
-    def is_valid_cdf(self, theta_lo: float, theta_hi: float, grid_size: int = 101) -> bool:
-        grid = np.linspace(theta_lo, theta_hi, grid_size)
-        vals = self.grid_values(grid, theta_lo, theta_hi)
+    def is_valid_cdf(self, theta_lo: float, theta_hi: float) -> bool:
+        grid = np.linspace(theta_lo, theta_hi, 101)
+        vals = np.array([self.value(float(t), theta_lo, theta_hi) for t in grid])
         in_range = (vals >= -1e-9).all() and (vals <= 1.0 + 1e-9).all()
         monotone = (np.diff(vals) >= -1e-9).all()
         tops_out = abs(vals[-1] - 1.0) <= 1e-9
@@ -194,11 +194,8 @@ class Partition:
     L: frozenset
     M: frozenset
 
-    def member_sets(self):
-        return {"K": self.K, "L": self.L, "M": self.M}
 
-
-def partition_types(econ: Economy, g: float, tol: float = SLOPE_TOL) -> Partition:
+def partition_types(econ: Economy, g: float) -> Partition:
     """Classify non-agenda agents by envelope-slope sign at level g.
 
     Agents with equal realized types always co-classify. Raises
@@ -212,9 +209,9 @@ def partition_types(econ: Economy, g: float, tol: float = SLOPE_TOL) -> Partitio
     }
     K, L, M = set(), set(), set()
     for i, s in slopes.items():
-        if s < -tol:
+        if s < -SLOPE_TOL:
             K.add(i)
-        elif s > tol:
+        elif s > SLOPE_TOL:
             M.add(i)
         else:
             L.add(i)
@@ -272,19 +269,14 @@ def solve_weighted_foc(tech: Technology, weight: float) -> float:
     if tech.weighted_argmax is not None:
         g = float(tech.weighted_argmax(weight))
         return max(g, 0.0)
-    if weight * tech.marginal_at_zero() <= 1.0:
+    if weight * tech.marginal(0.0) <= 1.0:
         return 0.0
 
     def excess(g):
         return weight * float(tech.phi_prime(g)) - 1.0
 
-    hi = 1.0
-    for _ in range(200):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise UnboundedObjective(f"phi' stays above 1/{weight:.6g}; benefit not concave enough")
+    hi = _doubled(lambda g: excess(g) < 0.0, 1.0,
+                  f"phi' stays above 1/{weight:.6g}; benefit not concave enough")
     return bisect(lambda g: excess(g) > 0.0, 0.0, hi, FOC_MAX_ITER, FOC_TOL)
 
 
@@ -298,13 +290,18 @@ def invert_phi(tech: Technology, target: float, hi: float = 1.0) -> float:
         return 0.0
     if tech.phi_inverse is not None:
         return max(float(tech.phi_inverse(target)), 0.0)
-    for _ in range(200):
-        if float(tech.phi(hi)) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise UnboundedObjective(f"phi stays below {target:.6g}; benefit target unreachable")
+    hi = _doubled(lambda g: float(tech.phi(g)) >= target, hi,
+                  f"phi stays below {target:.6g}; benefit target unreachable")
     return bisect(lambda g: float(tech.phi(g)) < target, 0.0, hi, 200)
+
+
+def _doubled(reached: Callable, hi: float, unbounded: str) -> float:
+    """First of hi, 2 hi, 4 hi, ... where ``reached`` holds, within 200 doublings."""
+    for _ in range(200):
+        if reached(hi):
+            return hi
+        hi *= 2.0
+    raise UnboundedObjective(unbounded)
 
 
 def xi_argmax(econ: Economy, gamma: GammaRepresentation) -> float:
@@ -323,35 +320,25 @@ def efficient_level(econ: Economy) -> float:
 # ---------------------------------------------------------------------------
 
 
-def simpson_integral(f: Callable, lo: float, hi: float, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson quadrature with vectorized evaluation."""
-    if hi <= lo:
-        return 0.0
-    x = np.linspace(lo, hi, 2 * panels + 1)
-    y = np.asarray(f(x), float)
-    h = (hi - lo) / (2 * panels)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
-
-
-def rent_gap(econ: Economy, g: float, window: tuple, panels: int = SIMPSON_PANELS) -> float:
-    """Integral of the envelope slope over the window at a flat level g.
+def rent_gap(econ: Economy, g: float, window: tuple) -> float:
+    """Integral of the envelope slope over the window at a flat level g, by
+    composite Simpson quadrature.
 
     Equals the rent difference between the window's top and bottom types
     when the allocation is held at g.
     """
     lo, hi = window
-    phi_g = float(econ.tech.phi(g))
-
-    def slope(x):
-        return phi_g - np.asarray(econ.reservation.slope(x, econ.outside_g), float)
-
-    return simpson_integral(slope, lo, hi, panels)
+    if hi <= lo:
+        return 0.0
+    x = np.linspace(lo, hi, 2 * SIMPSON_PANELS + 1)
+    y = float(econ.tech.phi(g)) - np.asarray(econ.reservation.slope(x, econ.outside_g), float)
+    h = (hi - lo) / (2 * SIMPSON_PANELS)
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
 
 
 def gamma_star_constant(econ: Economy, theta_window: tuple,
                         gamma_bounds: tuple = (0.0, 1.0),
-                        weight_fn: Callable | None = None,
-                        tol: float = 1e-12) -> float:
+                        weight_fn: Callable | None = None) -> float:
     """Constant shadow weight equalizing rents at the window's two ends.
 
     Solves R(gamma) = 0 where R integrates the envelope slope over the
@@ -376,4 +363,4 @@ def gamma_star_constant(econ: Economy, theta_window: tuple,
         return hi_b
     if r_lo <= 0.0:
         return lo_b
-    return bisect(lambda gam: residual(gam) > 0.0, lo_b, hi_b, 200, tol)
+    return bisect(lambda gam: residual(gam) > 0.0, lo_b, hi_b, 200, 1e-12)

@@ -26,7 +26,6 @@ class FlatSchedule:
     kind = "flat"
 
     def __init__(self, econ: Economy, agent: int, g_value: float, t_value: float):
-        self._econ = econ
         self.agent = agent
         self.g_value = float(g_value)
         self.t_value = float(t_value)
@@ -40,14 +39,6 @@ class FlatSchedule:
     def transfer(self, x):
         x = np.asarray(x, float)
         out = np.full_like(x, self.t_value)
-        return float(out) if out.ndim == 0 else out
-
-    def rent(self, x):
-        econ = self._econ
-        phi_g = float(econ.tech.phi(self.g_value))
-        x = np.asarray(x, float)
-        out = x * phi_g - self.t_value - np.asarray(
-            econ.reservation.value(x, econ.outside_g), float)
         return float(out) if out.ndim == 0 else out
 
 
@@ -68,7 +59,7 @@ class FocSchedule:
 
     def __init__(self, econ: Economy, agent: int, base_weight: float, gamma: float,
                  clip_lo: float | None = None, clip_hi: float | None = None,
-                 pin: tuple | None = None, nodes: int = RENT_NODES):
+                 pin: tuple | None = None):
         self._econ = econ
         self._dist = econ.dist_of(agent)
         self.agent = agent
@@ -76,9 +67,7 @@ class FocSchedule:
         self.gamma = gamma
         self.clip_lo = clip_lo
         self.clip_hi = clip_hi
-        if econ.tech.weighted_argmax is None:
-            nodes = min(nodes, 257)
-        self._build(nodes, pin)
+        self._build(RENT_NODES if econ.tech.weighted_argmax is not None else 257, pin)
 
     # -- allocation ---------------------------------------------------------
 
@@ -145,14 +134,14 @@ class FocSchedule:
 
         if pin is not None:
             theta_pin, target = pin
-            offset = self._raw_rent(theta_pin) - target
+            offset = self.rent(theta_pin) - target
             self.anchor = float(theta_pin)
         else:
             anchor, offset = self._locate_minimum()
             self.anchor = anchor
         self._u = self._u - offset
 
-    def _raw_rent(self, x):
+    def rent(self, x):
         scalar = np.ndim(x) == 0
         xs = np.atleast_1d(np.asarray(x, float))
         idx = np.clip(np.searchsorted(self._xs, xs, side="right") - 1, 0, len(self._xs) - 2)
@@ -173,14 +162,11 @@ class FocSchedule:
         crossings = np.flatnonzero((s[:-1] < 0.0) & (s[1:] > 0.0))
         for k in crossings:
             x_star = bisect(lambda m: float(self._slope(m)) < 0.0, xs[k], xs[k + 1], 60)
-            candidates.append((float(self._raw_rent(x_star)), float(x_star)))
+            candidates.append((float(self.rent(x_star)), float(x_star)))
         val, arg = min(candidates)
         return arg, val
 
     # -- public surface -----------------------------------------------------
-
-    def rent(self, x):
-        return self._raw_rent(x)
 
     def transfer(self, x):
         econ = self._econ
@@ -189,7 +175,7 @@ class FocSchedule:
         phi_g = np.asarray(econ.tech.phi_at(self.allocation(xs)), float)
         out = (xs * phi_g
                - np.asarray(econ.reservation.value(xs, econ.outside_g), float)
-               - self._raw_rent(xs))
+               - self.rent(xs))
         return float(out[0]) if scalar else out
 
 

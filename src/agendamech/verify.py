@@ -185,10 +185,6 @@ class VcgReport:
     level_reduction: float
     lowest_agent_type: float
 
-    @property
-    def deficit_positive(self) -> bool:
-        return self.deficit > 0.0
-
 
 def _require_log_tech(econ: Economy):
     probe = float(econ.tech.phi(math.e - 1.0))
@@ -323,7 +319,7 @@ class DynamicReport:
 
 
 def dynamic_check(econ: Economy, T: int | None = None, delta: float | None = None,
-                  solution=None, grid_size: int = ORACLE_GRID) -> DynamicReport:
+                  solution=None) -> DynamicReport:
     """T-fold repetition of the static solution: total payoff scales by
     beta = (1 - delta**T) / (1 - delta), per-period incentives and
     participation are unchanged, and dynamic slacks are beta times static
@@ -352,7 +348,7 @@ def dynamic_check(econ: Economy, T: int | None = None, delta: float | None = Non
         dyn = sum(w * s for w in weights)
         ir_err = max(ir_err, abs(dyn - beta * s))
 
-    dsic_ok, worst, mono_ok, _ = check_dsic(econ, sol, grid_size)
+    dsic_ok, worst, mono_ok, _ = check_dsic(econ, sol)
     # per-period repetition scales every deviation gain by beta > 0
     dyn_dsic_ok = dsic_ok and mono_ok
     return DynamicReport(

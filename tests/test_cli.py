@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from agendamech.cli import main
+import agendamech as am
+from agendamech.cli import load_model, main
 
 GOLDEN_MODEL = {
     "economy": {
@@ -58,6 +61,50 @@ def test_solve_invalid_json_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["solve", "--model", str(path)]) == 2
+
+
+@pytest.mark.parametrize("block, spec, field", [
+    ("technology", {"family": "power", "alpha": 1.5}, "alpha"),
+    ("reservation", {"family": "negative_slope", "level": 1.0, "slope": -0.2}, "slope"),
+    ("technology", {"family": "power", "alpha": "half"}, "alpha"),
+    ("distributions", {"family": "uniform", "lo": "zero"}, "lo"),
+    ("reservation", {"family": "quadratic_share", "slope": "s", "curve": 0.5}, "slope"),
+    ("technology", {"family": "power", "alpha": True}, "alpha"),
+    ("distributions", {"family": "truncated_exponential", "rate": float("nan")}, "rate"),
+], ids=["alpha-range", "slope-sign", "alpha-string", "lo-string", "slope-string",
+        "alpha-bool", "rate-nan"])
+def test_bad_family_parameter_exit_2(tmp_path, capsys, block, spec, field):
+    payload = {"economy": {**GOLDEN_MODEL["economy"], block: spec}}
+    model = _write(tmp_path, "bad.json", payload)
+    assert main(["solve", "--model", model]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"model file error: economy.{block}")
+    assert field in err
+
+
+@pytest.mark.parametrize("block, spec, parts", [
+    ("distributions", {"family": "truncated_normal", "mu": 0.4, "sigma": 0.3},
+     lambda tech: {"distributions": am.truncated_normal(0.4, 0.3)}),
+    ("reservation", {"family": "zero"}, lambda tech: {"reservation": am.zero_reservation()}),
+    ("reservation", {"family": "negative_slope", "level": 1.0, "slope": 0.5},
+     lambda tech: {"reservation": am.negative_slope_reservation(tech, 1.0, 0.5)}),
+], ids=["truncated_normal", "zero", "negative_slope"])
+def test_model_file_families_match_library(tmp_path, block, spec, parts):
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "agenda_setter_type": 1.5,
+                           "agent_types": [0.3, 0.8], "quota": 3, "outside_g": 0.5, block: spec}}
+    loaded = load_model(_write(tmp_path, "model.json", payload))[0]
+    tech = am.log_technology()
+    built = am.Economy(1.5, (0.3, 0.8), am.uniform(0.0, 1.0), tech,
+                       am.linear_reservation(tech, 3), 3, 0.5)
+    built = dataclasses.replace(built, **parts(tech))
+    got, want = am.solve(loaded), am.solve(built)
+    for field in dataclasses.fields(got):
+        if field.name != "schedules":
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+    reports = np.linspace(0.0, 1.0, 9)
+    for a, b in zip(got.schedules, want.schedules):
+        assert list(a.allocation(reports)) == list(b.allocation(reports))
+        assert list(a.transfer(reports)) == list(b.transfer(reports))
 
 
 def test_solve_validation_failure_exit_3(tmp_path, capsys):

@@ -150,12 +150,11 @@ def test_power_technology_shape():
 
 
 def test_linear_outside_option_induced_value(log_tech):
-    opt = am.LinearOutsideOption(g_circ=0.6, n=3)
-    assert opt.per_capita_tax == pytest.approx(0.2)
+    # head-tax status quo: theta * phi(g_circ) - g_circ / n
     res = am.linear_reservation(log_tech, 3)
     for theta in (0.0, 0.4, 1.0):
         assert float(res.value(theta, 0.6)) == pytest.approx(
-            opt.induced_value(theta, log_tech), abs=1e-12)
+            theta * math.log(1.6) - 0.2, abs=1e-12)
     # slope is the benefit at the outside level, independent of the type
     assert float(res.slope(0.1, 0.6)) == pytest.approx(float(log_tech.phi(0.6)))
     assert float(res.slope(0.9, 0.6)) == pytest.approx(float(log_tech.phi(0.6)))
@@ -218,6 +217,23 @@ def test_validation_catches_curvature_mismatch(log_tech):
     econ = am.Economy(0.5, (0.5,), am.uniform(0.0, 1.0), log_tech, res, 2, 1.0)
     report = am.validate_economy(econ)
     assert any("declared curvature" in c.name for c in report.failures())
+
+
+def test_validation_summary_locates_each_failure(log_tech):
+    # v_bar = phi * (1.4 theta - theta^2) falls above theta = 0.7 and is
+    # concave, yet declared convex
+    res = am.ReservationProfile(
+        v_bar=lambda t, gc: float(log_tech.phi(gc)) * (1.4 * t - t * t),
+        v_bar_dtheta=lambda t, gc: float(log_tech.phi(gc)) * (1.4 - 2.0 * t),
+        curvature=am.Curvature.CONVEX,
+        name="falling")
+    econ = am.Economy(0.5, (0.5,), am.uniform(0.0, 1.0), log_tech, res, 2, 1.0)
+    lines = am.validate_economy(econ).summary().splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] v_bar nondecreasing in type at theta=0.705",
+        "[FAIL] declared curvature matches (convex) at theta=0.005",
+    ]
+    assert len(lines) == 11 and lines[0] == "[pass] positive density (uniform[0.0,1.0])"
 
 
 def test_validation_allows_head_tax_profile(log_tech):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import agendamech as am
+from agendamech import regimes
 from agendamech.regimes import _posted_solution
 from agendamech.solver_core import invert_phi
 from oracles import all_coalitions, foc_level
@@ -484,8 +485,11 @@ def test_threshold_table_convex_indices_fall(convex_economy):
     assert ks == sorted(ks, reverse=True)
 
 
-def test_threshold_table_linear_has_no_ladder(golden_economy):
+def test_threshold_table_linear_has_no_ladder(golden_economy, monkeypatch):
+    solved = []
+    monkeypatch.setattr(regimes, "solve", lambda econ: solved.append(econ) or am.solve(econ))
     table = am.threshold_table(golden_economy)
+    assert solved == [golden_economy]  # the linear table needs no g_circ = 0 solve
     assert table.intermediate == ()
     assert table.g_low == pytest.approx(0.1, abs=1e-8)
     assert table.g_high == pytest.approx(1.1, abs=1e-8)

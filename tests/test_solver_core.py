@@ -183,6 +183,40 @@ def test_gamma_representations_are_valid_cdfs():
         assert rep.is_valid_cdf(0.0, 1.0), rep.describe()
 
 
+# Both support ends, the atoms of the cases below (0.3, 0.4, 0.8), and points
+# 5e-13 and 2e-12 to either side of each, inside [0, 1].
+STEP_GRID = [0.0, 5e-13, 2e-12, 0.299999999998, 0.2999999999995, 0.3, 0.3000000000005,
+             0.300000000002, 0.399999999998, 0.39999999999950003, 0.4, 0.4000000000005,
+             0.40000000000200003, 0.7999999999980001, 0.7999999999995, 0.8, 0.8000000000005001,
+             0.800000000002, 0.999999999998, 0.9999999999995, 1.0]
+
+
+@pytest.mark.parametrize("rep, values, props, text", [
+    (GammaRepresentation.point_mass_at_low(), [1.0] * 21, (None, None, 1.0),
+     "point mass at support bottom"),
+    (GammaRepresentation.point_mass_at_high(), [0.0] * 19 + [1.0] * 2, (None, None, 0.0),
+     "point mass at support top"),
+    (GammaRepresentation.interior_mass(0.4, at_star=0.7), [0.0] * 9 + [0.7] * 3 + [1.0] * 9,
+     (0.4, 0.7, None), "mass at theta=0.4 (weight 0.7 on the point)"),
+    # an atom at the top of the support outranks the top-of-support rule
+    (GammaRepresentation.interior_mass(1.0, at_star=0.7), [0.0] * 19 + [0.7] * 2,
+     (1.0, 0.7, None), "mass at theta=1 (weight 0.7 on the point)"),
+    (GammaRepresentation.constant(0.3), [0.3] * 19 + [1.0] * 2, (None, None, 0.3),
+     "constant 0.3 with end-point jumps"),
+    (GammaRepresentation.piecewise(pieces=((0.0, 0.3, 0.0), (0.3, 0.8, 0.5), (0.8, 1.0, 1.0)),
+                                   atoms=((0.3, 0.2), (0.8, 0.9))),
+     [0.0] * 4 + [0.2] * 3 + [0.5] * 7 + [0.9] * 3 + [1.0] * 4, (0.3, 0.2, None),
+     "piecewise [0,0.3)=0, [0.3,0.8)=0.5, [0.8,1)=1"),
+], ids=["point_mass_at_low", "point_mass_at_high", "interior_mass", "interior_mass_at_top",
+        "constant", "piecewise"])
+def test_gamma_step_function_pinned(rep, values, props, text):
+    # values recorded from the five-branch implementation this replaced: an
+    # atom wins within 1e-12, then 1 within 1e-12 of the top, then the pieces
+    assert [rep.value(t, 0.0, 1.0) for t in STEP_GRID] == values
+    assert (rep.theta_star, rep.at_star, rep.gamma) == props
+    assert rep.describe() == text
+
+
 def test_gamma_star_constant_boundary_branches(convex_economy):
     assert am.gamma_star_constant(convex_economy.with_outside_g(0.0), (0.0, 1.0)) == 1.0
     assert am.gamma_star_constant(convex_economy.with_outside_g(25.0), (0.0, 1.0)) == 0.0
@@ -348,7 +382,7 @@ def test_power_technology_without_closed_forms_solves_without_warnings(g_circ):
         warnings.simplefilter("error")
         sol = am.solve(econ)
         assert am.verify_solution(econ, sol).passed
-    assert tech.marginal_at_zero() == math.inf
+    assert tech.marginal(0.0) == math.inf
 
 
 @pytest.mark.parametrize("tech", [am.log_technology(), am.power_technology(0.3),
