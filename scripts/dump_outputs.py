@@ -13,12 +13,14 @@ The dump covers every second draw of the benchmark's 2048-economy corpus
 (validation, every solution field, the shadow weight at a type grid and at
 the realized types, each schedule's allocation and transfer at 17 reports,
 and the oracle report), re-solves at every quota and two drawn coalitions on
-every 32nd draw, and 54 threshold tables: every 4th ladder economy and the
-six sweep fixtures.
+every 32nd draw, and threshold tables: all 192 ladder economies, every 8th
+again with its technology's closed forms stripped, every three-agent one
+again at quota 2, and the six sweep fixtures.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import tempfile
@@ -86,6 +88,13 @@ def _table(name: str, econ) -> list:
         return [name, f"{type(exc).__name__}: {exc}"]
 
 
+def _stripped(econ):
+    """The economy with its technology's closed forms removed, so every FOC
+    solve and phi inversion bisects."""
+    return dataclasses.replace(
+        econ, tech=dataclasses.replace(econ.tech, weighted_argmax=None, phi_inverse=None))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -93,8 +102,13 @@ def main(argv) -> int:
     lines = []
     for index in range(0, CORPUS_POOL, 2):
         lines += _corpus(index)
-    for index in range(0, LADDER_CANDIDATES, 4):
-        lines += _table(f"ladder {index}", ladder_economy(am, index))
+    for index in range(LADDER_CANDIDATES):
+        econ = ladder_economy(am, index)
+        lines += _table(f"ladder {index}", econ)
+        if index % 8 == 0:
+            lines += _table(f"ladder {index} stripped", _stripped(econ))
+        if econ.n == 3:
+            lines += _table(f"ladder {index} quota 2", econ.with_quota(2))
     with tempfile.TemporaryDirectory() as tmp:
         for name, model in SWEEP_MODELS.items():
             path = Path(tmp) / f"{name}.json"

@@ -23,8 +23,9 @@ Model files are JSON with three blocks::
 per agent. Families: uniform(lo, hi), truncated_exponential(rate, lo, hi),
 truncated_normal(mu, sigma, lo, hi). Technologies: log, power(alpha).
 Reservations: linear, zero, quadratic_share(slope, curve),
-negative_slope(level, slope). Every family parameter must be a finite JSON
-number, not a bool, in the family's range; a bad one is a parse error.
+negative_slope(level, slope). Every family parameter and solver option must
+be a finite JSON number, not a bool, in range (grid_size >= 5 and seed are
+integers), and every block an object; a bad one is a parse error.
 
 Exit codes: 0 success, 2 model-file parse error, 3 validation or
 precondition failure, 4 oracle or verification failure.
@@ -73,17 +74,25 @@ class ModelFileError(ModelError):
         self.field = field
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelFileError(path, f"must be a JSON object, got {value!r}")
+    return value
+
+
 def _need(block: dict, field: str, path: str):
-    if field not in block:
+    if field not in _object(block, path):
         raise ModelFileError(f"{path}.{field}", "missing required field")
     return block[field]
 
 
-def _number(spec: dict, field: str, path: str, default=None):
-    """Family parameter: a finite JSON number, never a bool; required without a default."""
+def _number(spec: dict, field: str, path: str, default=None, integer=False):
+    """A finite JSON number (an integer when asked), never a bool; required without a default."""
     value = _need(spec, field, path) if default is None else spec.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
-        raise ModelFileError(f"{path}.{field}", f"must be a finite JSON number, got {value!r}")
+    kind = "a JSON integer" if integer else "a finite JSON number"
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) < math.inf):
+        raise ModelFileError(f"{path}.{field}", f"must be {kind}, got {value!r}")
     return value
 
 
@@ -151,7 +160,7 @@ def load_model(path: str):
     n = len(agent_types) + 1
 
     dist_spec = _need(eco, "distributions", "economy")
-    if isinstance(dist_spec, dict):
+    if not isinstance(dist_spec, list):
         dists = (_build_distribution(dist_spec, "economy.distributions"),) * len(agent_types)
     else:
         dists = tuple(
@@ -179,9 +188,13 @@ def load_model(path: str):
     except (TypeError, ValueError) as exc:
         raise ModelFileError("economy", str(exc)) from exc
 
-    solver = raw.get("solver", {})
-    output = raw.get("output", {})
-    return econ, solver, output
+    solver = _object(raw.get("solver", {}), "solver")
+    for field in ("grid_size", "seed", "tolerance", "tau_bar"):
+        if field in solver:
+            _number(solver, field, "solver", integer=field in ("grid_size", "seed"))
+    if solver.get("grid_size", 5) < 5:
+        raise ModelFileError("solver.grid_size", "the oracle needs at least 5 grid points")
+    return econ, solver, _object(raw.get("output", {}), "output")
 
 
 def _solution_record(econ, solution, oracle) -> dict:

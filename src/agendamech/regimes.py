@@ -39,6 +39,7 @@ from .solver_core import (
     partition_types,
     rent_gap,
     solve_weighted_foc,
+    xi_argmax,
 )
 from .transfers import FlatSchedule, FocSchedule, agenda_setter_payoff, realized_transfers
 
@@ -452,26 +453,28 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
 # ---------------------------------------------------------------------------
 
 
-def _convex_unanimity(econ: Economy) -> MechanismSolution:
-    lo, hi = econ.theta_lo, econ.theta_hi
-    gamma_const = gamma_star_constant(econ, (lo, hi))
-    w_low = gamma_weight_sum(econ, GammaRepresentation.constant(1.0))
-    w_high = gamma_weight_sum(econ, GammaRepresentation.constant(0.0))
-    thr = Thresholds(solve_weighted_foc(econ.tech, w_low),
-                     solve_weighted_foc(econ.tech, w_high))
-
+def _convex_configuration(econ: Economy):
+    """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC weight, level)."""
+    gamma_const = gamma_star_constant(econ, (econ.theta_lo, econ.theta_hi))
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
     if side is not None:
-        return _uniform_sign_candidate(econ, side, _one_sided(econ, side, 0),
-                                       enforce_slope_sign=False, thresholds=thr,
-                                       thresholds_raw=thr)
+        config = _one_sided(econ, side, 0)
+        return gamma_const, side, config, config[5]
+    w_star = gamma_weight_sum(econ, GammaRepresentation.constant(gamma_const))
+    return gamma_const, side, w_star, solve_weighted_foc(econ.tech, w_star)
 
-    gamma = GammaRepresentation.constant(gamma_const)
-    w_star = gamma_weight_sum(econ, gamma)
-    g_star = solve_weighted_foc(econ.tech, w_star)
+
+def _convex_unanimity(econ: Economy) -> MechanismSolution:
+    gamma_const, side, config, g_star = _convex_configuration(econ)
+    thr = Thresholds(xi_argmax(econ, GammaRepresentation.constant(1.0)),
+                     xi_argmax(econ, GammaRepresentation.constant(0.0)))
+    if side is not None:
+        return _uniform_sign_candidate(econ, side, config, enforce_slope_sign=False,
+                                       thresholds=thr, thresholds_raw=thr)
     return _solution(econ, g_star, Regime.MIXED_INTERIOR,
-                     _foc_schedules(econ, econ.agents, w_star, gamma_const),
-                     _pick_coalition(econ, econ.agents, econ.agents), gamma, (lo, hi),
+                     _foc_schedules(econ, econ.agents, config, gamma_const),
+                     _pick_coalition(econ, econ.agents, econ.agents),
+                     GammaRepresentation.constant(gamma_const), (econ.theta_lo, econ.theta_hi),
                      thresholds=thr)
 
 
@@ -752,8 +755,10 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     For concave profiles each rung is the level where the binding type
     reaches the next realized agent (indices rise with the outside option);
     for convex profiles rungs are where a realized agent's envelope slope
-    flips sign at the solution (positional indices fall). Linear profiles
-    have only the two outer thresholds.
+    flips sign at the solution (positional indices fall), found by bisecting
+    on the outside level. Under unanimity each step reads the convex level
+    alone, with no schedules built; other profiles and quotas solve in full.
+    Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
     if curv is Curvature.LINEAR:
@@ -764,17 +769,14 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     r = len(order)
     hi_cap = max(8.0, 16.0 * solve(econ.with_outside_g(0.0)).thresholds.g_high + 8.0)
 
-    def slope_at(theta, gc):
-        return float(econ.reservation.slope(theta, gc))
-
     rungs = []
     if curv is Curvature.CONCAVE:
         types, _, weights = _split_weights(econ, order)
         for s in range(r):
             phi_s = float(econ.tech.phi(solve_weighted_foc(econ.tech, weights[s])))
             target_theta = types[s]
-            g_circ = _bisect_increasing(lambda gc: slope_at(target_theta, gc) - phi_s,
-                                        0.0, hi_cap)
+            g_circ = _bisect_increasing(
+                lambda gc: float(econ.reservation.slope(target_theta, gc)) - phi_s, 0.0, hi_cap)
             if g_circ is not None:
                 rungs.append(LadderRung(g_circ, k=s, l=s + 1))
     else:
@@ -782,8 +784,13 @@ def threshold_table(econ: Economy) -> ThresholdTable:
             theta = econ.type_of(order[pos])
 
             def flip(gc):
-                sol = solve(econ.with_outside_g(gc))
-                return slope_at(theta, gc) - float(econ.tech.phi(sol.g_star))
+                at = econ.with_outside_g(gc)
+                if curv is Curvature.CONVEX and econ.quota == econ.n:  # no schedules
+                    g = _convex_configuration(at)[3]
+                    partition_types(at, g)  # raises wherever solve would
+                else:
+                    g = solve(at).g_star
+                return float(econ.reservation.slope(theta, gc)) - float(econ.tech.phi(g))
 
             g_circ = _bisect_increasing(flip, 0.0, hi_cap)
             if g_circ is not None:

@@ -82,6 +82,58 @@ def test_bad_family_parameter_exit_2(tmp_path, capsys, block, spec, field):
     assert field in err
 
 
+@pytest.mark.parametrize("solver, field", [
+    ({"grid_size": "x"}, "grid_size"),
+    ({"grid_size": 41.5}, "grid_size"),
+    ({"grid_size": True}, "grid_size"),
+    ({"grid_size": 3}, "grid_size"),
+    ({"seed": "2"}, "seed"),
+    ({"seed": 2.0}, "seed"),
+    ({"tolerance": float("nan")}, "tolerance"),
+    ({"tolerance": "tight"}, "tolerance"),
+    ({"tau_bar": None}, "tau_bar"),
+    ({"tau_bar": [0.1]}, "tau_bar"),
+], ids=["grid-string", "grid-fraction", "grid-bool", "grid-small", "seed-string",
+        "seed-float", "tolerance-nan", "tolerance-string", "tau-null", "tau-list"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_bad_solver_option_exit_2(tmp_path, capsys, solver, field, command):
+    model = _write(tmp_path, "bad.json", {**GOLDEN_MODEL, "solver": solver})
+    args = ["--solution", _write(tmp_path, "sol.json", {})] if command == "verify" else []
+    assert main([command, "--model", model, *args]) == 2
+    assert capsys.readouterr().err.startswith(f"model file error: solver.{field}: ")
+
+
+def test_solver_options_accept_integral_tolerance(tmp_path):
+    payload = {**GOLDEN_MODEL, "solver": {"grid_size": 5, "tolerance": 1, "tau_bar": 0}}
+    model = _write(tmp_path, "model.json", payload)
+    assert main(["solve", "--model", model, "--out", str(tmp_path / "sol.json")]) == 0
+
+
+@pytest.mark.parametrize("path, value", [
+    ("economy.technology", 5),
+    ("economy.technology", "log"),
+    ("economy.reservation", ["linear"]),
+    ("economy.distributions", 5),
+    ("economy.distributions[0]", None),
+    ("economy", "golden"),
+    ("solver", 41),
+    ("output", "out.json"),
+], ids=["technology-number", "technology-string", "reservation-list", "distributions-number",
+        "distribution-entry-null", "economy-string", "solver-number", "output-string"])
+def test_non_object_block_exit_2(tmp_path, capsys, path, value):
+    payload = {"economy": dict(GOLDEN_MODEL["economy"])}
+    if path == "economy.distributions[0]":
+        payload["economy"]["distributions"] = [value]
+    elif path.startswith("economy."):
+        payload["economy"][path.split(".")[1]] = value
+    else:
+        payload[path] = value
+    model = _write(tmp_path, "bad.json", payload)
+    assert main(["solve", "--model", model]) == 2
+    assert capsys.readouterr().err == (
+        f"model file error: {path}: must be a JSON object, got {value!r}\n")
+
+
 @pytest.mark.parametrize("block, spec, parts", [
     ("distributions", {"family": "truncated_normal", "mu": 0.4, "sigma": 0.3},
      lambda tech: {"distributions": am.truncated_normal(0.4, 0.3)}),

@@ -6,8 +6,9 @@ import pytest
 
 import agendamech as am
 from agendamech import regimes
-from agendamech.regimes import _posted_solution
+from agendamech.regimes import LadderRung, ThresholdTable, _posted_solution
 from agendamech.solver_core import invert_phi
+from agendamech.transfers import FocSchedule
 from oracles import all_coalitions, foc_level
 
 LOG_PRIME = lambda g: 1.0 / (1.0 + g)
@@ -493,6 +494,52 @@ def test_threshold_table_linear_has_no_ladder(golden_economy, monkeypatch):
     assert table.intermediate == ()
     assert table.g_low == pytest.approx(0.1, abs=1e-8)
     assert table.g_high == pytest.approx(1.1, abs=1e-8)
+
+
+def _pinned_table_economy(name, log_tech):
+    """The convex_economy fixture with one part changed: quota 3, a log
+    technology without closed forms, or a negative-slope reservation."""
+    stripped = am.Technology(phi=log_tech.phi, phi_prime=log_tech.phi_prime, name="log-nofast")
+    tech = stripped if name == "stripped" else log_tech
+    res = (am.negative_slope_reservation(tech, 1.0, 0.5) if name == "negative_slope"
+           else am.quadratic_share_reservation(tech, 0.3, 0.5))
+    quota = 3 if name == "quota_3" else 4
+    return am.Economy(0.6, (0.3, 0.5, 0.8), am.uniform(0.0, 1.0), tech, res, quota, 1.0)
+
+
+# recorded from the full-solve ladder before convex unanimity rungs read the
+# level alone
+PINNED_TABLES = {
+    "convex": ThresholdTable(1.0748977465688436e-12, 8.253499255570464, (
+        LadderRung(1.0748977465688436e-12, 3, 3), LadderRung(0.534699454767783, 2, 2),
+        LadderRung(8.253499255570464, 1, 1))),
+    "quota_3": ThresholdTable(0.6199403363417946, 3.9479776113417273, (
+        LadderRung(0.6199403363417946, 3, 3), LadderRung(2.542245269711822, 2, 2),
+        LadderRung(3.9479776113417273, 1, 1))),
+    "stripped": ThresholdTable(7.937408306350417e-11, 8.25349925564133, (
+        LadderRung(7.937408306350417e-11, 3, 3), LadderRung(3.276383941450553, 2, 2),
+        LadderRung(8.25349925564133, 1, 1))),
+    "negative_slope": ThresholdTable(0.0, 0.0, ()),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TABLES))
+def test_threshold_table_pinned(name, log_tech, convex_economy):
+    econ = convex_economy if name == "convex" else _pinned_table_economy(name, log_tech)
+    assert am.threshold_table(econ) == PINNED_TABLES[name]
+
+
+def test_threshold_table_convex_builds_one_solves_schedules(convex_economy, monkeypatch):
+    built = []
+    init = FocSchedule.__init__
+    monkeypatch.setattr(FocSchedule, "__init__",
+                        lambda self, *a, **kw: built.append(a[1]) or init(self, *a, **kw))
+    am.solve(convex_economy.with_outside_g(0.0))
+    one_solve = len(built)
+    built.clear()
+    am.threshold_table(convex_economy)
+    assert one_solve > 0
+    assert len(built) == one_solve  # only the solve that caps the bisection bracket
 
 
 # ---------------------------------------------------------------------------
