@@ -12,10 +12,12 @@ and compare them with ``cmp``: any output that moved shows as a difference.
 The dump covers every second draw of the benchmark's 2048-economy corpus
 (validation, every solution field, the shadow weight at a type grid and at
 the realized types, each schedule's allocation and transfer at 17 reports,
-and the oracle report), re-solves at every quota and two drawn coalitions on
-every 32nd draw, and threshold tables: all 192 ladder economies, every 8th
-again with its technology's closed forms stripped, every three-agent one
-again at quota 2, and the six sweep fixtures.
+and the oracle report), re-solves every 16th draw with its technology's
+closed forms stripped, re-solves at every quota and two drawn coalitions on
+every 32nd draw, threshold tables (all 192 ladder economies, every 8th again
+with its closed forms stripped, every three-agent one again at quota 2, and
+the six sweep fixtures) and the bytes of ``agendamech sweep`` over
+``0:3:121`` on each fixture: its exit code, CSV and segments file.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import agendamech as am  # noqa: E402
-from agendamech.cli import load_model  # noqa: E402
+from agendamech.cli import load_model, main as cli_main  # noqa: E402
 from workloads import (CORPUS_POOL, LADDER_CANDIDATES, SWEEP_MODELS,  # noqa: E402
                        corpus_economy, ladder_economy)
 
@@ -70,6 +72,9 @@ def _corpus(index: int) -> list:
     if not report.passed:
         return lines
     lines += _solved(econ, am.solve)
+    if index % 16 == 0:
+        lines.append("stripped")
+        lines += _solved(_stripped(econ), am.solve)
     if index % 32 == 0:
         for quota in range(1, econ.n + 1):
             lines.append(f"quota {quota}")
@@ -86,6 +91,13 @@ def _table(name: str, econ) -> list:
         return [name, repr(am.threshold_table(econ))]
     except am.SolverError as exc:
         return [name, f"{type(exc).__name__}: {exc}"]
+
+
+def _sweep(name: str, model: Path) -> list:
+    out = model.with_suffix(".csv")
+    code = cli_main(["sweep", "--model", str(model), "--grid", "0:3:121", "--out", str(out)])
+    segments = Path(str(out) + ".segments.json")
+    return [f"sweep {name} exit {code}", repr(out.read_bytes()), repr(segments.read_bytes())]
 
 
 def _stripped(econ):
@@ -114,6 +126,7 @@ def main(argv) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(model))
             lines += _table(f"fixture {name}", load_model(str(path))[0])
+            lines += _sweep(name, path)
     Path(argv[1]).write_text("\n".join(lines) + "\n")
     return 0
 

@@ -173,13 +173,13 @@ def load_model(path: str):
 
     try:
         econ = Economy(
-            agenda_setter_type=_need(eco, "agenda_setter_type", "economy"),
+            agenda_setter_type=_number(eco, "agenda_setter_type", "economy"),
             agent_types=tuple(agent_types),
             distributions=dists,
             tech=tech,
             reservation=reservation,
             quota=_need(eco, "quota", "economy"),
-            outside_g=_need(eco, "outside_g", "economy"),
+            outside_g=_number(eco, "outside_g", "economy"),
             discount=eco.get("discount"),
             horizon=eco.get("horizon"),
         )
@@ -290,8 +290,8 @@ def _parse_grid(spec: str):
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ModelFileError("--grid", f"expected start:stop:count, got {spec!r}") from exc
-    if count < 1 or stop < start:
-        raise ModelFileError("--grid", "need stop >= start and count >= 1")
+    if count < 1 or not -math.inf < start <= stop < math.inf:
+        raise ModelFileError("--grid", f"need finite start <= stop and count >= 1, got {spec!r}")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)

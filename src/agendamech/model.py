@@ -351,6 +351,9 @@ class Economy:
             raise InvalidEconomy("one distribution per non-agenda agent required")
         if not 1 <= self.quota <= self.n:
             raise InvalidEconomy(f"quota must lie in [1, {self.n}]")
+        for name in ("agenda_setter_type", "outside_g"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidEconomy(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.outside_g < 0:
             raise InvalidEconomy("outside_g must be nonnegative")
         for theta, dist in zip(self.agent_types, self.distributions):

@@ -46,12 +46,14 @@ class FixedPointDivergence(SolverError):
 
 
 # ---------------------------------------------------------------------------
-# Scalar bisection
+# Bisection
 # ---------------------------------------------------------------------------
+
+BISECT_LEVELS = 6  # steps per predicate call in vectorized mode
 
 
 def bisect(below: Callable, lo: float, hi: float, max_iter: int,
-           tol: float | None = None) -> float:
+           tol: float | None = None, *, vectorized: bool = False) -> float:
     """Midpoint of a bisected bracket: ``lo`` moves to the midpoint where
     ``below(mid)`` holds, ``hi`` otherwise.
 
@@ -59,17 +61,41 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
     when the midpoint rounds onto an endpoint. From there on a step either
     leaves the bracket as it is or collapses it onto that endpoint, so every
     further step returns the same float and is skipped.
+
+    The vectorized mode calls ``below`` once per ``BISECT_LEVELS`` steps, on
+    an array of every midpoint they can reach, and walks those with the same
+    arithmetic and stops: both modes return the same float, monotone or not.
     """
-    for _ in range(max_iter):
+    if not vectorized:
+        for _ in range(max_iter):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+            if tol is not None and hi - lo <= tol:
+                break
+        return 0.5 * (lo + hi)
+    for first in range(0, max_iter, BISECT_LEVELS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        if tol is not None and hi - lo <= tol:
-            break
+        halves = [2**d for d in reversed(range(min(BISECT_LEVELS, max_iter - first)))]
+        ends = np.empty(2 * halves[0] + 1)  # every bracket end of the batch, in order
+        ends[0], ends[-1] = lo, hi
+        for half in halves:
+            ends[half::2 * half] = 0.5 * (ends[:-1:2 * half] + ends[2 * half::2 * half])
+        flags = [False, *np.asarray(below(ends[1:-1])).tolist()]
+        ends, at = ends.tolist(), 0
+        for half in halves:
+            mid = ends[at + half]
+            if mid == lo or mid == hi:
+                return 0.5 * (lo + hi)
+            lo, hi, at = (mid, hi, at + half) if flags[at + half] else (lo, mid, at)
+            if tol is not None and hi - lo <= tol:
+                return 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
@@ -327,13 +353,23 @@ def rent_gap(econ: Economy, g: float, window: tuple) -> float:
     Equals the rent difference between the window's top and bottom types
     when the allocation is held at g.
     """
+    return _rent_gap_on(econ, window)(g)
+
+
+def _rent_gap_on(econ: Economy, window: tuple) -> Callable:
+    """``rent_gap`` at any level, with the window's grid and slope built once."""
     lo, hi = window
     if hi <= lo:
-        return 0.0
+        return lambda g: 0.0
     x = np.linspace(lo, hi, 2 * SIMPSON_PANELS + 1)
-    y = float(econ.tech.phi(g)) - np.asarray(econ.reservation.slope(x, econ.outside_g), float)
+    slope = np.asarray(econ.reservation.slope(x, econ.outside_g), float)
     h = (hi - lo) / (2 * SIMPSON_PANELS)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+    def gap(g):
+        y = float(econ.tech.phi(g)) - slope
+        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+    return gap
 
 
 def gamma_star_constant(econ: Economy, theta_window: tuple,
@@ -347,13 +383,13 @@ def gamma_star_constant(econ: Economy, theta_window: tuple,
     be nonincreasing in gamma; a violation raises BracketFailure.
     """
     lo_b, hi_b = gamma_bounds
+    gap = _rent_gap_on(econ, theta_window)
     if weight_fn is None:
         def weight_fn(gam):
             return gamma_weight_sum(econ, GammaRepresentation.constant(gam))
 
     def residual(gam):
-        g = solve_weighted_foc(econ.tech, weight_fn(gam))
-        return rent_gap(econ, g, theta_window)
+        return gap(solve_weighted_foc(econ.tech, weight_fn(gam)))
 
     r_hi = residual(hi_b)  # highest weight -> lowest provision -> smallest gap
     r_lo = residual(lo_b)

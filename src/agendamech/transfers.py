@@ -67,7 +67,8 @@ class FocSchedule:
         self.gamma = gamma
         self.clip_lo = clip_lo
         self.clip_hi = clip_hi
-        self._build(RENT_NODES if econ.tech.weighted_argmax is not None else 257, pin)
+        self._batched = econ.tech.weighted_argmax is not None  # extra points are cheap
+        self._build(RENT_NODES if self._batched else 257, pin)
 
     # -- allocation ---------------------------------------------------------
 
@@ -96,8 +97,7 @@ class FocSchedule:
     def _allocation_kinks(self, lo: float, hi: float) -> list:
         """Reports where the schedule crosses a clip level or leaves the
         zero corner; they become quadrature nodes so every panel is smooth."""
-        g_lo = float(self.allocation(lo))
-        g_hi = float(self.allocation(hi))
+        g_lo, g_hi = self.allocation([lo, hi]).tolist()
         # (level, True) marks a floor the schedule leaves from; (level, False)
         # a ceiling it enters. The schedule is nondecreasing in the report.
         levels = [(0.0, True)]
@@ -111,10 +111,10 @@ class FocSchedule:
                 continue
 
             def below(m):
-                g_m = float(self.allocation(m))
+                g_m = self.allocation(m)
                 return g_m <= level + 1e-14 if is_floor else g_m < level - 1e-14
 
-            kinks.append(bisect(below, lo, hi, 80))
+            kinks.append(bisect(below, lo, hi, 80, vectorized=self._batched))
         return kinks
 
     def _build(self, nodes: int, pin):
@@ -161,7 +161,8 @@ class FocSchedule:
         candidates = [(float(u[best_idx]), float(xs[best_idx]))]
         crossings = np.flatnonzero((s[:-1] < 0.0) & (s[1:] > 0.0))
         for k in crossings:
-            x_star = bisect(lambda m: float(self._slope(m)) < 0.0, xs[k], xs[k + 1], 60)
+            x_star = bisect(lambda m: self._slope(m) < 0.0, xs[k], xs[k + 1], 60,
+                            vectorized=self._batched)
             candidates.append((float(self.rent(x_star)), float(x_star)))
         val, arg = min(candidates)
         return arg, val

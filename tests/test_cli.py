@@ -276,6 +276,26 @@ def test_bad_grid_spec_exit_2(tmp_path):
     assert main(["sweep", "--model", model, "--grid", "oops"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:2"])
+def test_non_finite_grid_exit_2(tmp_path, capsys, grid):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", model, "--grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("model file error: --grid: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("outside_g", float("nan")),
+                                          ("outside_g", float("inf")),
+                                          ("agenda_setter_type", float("nan")),
+                                          ("agenda_setter_type", float("-inf"))])
+def test_non_finite_economy_level_exit_2(tmp_path, capsys, field, value):
+    payload = {"economy": {**GOLDEN_MODEL["economy"], field: value}}
+    model = _write(tmp_path, "model.json", payload)
+    assert main(["solve", "--model", model]) == 2
+    assert capsys.readouterr().err.startswith(f"model file error: economy.{field}: ")
+
+
 def test_solve_stochastic_coalition_flags(tmp_path):
     payload = {"economy": dict(GOLDEN_MODEL["economy"])}
     payload["economy"]["agent_types"] = [0.2, 0.5, 0.8]

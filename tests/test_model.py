@@ -256,6 +256,16 @@ def test_economy_guards(log_tech):
         am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), log_tech, res, 2, -0.5)
 
 
+@pytest.mark.parametrize("field", ["agenda_setter_type", "outside_g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_economy_rejects_non_finite_levels(log_tech, field, value):
+    spec = dict(agenda_setter_type=0.5, agent_types=(0.8,), distributions=am.uniform(0.0, 1.0),
+                tech=log_tech, reservation=am.linear_reservation(log_tech, 2), quota=2,
+                outside_g=0.0)
+    with pytest.raises(am.InvalidEconomy, match=f"{field} must be finite"):
+        am.Economy(**{**spec, field: value})
+
+
 def test_economy_is_immutable(golden_economy):
     with pytest.raises(AttributeError):
         golden_economy.outside_g = 1.0

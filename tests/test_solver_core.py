@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import agendamech as am
 from agendamech import cli, regimes, solver_core, transfers
-from agendamech.solver_core import GammaRepresentation, bisect, invert_phi, rent_gap
+from agendamech.solver_core import (BISECT_LEVELS, GammaRepresentation, bisect, invert_phi,
+                                    rent_gap)
 from oracles import foc_level, simpson
 
 
@@ -249,12 +250,13 @@ def test_gamma_star_constant_bracket_failure_guard(convex_economy):
 # ---------------------------------------------------------------------------
 
 
-def reference_bisect(below, lo, hi, max_iter, tol=None):
-    """``bisect`` without its early stop: every step runs until ``max_iter``
-    or the tolerance ends the loop."""
+def reference_bisect(below, lo, hi, max_iter, tol=None, *, vectorized=False):
+    """``bisect`` without its early stop or batches: every step runs until
+    ``max_iter`` or the tolerance ends the loop. A vectorized predicate sees
+    one one-element array per step."""
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if below(mid):
+        if below(np.array([mid]))[0] if vectorized else below(mid):
             lo = mid
         else:
             hi = mid
@@ -298,10 +300,17 @@ def bisection_cases(draw):
 
 
 @given(case=bisection_cases())
+@example(case=(STEP_PREDICATES["<"](0.3), 0.0, 1.0, BISECT_LEVELS + 1, None))
+@example(case=(STEP_PREDICATES[">="](0.7), 0.0, 1.0, 4 * BISECT_LEVELS + 3, 1e-15))
+@example(case=(STEP_PREDICATES["<="](2e-300), 1e-300, 3e-300, 80, 1e-300))
+@example(case=(STEP_PREDICATES["<"](0.3), 0.3, math.nextafter(0.3, 1.0), 80, None))
+@example(case=(STEP_PREDICATES[">"](0.3), 0.3, 0.3, BISECT_LEVELS - 1, 0.0))
 @settings(max_examples=400, deadline=None)
 def test_bisect_equals_fixed_count_loop(case):
     below, lo, hi, max_iter, tol = case
-    assert bisect(below, lo, hi, max_iter, tol) == reference_bisect(below, lo, hi, max_iter, tol)
+    got = bisect(below, lo, hi, max_iter, tol)
+    assert got == reference_bisect(below, lo, hi, max_iter, tol)
+    assert bisect(below, lo, hi, max_iter, tol, vectorized=True) == got
 
 
 @pytest.mark.parametrize("root", [0.0, 5e-324, 1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0])
@@ -314,6 +323,7 @@ def test_bisect_edge_roots_on_unit_interval(root, sense):
 def test_bisect_degenerate_bracket_calls_nothing():
     calls = []
     assert bisect(calls.append, 0.7, 0.7, 200) == 0.7
+    assert bisect(calls.append, 0.7, 0.7, 200, vectorized=True) == 0.7
     assert calls == []
 
 
@@ -327,6 +337,28 @@ def test_bisect_stops_once_the_bracket_is_two_adjacent_floats():
     got = bisect(below, 0.0, 1.0, 200)
     assert got == reference_bisect(lambda x: x < 0.3, 0.0, 1.0, 200)
     assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.25, 0.2500001), (-3.0, 7.0)])
+def test_bisect_vectorized_follows_a_non_monotone_predicate(lo, hi):
+    def parity(x):
+        return np.floor(np.asarray(x) * 1e6) % 2 == 0
+
+    got = bisect(parity, lo, hi, 200, vectorized=True)
+    assert got == bisect(parity, lo, hi, 200) == reference_bisect(parity, lo, hi, 200)
+
+
+def test_bisect_vectorized_takes_a_batch_of_steps_per_call():
+    calls = []
+
+    def below(x):
+        calls.append(len(x))
+        return x < 0.3
+
+    got = bisect(below, 0.0, 1.0, 200, vectorized=True)
+    assert got == reference_bisect(lambda x: x < 0.3, 0.0, 1.0, 200)
+    assert len(calls) <= math.ceil(60 / BISECT_LEVELS)
+    assert set(calls) == {2**BISECT_LEVELS - 1}
 
 
 CONCAVE_WINDOW_MODEL = {
