@@ -10,14 +10,16 @@ The program is imported from ``src/`` and the economy generators from
 and compare them with ``cmp``: any output that moved shows as a difference.
 
 The dump covers every second draw of the benchmark's 2048-economy corpus
-(validation, every solution field, the shadow weight at a type grid and at
-the realized types, each schedule's allocation and transfer at 17 reports,
-and the oracle report), re-solves every 16th draw with its technology's
-closed forms stripped, re-solves at every quota and two drawn coalitions on
-every 32nd draw, threshold tables (all 192 ladder economies, every 8th again
-with its closed forms stripped, every three-agent one again at quota 2, and
-the six sweep fixtures) and the bytes of ``agendamech sweep`` over
-``0:3:121`` on each fixture: its exit code, CSV and segments file.
+(validation, the reservation profile's value and slope at 17 types, every
+solution field, the shadow weight at a type grid and at the realized types,
+each schedule's allocation and transfer at 17 reports, and the oracle
+report), re-solves every 16th draw with its technology's closed forms
+stripped, re-solves at every quota and two drawn coalitions and runs the
+three-period dynamic check on every 32nd draw, threshold tables (all 192
+ladder economies, every 8th again with its closed forms stripped, every
+three-agent one again at quota 2, and the six sweep fixtures) and the bytes
+of ``agendamech sweep`` over ``0:3:121`` on each fixture: its exit code, CSV
+and segments file.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ def _solution_lines(econ, sol, agents=None) -> list:
     return lines
 
 
+def _reservation_lines(econ) -> list:
+    """Reservation value and slope at the report types, at the draw's outside
+    level and at 0, one type at a time and as one array."""
+    res = econ.reservation
+    grid = np.linspace(econ.theta_lo, econ.theta_hi, REPORTS)
+    lines = []
+    for g_circ in (econ.outside_g, 0.0):
+        for curve in (res.value, res.slope):
+            lines.append(repr(([curve(float(t), g_circ) for t in grid],
+                               curve(grid, g_circ).tolist())))
+    return lines
+
+
 def _solved(econ, solve, agents=None) -> list:
     try:
         sol = solve(econ)
@@ -68,7 +83,7 @@ def _solved(econ, solve, agents=None) -> list:
 def _corpus(index: int) -> list:
     econ = corpus_economy(am, index)
     report = am.validate_economy(econ)
-    lines = [f"corpus {index}", repr(report)]
+    lines = [f"corpus {index}", repr(report), *_reservation_lines(econ)]
     if not report.passed:
         return lines
     lines += _solved(econ, am.solve)
@@ -83,6 +98,10 @@ def _corpus(index: int) -> list:
             lines.append(f"coalition seed {seed}")
             lines += _solved(econ, lambda e: am.solve_stochastic_coalition(e, seed, 0.05),
                              agents=lambda sol: sorted(sol.coalition - {0}))
+        try:
+            lines.append(repr(am.dynamic_check(econ, 3, 0.9)))
+        except am.SolverError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
     return lines
 
 

@@ -61,11 +61,7 @@ from .regimes import (
     Thresholds,
     ThresholdTable,
     solve,
-    solve_majority_general,
-    solve_majority_linear,
     solve_stochastic_coalition,
-    solve_unanimity_general,
-    solve_unanimity_linear,
     sweep_outside_option,
     threshold_table,
 )

@@ -11,9 +11,7 @@ Model files are JSON with three blocks::
         "outside_g": 0.0,
         "distributions": {"family": "uniform", "lo": 0.0, "hi": 1.0},
         "technology": {"family": "log"},
-        "reservation": {"family": "linear"},
-        "discount": 0.9,            // optional
-        "horizon": 3                // optional
+        "reservation": {"family": "linear"}
       },
       "solver": {"seed": 0, "tau_bar": 0.0, "grid_size": 41, "tolerance": 1e-8},
       "output": {"out": "solution.json", "format": "json"}
@@ -89,10 +87,14 @@ def _need(block: dict, field: str, path: str):
 def _number(spec: dict, field: str, path: str, default=None, integer=False):
     """A finite JSON number (an integer when asked), never a bool; required without a default."""
     value = _need(spec, field, path) if default is None else spec.get(field, default)
+    return _checked_number(value, f"{path}.{field}", integer)
+
+
+def _checked_number(value, path: str, integer=False):
     kind = "a JSON integer" if integer else "a finite JSON number"
     if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
             or not abs(value) < math.inf):
-        raise ModelFileError(f"{path}.{field}", f"must be {kind}, got {value!r}")
+        raise ModelFileError(path, f"must be {kind}, got {value!r}")
     return value
 
 
@@ -174,14 +176,13 @@ def load_model(path: str):
     try:
         econ = Economy(
             agenda_setter_type=_number(eco, "agenda_setter_type", "economy"),
-            agent_types=tuple(agent_types),
+            agent_types=tuple(_checked_number(t, f"economy.agent_types[{k}]")
+                              for k, t in enumerate(agent_types)),
             distributions=dists,
             tech=tech,
             reservation=reservation,
-            quota=_need(eco, "quota", "economy"),
+            quota=_number(eco, "quota", "economy", integer=True),
             outside_g=_number(eco, "outside_g", "economy"),
-            discount=eco.get("discount"),
-            horizon=eco.get("horizon"),
         )
     except (ModelFileError, InvalidEconomy):
         raise
@@ -389,15 +390,17 @@ def cmd_verify(args) -> int:
     econ, solver_opts, _output = load_model(args.model)
     try:
         with open(args.solution) as fh:
-            stored = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            stored = _object(json.load(fh), "solution")
+        eco = _object(stored.get("economy", {}), "solution.economy")
+        matches = (eco.get("n") == econ.n and eco.get("quota") == econ.quota
+                   and list(eco.get("agent_types", [])) == list(econ.agent_types)
+                   and abs(float(eco.get("outside_g", -1)) - econ.outside_g) <= 1e-12)
+        stored_g = float(stored.get("g_star", float("nan")))
+        stored_t = [float(t) for t in stored.get("transfers", [])]
+    except (OSError, ValueError, TypeError) as exc:
         print(f"cannot read solution: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-    eco = stored.get("economy", {})
-    if (eco.get("n") != econ.n or eco.get("quota") != econ.quota
-            or list(eco.get("agent_types", [])) != list(econ.agent_types)
-            or abs(float(eco.get("outside_g", -1)) - econ.outside_g) > 1e-12):
+    if not matches:
         print("solution does not match the model economy", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -405,12 +408,9 @@ def cmd_verify(args) -> int:
     grid_size = int(solver_opts.get("grid_size", 41))
     solution = solve(econ)
     problems = []
-
-    stored_g = float(stored.get("g_star", float("nan")))
     if abs(stored_g - solution.g_star) > 1e-6:
         problems.append(f"g_star mismatch: stored {stored_g}, resolved {solution.g_star}")
 
-    stored_t = [float(t) for t in stored.get("transfers", [])]
     if len(stored_t) != econ.n:
         problems.append(f"transfers: expected {econ.n} entries, got {len(stored_t)}")
     else:

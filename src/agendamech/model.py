@@ -251,9 +251,7 @@ def linear_reservation(tech: Technology, n: int) -> ReservationProfile:
     """v_bar = theta * phi(g_circ) - g_circ / n; slope is type-independent."""
     return ReservationProfile(
         v_bar=lambda t, gc: np.asarray(t, float) * float(tech.phi(gc)) - gc / n,
-        v_bar_dtheta=lambda t, gc: np.full_like(np.asarray(t, float), float(tech.phi(gc)))
-        if np.ndim(t)
-        else float(tech.phi(gc)),
+        v_bar_dtheta=lambda t, gc: np.full_like(t, float(tech.phi(gc))),
         curvature=Curvature.LINEAR,
         name=f"linear(n={n})",
     )
@@ -261,7 +259,7 @@ def linear_reservation(tech: Technology, n: int) -> ReservationProfile:
 
 def zero_reservation() -> ReservationProfile:
     """Identically-zero outside option."""
-    zero = lambda t, gc: np.zeros_like(np.asarray(t, float)) if np.ndim(t) else 0.0
+    zero = lambda t, gc: np.zeros_like(t)
     return ReservationProfile(zero, zero, Curvature.LINEAR, name="zero")
 
 
@@ -269,12 +267,8 @@ def share_reservation(tech: Technology, share: Callable, share_prime: Callable,
                       curvature: Curvature, name: str = "share") -> ReservationProfile:
     """v_bar = phi(g_circ) * share(theta); curvature inherited from share."""
     return ReservationProfile(
-        v_bar=lambda t, gc: float(tech.phi(gc)) * np.asarray(share(np.asarray(t, float)), float)
-        if np.ndim(t)
-        else float(tech.phi(gc)) * float(share(float(t))),
-        v_bar_dtheta=lambda t, gc: float(tech.phi(gc)) * np.asarray(share_prime(np.asarray(t, float)), float)
-        if np.ndim(t)
-        else float(tech.phi(gc)) * float(share_prime(float(t))),
+        v_bar=lambda t, gc: float(tech.phi(gc)) * share(t),
+        v_bar_dtheta=lambda t, gc: float(tech.phi(gc)) * share_prime(t),
         curvature=curvature,
         name=name,
     )
@@ -309,7 +303,7 @@ def negative_slope_reservation(tech: Technology, level: float, slope: float) -> 
     return share_reservation(
         tech,
         share=lambda t: level - slope * t,
-        share_prime=lambda t: -slope + 0.0 * t if np.ndim(t) else -slope,
+        share_prime=lambda t: -slope + 0.0 * t,
         curvature=Curvature.NEGATIVE_SLOPE,
         name=f"negslope({level},{slope})",
     )
@@ -336,8 +330,6 @@ class Economy:
     reservation: ReservationProfile
     quota: int
     outside_g: float
-    discount: float | None = None
-    horizon: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "agent_types", tuple(float(t) for t in self.agent_types))
@@ -349,6 +341,8 @@ class Economy:
             raise InvalidEconomy("need at least one non-agenda agent (n >= 2)")
         if len(self.distributions) != len(self.agent_types):
             raise InvalidEconomy("one distribution per non-agenda agent required")
+        if isinstance(self.quota, bool) or not isinstance(self.quota, (int, np.integer)):
+            raise InvalidEconomy(f"quota must be an integer, got {self.quota!r}")
         if not 1 <= self.quota <= self.n:
             raise InvalidEconomy(f"quota must lie in [1, {self.n}]")
         for name in ("agenda_setter_type", "outside_g"):
@@ -358,8 +352,6 @@ class Economy:
             raise InvalidEconomy("outside_g must be nonnegative")
         for theta, dist in zip(self.agent_types, self.distributions):
             dist.check_support(theta)
-        if self.discount is not None and not 0.0 <= self.discount < 1.0:
-            raise InvalidEconomy("discount must lie in [0, 1)")
 
     @property
     def n(self) -> int:

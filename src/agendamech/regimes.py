@@ -110,11 +110,6 @@ class MechanismSolution:
 # ---------------------------------------------------------------------------
 
 
-def _require_linear(econ: Economy):
-    if econ.reservation.curvature is not Curvature.LINEAR:
-        raise InvalidEconomy("reservation profile must be linear for this solver")
-
-
 def _exclusion_order(econ: Economy, side: str) -> list:
     """Agents in the order they are excluded. Ties by type are broken so the
     surviving coalition is lexicographically smallest."""
@@ -261,29 +256,23 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
                             enforce_slope_sign: bool,
                             thresholds: Thresholds | None = None,
                             thresholds_raw: Thresholds | None = None,
-                            regime: Regime | None = None,
-                            cap_to_efficient: bool = True,
-                            notes: tuple = (),
                             eff: float | None = None) -> MechanismSolution | None:
     """One-sided solution: every type mis-reports in the same direction.
 
     `config` is the `_one_sided` configuration of `side`. side "low": all
     understate, participation anchored at the bottom of the coalition; the
     excluded lowest agents are forced in, bunched at the cutoff agent's
-    bundle, and provision is capped at the efficient level `eff`, which is
-    needed only when agents are excluded. side "high" is the mirror image.
-    Returns None when the envelope-slope sign check fails (the candidate is
-    infeasible at this outside option).
+    bundle, and provision is capped at the efficient level `eff` (None: no
+    cap), which applies only when agents are excluded. side "high" is the
+    mirror image. Returns None when the envelope-slope sign check fails (the
+    candidate is infeasible at this outside option).
     """
     members, excluded, cutoff, shadow, weight, g_raw = config
     k = len(excluded)
     low = side == "low"
-    if low:
-        g_star = min(g_raw, eff) if (k and cap_to_efficient) else g_raw
-        clip = {"clip_hi": eff if (k and cap_to_efficient and g_raw > eff) else None}
-    else:
-        g_star = max(g_raw, eff) if (k and cap_to_efficient) else g_raw
-        clip = {"clip_lo": eff if (k and cap_to_efficient and g_raw < eff) else None}
+    capped = k > 0 and eff is not None and (g_raw > eff if low else g_raw < eff)
+    g_star = eff if capped else g_raw
+    clip = {"clip_hi" if low else "clip_lo": eff if capped else None}
 
     if enforce_slope_sign:
         grid = np.linspace(econ.theta_lo, econ.theta_hi, 41)
@@ -302,11 +291,11 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
         gamma, cutoff_types = GammaRepresentation.point_mass_at_low(), (econ.theta_lo,)
     else:
         gamma, cutoff_types = GammaRepresentation.point_mass_at_high(), (econ.theta_hi,)
-    default_regime = Regime.UNDERSTATE_INTERIOR if low else Regime.OVERSTATE_INTERIOR
-    return _solution(econ, g_star, regime or default_regime, schedules,
+    regime = Regime.UNDERSTATE_INTERIOR if low else Regime.OVERSTATE_INTERIOR
+    return _solution(econ, g_star, regime, schedules,
                      _pick_coalition(econ, required, members), gamma, cutoff_types,
                      excluded=excluded, bunched=excluded, thresholds=thresholds,
-                     thresholds_raw=thresholds_raw or Thresholds(g_raw, g_raw), notes=notes)
+                     thresholds_raw=thresholds_raw or Thresholds(g_raw, g_raw))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +310,9 @@ def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
     d = float(econ.reservation.slope(econ.agent_types[0], econ.outside_g))
     phi = lambda g: float(econ.tech.phi(g))
 
-    def candidate(side, thresholds, **kw):
+    def candidate(side, thresholds, cap=eff):
         return _uniform_sign_candidate(econ, side, sides[side], enforce_slope_sign=False,
-                                       thresholds=thresholds, thresholds_raw=raw, eff=eff, **kw)
+                                       thresholds=thresholds, thresholds_raw=raw, eff=cap)
 
     if raw_low <= raw_high + BRANCH_TOL:
         if d < phi(g_low) - BRANCH_TOL:
@@ -340,26 +329,10 @@ def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
     thr = Thresholds(g_low, raw_high)
     note = (f"non-monotone thresholds: raw low {raw_low:.12g} exceeds raw high {raw_high:.12g}",)
     if d <= phi(g_low) + BRANCH_TOL:
-        return candidate("low", thr, regime=Regime.NON_MONOTONE_LOW, notes=note)
-    return candidate("high", thr, regime=Regime.NON_MONOTONE_HIGH, cap_to_efficient=False,
-                     notes=note)
-
-
-def solve_unanimity_linear(econ: Economy) -> MechanismSolution:
-    """Three-branch rule under unanimity with a linear reservation profile."""
-    _require_linear(econ)
-    if econ.quota != econ.n:
-        raise InvalidEconomy("unanimity solver requires quota = n")
-    return _linear_solve(econ, exclusions=0)
-
-
-def solve_majority_linear(econ: Economy) -> MechanismSolution:
-    """Linear-profile solver with a quota: the lowest (highest) types can be
-    forced in and bunched at the cutoff agent's bundle, provision capped at
-    the efficient level; non-monotone two-branch rule when the low threshold
-    exceeds the high one."""
-    _require_linear(econ)
-    return _linear_solve(econ, exclusions=econ.n - econ.quota)
+        return dataclasses.replace(candidate("low", thr), regime=Regime.NON_MONOTONE_LOW,
+                                   notes=note)
+    return dataclasses.replace(candidate("high", thr, cap=None),
+                               regime=Regime.NON_MONOTONE_HIGH, notes=note)
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +456,9 @@ def _convex_unanimity(econ: Economy) -> MechanismSolution:
 # ---------------------------------------------------------------------------
 
 
-def solve_unanimity_general(econ: Economy) -> MechanismSolution:
-    """Unanimity solver for any reservation-profile curvature."""
-    if econ.quota != econ.n:
-        raise InvalidEconomy("unanimity solver requires quota = n")
-    curv = econ.reservation.curvature
-    if curv is Curvature.LINEAR:
-        return _linear_solve(econ, 0)
-    if curv is Curvature.NEGATIVE_SLOPE:
-        return _uniform_sign_candidate(econ, "low", _one_sided(econ, "low", 0),
-                                       enforce_slope_sign=False)
-    if curv is Curvature.CONCAVE:
+def _curved_unanimity(econ: Economy) -> MechanismSolution:
+    """Unanimity solution for a concave or convex reservation profile."""
+    if econ.reservation.curvature is Curvature.CONCAVE:
         try:
             return _concave_unanimity(econ)
         except FixedPointDivergence:
@@ -511,6 +476,18 @@ def _better_of(econ: Economy, *candidates) -> MechanismSolution:
         if pay > best_pay + 1e-12:
             best, best_pay = sol, pay
     return best
+
+
+def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn):
+    """(gamma, FOC weight, level, phi at the level) of the constant shadow
+    weight on `window`, or None when its search has no bracket."""
+    try:
+        gam = gamma_star_constant(econ, window, bounds, weight_fn)
+    except BracketFailure:
+        return None
+    w_star = weight_fn(gam)
+    g_star = solve_weighted_foc(econ.tech, w_star)
+    return gam, w_star, g_star, float(econ.tech.phi(g_star))
 
 
 def _concave_window_candidate(econ: Economy, start: int, width: int) -> MechanismSolution | None:
@@ -540,13 +517,10 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     f_q = float(econ.dist_of(order[end + 1]).F(theta_q))
     if f_q <= f_p + 1e-12:
         return None
-    try:
-        gam = gamma_star_constant(econ, (theta_p, theta_q), (f_p, f_q), weight_fn)
-    except BracketFailure:
+    found = _constant_gamma_level(econ, (theta_p, theta_q), (f_p, f_q), weight_fn)
+    if found is None:
         return None
-    w_star = weight_fn(gam)
-    g_star = solve_weighted_foc(econ.tech, w_star)
-    phi_g = float(econ.tech.phi(g_star))
+    gam, w_star, g_star, phi_g = found
 
     # the rent curve must dip inside the window: falling at its bottom,
     # rising at its top, and strictly below zero at each excluded type
@@ -598,13 +572,10 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
         mid = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam) for i in members)
         return econ.agenda_setter_type + k_lo * theta_p + k_hi * theta_q + mid
 
-    try:
-        gam = gamma_star_constant(econ, (theta_p, theta_q), (lo_bound, hi_bound), weight_fn)
-    except BracketFailure:
+    found = _constant_gamma_level(econ, (theta_p, theta_q), (lo_bound, hi_bound), weight_fn)
+    if found is None:
         return None
-    w_star = weight_fn(gam)
-    g_star = solve_weighted_foc(econ.tech, w_star)
-    phi_g = float(econ.tech.phi(g_star))
+    gam, w_star, g_star, phi_g = found
 
     # rents must rise into the window from below and fall out of it above
     if k_lo and phi_g - float(econ.reservation.slope(theta_p, econ.outside_g)) < -CONSISTENCY_TOL:
@@ -637,19 +608,25 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
                      transfers=transfers)
 
 
-def solve_majority_general(econ: Economy) -> MechanismSolution:
-    """Quota solver for any curvature: uniform-sign candidates with tail
-    exclusion, curvature-specific intermediate candidates, and the posted
-    status quo compete on the agenda setter's realized payoff."""
-    if econ.quota == econ.n:
-        return solve_unanimity_general(econ)
+def solve(econ: Economy) -> MechanismSolution:
+    """Solve at the economy's quota and curvature.
+
+    Linear and decreasing profiles follow their closed branch rules. Curved
+    profiles under unanimity solve directly; under a quota, uniform-sign
+    candidates with tail exclusion, curvature-specific intermediate
+    candidates and the posted status quo compete on the agenda setter's
+    realized payoff.
+    """
     curv = econ.reservation.curvature
     k = econ.n - econ.quota
     if curv is Curvature.LINEAR:
         return _linear_solve(econ, k)
     if curv is Curvature.NEGATIVE_SLOPE:
         return _uniform_sign_candidate(econ, "low", _one_sided(econ, "low", k),
-                                       enforce_slope_sign=False, eff=efficient_level(econ))
+                                       enforce_slope_sign=False,
+                                       eff=efficient_level(econ) if k else None)
+    if not k:
+        return _curved_unanimity(econ)
 
     thresholds, thresholds_raw, eff, sides = _outer_thresholds(econ, k)
     # uniform-sign regimes apply mechanically: force the cheapest tail in,
@@ -666,7 +643,7 @@ def solve_majority_general(econ: Economy) -> MechanismSolution:
     # the degenerate member of each family)
     candidates = []
     try:
-        candidates.append(solve_unanimity_general(econ.with_quota(econ.n)))
+        candidates.append(_curved_unanimity(econ.with_quota(econ.n)))
     except (SolverError, InvalidEconomy):
         pass
     r = econ.n - 1
@@ -690,11 +667,6 @@ def solve_majority_general(econ: Economy) -> MechanismSolution:
         coalition = _pick_coalition(econ, (), [i for i in econ.agents if i not in best.excluded])
     return dataclasses.replace(best, coalition=coalition, thresholds=thresholds,
                                thresholds_raw=thresholds_raw)
-
-
-def solve(econ: Economy) -> MechanismSolution:
-    """Solve at the economy's quota and curvature (unanimity when quota = n)."""
-    return solve_majority_general(econ)
 
 
 # ---------------------------------------------------------------------------

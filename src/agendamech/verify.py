@@ -318,16 +318,12 @@ class DynamicReport:
                 and self.dsic_ok)
 
 
-def dynamic_check(econ: Economy, T: int | None = None, delta: float | None = None,
+def dynamic_check(econ: Economy, T: int = 1, delta: float = 0.0,
                   solution=None) -> DynamicReport:
     """T-fold repetition of the static solution: total payoff scales by
     beta = (1 - delta**T) / (1 - delta), per-period incentives and
     participation are unchanged, and dynamic slacks are beta times static
-    ones. T and delta default to the economy's horizon and discount."""
-    if T is None:
-        T = econ.horizon if econ.horizon is not None else 1
-    if delta is None:
-        delta = econ.discount if econ.discount is not None else 0.0
+    ones."""
     if T < 1:
         raise ModelError("horizon must be at least 1")
     if not 0.0 <= delta < 1.0:

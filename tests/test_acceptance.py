@@ -24,7 +24,7 @@ def _report(label, ok):
 def test_criterion_1_linear_unanimity_golden(golden_economy):
     """Golden thresholds 0.1 / 1.1 and the three-branch sweep, under 1 s."""
     t0 = time.perf_counter()
-    sol = am.solve_unanimity_linear(golden_economy)
+    sol = am.solve(golden_economy)
     ok = (abs(sol.thresholds.g_low - foc_level(LOG_PRIME, 1.1)) < 1e-8
           and abs(sol.thresholds.g_high - foc_level(LOG_PRIME, 2.1)) < 1e-8
           and abs(sol.thresholds.g_low - 0.1) < 1e-8

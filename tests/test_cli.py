@@ -296,6 +296,36 @@ def test_non_finite_economy_level_exit_2(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith(f"model file error: economy.{field}: ")
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("quota", 2.5, "economy.quota"),
+    ("quota", 2.0, "economy.quota"),
+    ("quota", True, "economy.quota"),
+    ("agent_types", ["0.2", 0.8], "economy.agent_types[0]"),
+    ("agent_types", [True, 0.8], "economy.agent_types[0]"),
+], ids=["quota-fraction", "quota-float", "quota-bool", "type-string", "type-bool"])
+def test_bad_quota_or_agent_type_exit_2(tmp_path, capsys, field, value, named):
+    payload = {"economy": {**NON_MONOTONE_MODEL["economy"], field: value}}
+    model = _write(tmp_path, "model.json", payload)
+    assert main(["solve", "--model", model]) == 2
+    assert capsys.readouterr().err.startswith(f"model file error: {named}: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: [record],
+    lambda record: {**record, "economy": 5},
+    lambda record: {**record, "transfers": ["x"] + record["transfers"][1:]},
+    lambda record: {**record, "g_star": None},
+], ids=["list", "economy-number", "transfer-string", "g_star-null"])
+def test_verify_malformed_solution_exit_2(tmp_path, capsys, edit):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    broken = _write(tmp_path, "broken.json", edit(json.loads(out.read_text())))
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--solution", broken]) == 2
+    assert capsys.readouterr().err.startswith("cannot read solution: ")
+
+
 def test_solve_stochastic_coalition_flags(tmp_path):
     payload = {"economy": dict(GOLDEN_MODEL["economy"])}
     payload["economy"]["agent_types"] = [0.2, 0.5, 0.8]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,12 @@ def test_economy_rejects_non_finite_levels(log_tech, field, value):
                 outside_g=0.0)
     with pytest.raises(am.InvalidEconomy, match=f"{field} must be finite"):
         am.Economy(**{**spec, field: value})
+
+
+@pytest.mark.parametrize("quota", [True, 2.0, 2.5])
+def test_economy_rejects_non_integer_quota(golden_economy, quota):
+    with pytest.raises(am.InvalidEconomy, match="quota must be an integer"):
+        dataclasses.replace(golden_economy, quota=quota)
 
 
 def test_economy_is_immutable(golden_economy):

@@ -20,7 +20,7 @@ LOG_PRIME = lambda g: 1.0 / (1.0 + g)
 
 
 def test_unanimity_linear_golden_thresholds(golden_economy):
-    sol = am.solve_unanimity_linear(golden_economy)
+    sol = am.solve(golden_economy)
     # oracle: bisection on [0.5 + (2*0.8 - 1)] phi'(g) = 1 and the mirror
     assert sol.thresholds.g_low == pytest.approx(foc_level(LOG_PRIME, 1.1), abs=1e-8)
     assert sol.thresholds.g_high == pytest.approx(foc_level(LOG_PRIME, 2.1), abs=1e-8)
@@ -43,31 +43,13 @@ def test_unanimity_linear_three_branches(golden_economy):
     assert edge.regime is am.Regime.OUTSIDE_OPTION
 
 
-def test_unanimity_linear_rejects_bad_preconditions(golden_economy, log_tech):
-    with pytest.raises(am.InvalidEconomy):
-        am.solve_unanimity_linear(golden_economy.with_quota(1))
-    kinked = am.Economy(0.5, (0.3, 0.8), am.uniform(0.0, 1.0), log_tech,
-                        am.quadratic_share_reservation(log_tech, 1.4, -0.5), 3, 0.5)
-    with pytest.raises(am.InvalidEconomy):
-        am.solve_unanimity_linear(kinked)
-
-
 # ---------------------------------------------------------------------------
 # Linear majority
 # ---------------------------------------------------------------------------
 
 
-def test_majority_quota_n_equals_unanimity(golden_economy):
-    una = am.solve_unanimity_linear(golden_economy)
-    maj = am.solve_majority_linear(golden_economy)
-    assert maj.g_star == una.g_star
-    assert maj.transfers == una.transfers
-    assert maj.coalition == una.coalition
-    assert maj.regime == una.regime
-
-
 def test_majority_linear_golden_cap(majority_economy):
-    sol = am.solve_majority_linear(majority_economy)
+    sol = am.solve(majority_economy)
     # oracle: bisection on [0.5 + 1*0.8 + (2*0.8 - 1)] phi'(g) = 1, then the
     # efficiency cap Sum(theta) - 1
     raw = foc_level(LOG_PRIME, 0.5 + 0.8 + 0.6)
@@ -110,7 +92,7 @@ def test_majority_linear_coalition_is_xi_extremal(log_tech):
             continue
         econ = am.Economy(rng.uniform(0.1, 1.0), types, am.uniform(0.0, 1.0),
                           log_tech, am.linear_reservation(log_tech, n), q, 0.0)
-        sol = am.solve_majority_linear(econ)
+        sol = am.solve(econ)
         if sol.regime not in (am.Regime.UNDERSTATE_INTERIOR, am.Regime.NON_MONOTONE_LOW):
             continue
         xi = {frozenset(c): sum(econ.type_of(i) for i in c if i != 0)
@@ -183,7 +165,7 @@ def test_general_at_zero_outside_matches_understate(log_tech):
 
 
 def test_concave_unanimity_golden_blend(concave_economy):
-    sol = am.solve_unanimity_general(concave_economy)
+    sol = am.solve(concave_economy)
     # closed form: the binding realized type 0.5 has slope ln2 * 0.9, so
     # g = 2**0.9 - 1 and the blended weight solves 2.8 - gamma = 1 + g
     assert sol.g_star == pytest.approx(2.0**0.9 - 1.0, abs=1e-9)
@@ -255,7 +237,7 @@ def test_concave_interior_anchor_between_realized_types(concave_economy):
 
 
 def test_convex_unanimity_golden_constant(convex_economy):
-    sol = am.solve_unanimity_general(convex_economy)
+    sol = am.solve(convex_economy)
     assert sol.g_star == pytest.approx(2.0**0.8 - 1.0, abs=1e-8)
     assert sol.gamma.kind is am.GammaKind.CONSTANT
     assert sol.gamma.gamma == pytest.approx((3.8 - 2.0**0.8) / 3.0, abs=1e-8)
@@ -407,13 +389,6 @@ def test_general_quota_monotonicity(log_tech):
         assert sol.g_star <= am.efficient_level(econ) + 1e-9
         previous = sol.g_star
     assert previous == pytest.approx(am.efficient_level(econ), abs=1e-8)
-
-
-def test_majority_quota_n_equals_unanimity_general(concave_economy):
-    maj = am.solve_majority_general(concave_economy)
-    una = am.solve_unanimity_general(concave_economy)
-    assert maj.g_star == una.g_star
-    assert maj.transfers == una.transfers
 
 
 def test_exclusion_bounded_by_quota_slack(concave_window_economy):
@@ -761,7 +736,27 @@ PINNED = {
          ([1, 2], [3], [4]), "mass at theta=0.55 (weight 0.470127964241 on the point)",
          (1.0795857543383436, 0.1, -0.12373621373550692, -0.1259775048439344, 0.1), (0.0, 1.5),
          (0.0, 1.5), ("coalition drawn with seed 1; outsiders taxed 0.1",))),
+    "negative_slope": (
+        "majority_economy", lambda e: am.solve(_negative_slope(e).with_quota(3)),
+        (0.5, "understate_interior", [0, 1, 2], [], [], (0.0,), ([], [], [1, 2]),
+         "point mass at support bottom",
+         (1.5866063162815798, -0.6637323911270501, -0.42287392515452965),
+         (0.5, 0.5), (0.5, 0.5), ())),
+    "negative_slope_capped": (
+        "majority_economy", lambda e: am.solve(_negative_slope(e)),
+        (1.5, "understate_interior", [0, 2], [1], [1], (0.8,), ([], [], [1, 2]),
+         "mass at theta=0.8 (weight 1 on the point)",
+         (2.5363987687485343, -0.5181993843742672, -0.5181993843742672), (1.5, 1.5), (1.9, 1.9),
+         ())),
 }
+
+
+def _negative_slope(econ):
+    """The economy with a decreasing outside option, a proposer of type 1.5
+    and outside level 1: at quota 2 of 3 the raw level 1.9 caps at the
+    efficient 1.5."""
+    return dataclasses.replace(econ, agenda_setter_type=1.5, outside_g=1.0,
+                               reservation=am.negative_slope_reservation(econ.tech, 1.0, 0.5))
 
 
 def _record(sol):

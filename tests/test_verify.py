@@ -247,10 +247,7 @@ def test_dynamic_check_input_guards(golden_economy):
         am.dynamic_check(golden_economy, 3, 1.0)
 
 
-def test_dynamic_check_defaults_to_economy_fields(golden_economy):
-    import dataclasses
-
-    econ = dataclasses.replace(golden_economy, discount=0.9, horizon=3)
-    rep = am.dynamic_check(econ)
-    assert rep.beta == pytest.approx(2.71, abs=1e-12)
+def test_dynamic_check_defaults_to_one_period(golden_economy):
+    rep = am.dynamic_check(golden_economy)
+    assert (rep.horizon, rep.discount, rep.beta) == (1, 0.0, 1.0)
     assert rep.passed
