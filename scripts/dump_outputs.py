@@ -17,9 +17,10 @@ report), re-solves every 16th draw with its technology's closed forms
 stripped, re-solves at every quota and two drawn coalitions and runs the
 three-period dynamic check on every 32nd draw, threshold tables (all 192
 ladder economies, every 8th again with its closed forms stripped, every
-three-agent one again at quota 2, and the six sweep fixtures) and the bytes
-of ``agendamech sweep`` over ``0:3:121`` on each fixture: its exit code, CSV
-and segments file.
+three-agent one again at quota 2, and the six sweep fixtures), the bytes
+of ``agendamech sweep`` over ``0:3:121`` on each fixture (its exit code, CSV
+and segments file), and the concave-window fixture with tied middle types
+solved at every quota and three outside levels.
 """
 
 from __future__ import annotations
@@ -119,6 +120,20 @@ def _sweep(name: str, model: Path) -> list:
     return [f"sweep {name} exit {code}", repr(out.read_bytes()), repr(segments.read_bytes())]
 
 
+def _tied(window) -> list:
+    """The concave-window fixture with three, then two, tied middle agents,
+    solved at every quota over three outside levels."""
+    lines = []
+    for types in ((0.2, 0.5, 0.5, 0.5, 0.9), (0.2, 0.45, 0.45, 0.9)):
+        econ = dataclasses.replace(window, agent_types=types,
+                                   distributions=window.distributions[0])
+        for quota in range(1, econ.n + 1):
+            for g_circ in (0.9, 1.3, 2.0):
+                lines.append(f"tied {types} quota {quota} g_circ {g_circ}")
+                lines += _solved(econ.with_quota(quota).with_outside_g(g_circ), am.solve)
+    return lines
+
+
 def _stripped(econ):
     """The economy with its technology's closed forms removed, so every FOC
     solve and phi inversion bisects."""
@@ -141,11 +156,14 @@ def main(argv) -> int:
         if econ.n == 3:
             lines += _table(f"ladder {index} quota 2", econ.with_quota(2))
     with tempfile.TemporaryDirectory() as tmp:
+        fixtures = {}
         for name, model in SWEEP_MODELS.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(model))
-            lines += _table(f"fixture {name}", load_model(str(path))[0])
+            fixtures[name] = load_model(str(path))[0]
+            lines += _table(f"fixture {name}", fixtures[name])
             lines += _sweep(name, path)
+    lines += _tied(fixtures["concave_window"])
     Path(argv[1]).write_text("\n".join(lines) + "\n")
     return 0
 

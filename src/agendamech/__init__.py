@@ -13,8 +13,6 @@ from .model import (
     Technology,
     TypeDistribution,
     ValidationReport,
-    hazard_high,
-    hazard_low,
     linear_reservation,
     log_technology,
     negative_slope_reservation,
@@ -51,7 +49,6 @@ from .transfers import (
     RentProfile,
     agenda_setter_payoff,
     rent_profile,
-    transfer_overstate,
     transfer_understate,
 )
 from .regimes import (

@@ -78,6 +78,12 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ModelFileError(path, f"must be a JSON list, got {value!r}")
+    return value
+
+
 def _need(block: dict, field: str, path: str):
     if field not in _object(block, path):
         raise ModelFileError(f"{path}.{field}", "missing required field")
@@ -156,9 +162,7 @@ def load_model(path: str):
         raise ModelFileError("$", "top level must be an object")
 
     eco = _need(raw, "economy", "$")
-    agent_types = _need(eco, "agent_types", "economy")
-    if not isinstance(agent_types, list):
-        raise ModelFileError("economy.agent_types", "must be a list of types")
+    agent_types = _list(_need(eco, "agent_types", "economy"), "economy.agent_types")
     n = len(agent_types) + 1
 
     dist_spec = _need(eco, "distributions", "economy")
@@ -256,13 +260,11 @@ def _validation_exit(econ) -> int | None:
     return None
 
 
-def cmd_solve(args) -> int:
-    econ, solver_opts, output = load_model(args.model)
-    code = _validation_exit(econ)
-    if code is not None:
-        return code
-    seed = args.seed if args.seed is not None else solver_opts.get("seed")
-    tau_bar = args.tau_bar if args.tau_bar is not None else solver_opts.get("tau_bar", 0.0)
+def _certified(econ, solver_opts, seed=None, tau_bar=None):
+    """(solution, oracle report) as the solver block asks, unless `seed` or
+    `tau_bar` overrides it, with the oracle at its grid size and tolerance."""
+    seed = seed if seed is not None else solver_opts.get("seed")
+    tau_bar = tau_bar if tau_bar is not None else solver_opts.get("tau_bar", 0.0)
     if seed is not None:
         # stochastic-coalition variant: incentive constraints hold inside
         # the drawn coalition only, so the oracle scans its members
@@ -271,10 +273,20 @@ def cmd_solve(args) -> int:
     else:
         solution = solve(econ)
         oracle_agents = None
-    oracle = verify_solution(econ, solution,
-                             grid_size=int(solver_opts.get("grid_size", 41)),
-                             tol=float(solver_opts.get("tolerance", 1e-8)),
-                             agents=oracle_agents)
+    return solution, verify_solution(econ, solution,
+                                     grid_size=int(solver_opts.get("grid_size", 41)),
+                                     tol=float(solver_opts.get("tolerance", 1e-8)),
+                                     agents=oracle_agents)
+
+
+def cmd_solve(args) -> int:
+    econ, solver_opts, output = load_model(args.model)
+    if args.tau_bar is not None:
+        _checked_number(args.tau_bar, "--tau-bar")
+    code = _validation_exit(econ)
+    if code is not None:
+        return code
+    solution, oracle = _certified(econ, solver_opts, args.seed, args.tau_bar)
     record = _solution_record(econ, solution, oracle)
     out = args.out or output.get("out")
     _write_text(out, json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -392,21 +404,24 @@ def cmd_verify(args) -> int:
         with open(args.solution) as fh:
             stored = _object(json.load(fh), "solution")
         eco = _object(stored.get("economy", {}), "solution.economy")
+        types = _list(eco.get("agent_types", []), "solution.economy.agent_types")
         matches = (eco.get("n") == econ.n and eco.get("quota") == econ.quota
-                   and list(eco.get("agent_types", [])) == list(econ.agent_types)
+                   and types == list(econ.agent_types)
                    and abs(float(eco.get("outside_g", -1)) - econ.outside_g) <= 1e-12)
         stored_g = float(stored.get("g_star", float("nan")))
-        stored_t = [float(t) for t in stored.get("transfers", [])]
+        stored_t = [float(t) for t in _list(stored.get("transfers", []), "solution.transfers")]
     except (OSError, ValueError, TypeError) as exc:
         print(f"cannot read solution: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    code = _validation_exit(econ)
+    if code is not None:
+        return code
     if not matches:
         print("solution does not match the model economy", file=sys.stderr)
         return EXIT_VALIDATION
 
     tol = float(solver_opts.get("tolerance", 1e-8))
-    grid_size = int(solver_opts.get("grid_size", 41))
-    solution = solve(econ)
+    solution, oracle = _certified(econ, solver_opts)
     problems = []
     if abs(stored_g - solution.g_star) > 1e-6:
         problems.append(f"g_star mismatch: stored {stored_g}, resolved {solution.g_star}")
@@ -417,15 +432,12 @@ def cmd_verify(args) -> int:
         budget = sum(stored_t) - stored_g
         if stored.get("regime") != "outside_option" and budget < -tol:
             problems.append(f"budget violation: transfers fall short by {-budget:.3g}")
-        for sched in solution.schedules:
-            i = sched.agent
-            expected = float(sched.transfer(econ.type_of(i)))
+        for i in econ.agents:
+            expected = solution.transfers[i]
             if abs(stored_t[i] - expected) > max(10 * tol, 1e-7):
                 problems.append(
                     f"agent {i}: stored transfer {stored_t[i]:.12g} breaks the "
                     f"incentive schedule (expected {expected:.12g})")
-
-    oracle = verify_solution(econ, solution, grid_size=grid_size, tol=tol)
     if not oracle.passed:
         problems.append(oracle.summary())
 

@@ -126,21 +126,10 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
     )
 
 
-def hazard_low(dist: TypeDistribution, theta):
-    """Downward-distorted virtual type: theta - (1 - F(theta)) / f(theta)."""
-    return virtual_value_gamma(dist, theta, 1.0)
-
-
-def hazard_high(dist: TypeDistribution, theta):
-    """Upward-distorted virtual type: theta + F(theta) / f(theta)."""
-    return virtual_value_gamma(dist, theta, 0.0)
-
-
 def virtual_value_gamma(dist: TypeDistribution, theta, gamma_at):
     """Virtual type under a shadow weight: theta - (gamma - F(theta)) / f(theta).
 
-    gamma_at = 1 gives hazard_low (the understating side), gamma_at = 0
-    hazard_high (the overstating side).
+    gamma_at = 1 gives theta - (1 - F) / f and gamma_at = 0 gives theta + F / f.
     """
     if np.isscalar(gamma_at):
         g = float(gamma_at)

@@ -480,7 +480,10 @@ def _better_of(econ: Economy, *candidates) -> MechanismSolution:
 
 def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn):
     """(gamma, FOC weight, level, phi at the level) of the constant shadow
-    weight on `window`, or None when its search has no bracket."""
+    weight on `window`, or None when the window or the shadow-weight bounds
+    are degenerate or the search has no bracket."""
+    if window[1] <= window[0] + 1e-12 or bounds[1] <= bounds[0] + 1e-12:
+        return None
     try:
         gam = gamma_star_constant(econ, window, bounds, weight_fn)
     except BracketFailure:
@@ -503,9 +506,6 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     below, above = order[:start], order[end + 1:]
     theta_p = econ.type_of(order[start - 1])
     theta_q = econ.type_of(order[end + 1])
-    if theta_q <= theta_p + 1e-12:
-        return None
-
     hh_below = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), 0.0) for i in below)
     hl_above = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), 1.0) for i in above)
 
@@ -515,8 +515,6 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
 
     f_p = float(econ.dist_of(order[start - 1]).F(theta_p))
     f_q = float(econ.dist_of(order[end + 1]).F(theta_q))
-    if f_q <= f_p + 1e-12:
-        return None
     found = _constant_gamma_level(econ, (theta_p, theta_q), (f_p, f_q), weight_fn)
     if found is None:
         return None
@@ -528,7 +526,7 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
         return None
     if phi_g - float(econ.reservation.slope(theta_q, econ.outside_g)) < -CONSISTENCY_TOL:
         return None
-    dips = [rent_gap(econ, g_star, (theta_p, econ.type_of(i))) for i in window]
+    dips = [rent_gap(econ, (theta_p, econ.type_of(i)))(g_star) for i in window]
     if any(d > -1e-12 for d in dips):
         return None
 
@@ -561,12 +559,8 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
         return None
     theta_p = econ.type_of(members[0]) if k_lo else econ.theta_lo
     theta_q = econ.type_of(members[-1]) if k_hi else econ.theta_hi
-    if theta_q <= theta_p + 1e-12:
-        return None
     lo_bound = float(econ.dist_of(members[0]).F(theta_p)) if k_lo else 0.0
     hi_bound = float(econ.dist_of(members[-1]).F(theta_q)) if k_hi else 1.0
-    if hi_bound <= lo_bound + 1e-12:
-        return None
 
     def weight_fn(gam):
         mid = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam) for i in members)
@@ -593,8 +587,7 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
     if k_lo:
         pieces.append((econ.theta_lo, theta_p, 0.0))
         atoms.append((theta_p, gam))
-    pieces.append((theta_p if k_lo else econ.theta_lo,
-                   theta_q if k_hi else econ.theta_hi, gam))
+    pieces.append((theta_p, theta_q, gam))
     if k_hi:
         pieces.append((theta_q, econ.theta_hi, 1.0))
         atoms.append((theta_q, gam))
@@ -686,11 +679,11 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
     """Random quota coalition; inside it the unanimity solution applies and
     outsiders pay the flat tax tau_bar (incentive constraints are only
     required within the coalition)."""
-    if tau_bar < 0:
-        raise InvalidEconomy("tau_bar must be nonnegative")
+    if not 0 <= tau_bar < math.inf:
+        raise InvalidEconomy("tau_bar must be finite and nonnegative")
     rng = random.Random(seed)
     members = sorted(rng.sample(list(econ.agents), econ.quota - 1))
-    schedules, paid = {}, {}
+    schedules = {}
     if members:
         inner = solve(econ.restricted_to(members))
         g_star, regime, gamma = inner.g_star, inner.regime, inner.gamma
@@ -701,7 +694,6 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
             # the agent index changes
             schedules[i] = copy.copy(inner.schedules[pos])
             schedules[i].agent = i
-            paid[i] = inner.transfers[pos + 1]
     else:
         # quota of one: the proposer needs no votes and provides its own
         # optimum
@@ -712,9 +704,7 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
     outsiders = [i for i in econ.agents if i not in members]
     for i in outsiders:
         schedules[i] = FlatSchedule(econ, i, g_star, tau_bar)
-        paid[i] = tau_bar
-    t_others = [paid[i] for i in econ.agents]
-    transfers = (g_star - sum(t_others), *t_others)
+    transfers = realized_transfers(econ, [schedules[i] for i in econ.agents], g_star)
     return _solution(econ, g_star, regime, schedules, frozenset({AGENDA_SETTER, *members}),
                      gamma, cutoff_types,
                      excluded=_short_of_reservation(econ, outsiders, g_star, transfers),

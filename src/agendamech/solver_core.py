@@ -346,18 +346,14 @@ def efficient_level(econ: Economy) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rent_gap(econ: Economy, g: float, window: tuple) -> float:
-    """Integral of the envelope slope over the window at a flat level g, by
-    composite Simpson quadrature.
+def rent_gap(econ: Economy, window: tuple) -> Callable:
+    """The integral of the envelope slope over the window at a flat level g,
+    by composite Simpson quadrature, as a function of g; the window's grid and
+    slope are built once.
 
-    Equals the rent difference between the window's top and bottom types
+    It equals the rent difference between the window's top and bottom types
     when the allocation is held at g.
     """
-    return _rent_gap_on(econ, window)(g)
-
-
-def _rent_gap_on(econ: Economy, window: tuple) -> Callable:
-    """``rent_gap`` at any level, with the window's grid and slope built once."""
     lo, hi = window
     if hi <= lo:
         return lambda g: 0.0
@@ -383,7 +379,7 @@ def gamma_star_constant(econ: Economy, theta_window: tuple,
     be nonincreasing in gamma; a violation raises BracketFailure.
     """
     lo_b, hi_b = gamma_bounds
-    gap = _rent_gap_on(econ, theta_window)
+    gap = rent_gap(econ, theta_window)
     if weight_fn is None:
         def weight_fn(gam):
             return gamma_weight_sum(econ, GammaRepresentation.constant(gam))

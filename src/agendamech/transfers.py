@@ -194,19 +194,11 @@ def realized_transfers(econ: Economy, schedules, g_star: float) -> tuple:
 
 
 def transfer_understate(econ: Economy, schedule, theta_i: float) -> float:
-    """Envelope transfer of an agent at type theta_i.
-
-    Rents integrate from the binding anchor, at the bottom of the support
-    for an agent on the understating side and at the top on the overstating
-    side, so the payment is the gross value minus the rent accumulated from
-    the anchor, normalized so the anchor type earns exactly its reservation
-    utility.
-    """
+    """Envelope transfer of an agent at type theta_i: the gross value minus
+    the rent the schedule accumulates, normalized so the type where
+    participation binds earns exactly its reservation utility."""
     econ.dist_of(schedule.agent).check_support(theta_i)
     return float(schedule.transfer(theta_i))
-
-
-transfer_overstate = transfer_understate
 
 
 # ---------------------------------------------------------------------------

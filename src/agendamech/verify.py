@@ -318,8 +318,7 @@ class DynamicReport:
                 and self.dsic_ok)
 
 
-def dynamic_check(econ: Economy, T: int = 1, delta: float = 0.0,
-                  solution=None) -> DynamicReport:
+def dynamic_check(econ: Economy, T: int = 1, delta: float = 0.0) -> DynamicReport:
     """T-fold repetition of the static solution: total payoff scales by
     beta = (1 - delta**T) / (1 - delta), per-period incentives and
     participation are unchanged, and dynamic slacks are beta times static
@@ -330,7 +329,7 @@ def dynamic_check(econ: Economy, T: int = 1, delta: float = 0.0,
         raise ModelError("discount must lie in [0, 1)")
     from .regimes import solve
 
-    sol = solution if solution is not None else solve(econ)
+    sol = solve(econ)
     beta = (1.0 - delta**T) / (1.0 - delta)
     weights = [delta**t for t in range(T)]
 

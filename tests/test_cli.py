@@ -180,7 +180,7 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(record))
     assert main(["verify", "--model", model, "--solution", str(tampered)]) == 4
-    assert "incentive schedule" in capsys.readouterr().err or True
+    assert "incentive schedule" in capsys.readouterr().err
 
     other = {"economy": dict(GOLDEN_MODEL["economy"])}
     other["economy"]["agent_types"] = [0.4]
@@ -315,7 +315,10 @@ def test_bad_quota_or_agent_type_exit_2(tmp_path, capsys, field, value, named):
     lambda record: {**record, "economy": 5},
     lambda record: {**record, "transfers": ["x"] + record["transfers"][1:]},
     lambda record: {**record, "g_star": None},
-], ids=["list", "economy-number", "transfer-string", "g_star-null"])
+    lambda record: {**record, "transfers": "12"},
+    lambda record: {**record, "economy": {**record["economy"], "agent_types": "0.8"}},
+], ids=["list", "economy-number", "transfer-string", "g_star-null", "transfers-string",
+        "agent-types-string"])
 def test_verify_malformed_solution_exit_2(tmp_path, capsys, edit):
     model = _write(tmp_path, "model.json", GOLDEN_MODEL)
     out = tmp_path / "solution.json"
@@ -352,6 +355,46 @@ def test_solver_block_seed_from_model_file(tmp_path):
     assert main(["solve", "--model", model, "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert "coalition drawn with seed 2" in " ".join(record["notes"])
+
+
+def test_verify_solves_as_the_solver_block_asks(tmp_path):
+    # the drawn coalition's level differs from the deterministic solve's, so
+    # verify must re-draw it rather than solve deterministically
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "agent_types": [0.2, 0.5, 0.8],
+                           "quota": 2},
+               "solver": {"seed": 2, "tau_bar": 0.0}}
+    model = _write(tmp_path, "model.json", payload)
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["g_star"] != am.solve(load_model(model)[0]).g_star
+    assert main(["verify", "--model", model, "--solution", str(out)]) == 0
+
+
+def test_verify_validation_failure_exit_3(tmp_path, capsys):
+    # the same economy block as the stored solution, but a mislabelled
+    # curvature that `solve` rejects with exit 3
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "reservation": {
+        "family": "quadratic_share", "slope": -0.5, "curve": 0.1}}}
+    invalid = _write(tmp_path, "invalid.json", payload)
+    assert main(["solve", "--model", invalid]) == 3
+    capsys.readouterr()
+    assert main(["verify", "--model", invalid, "--solution", str(out)]) == 3
+    assert "validation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau_bar,code,message", [
+    ("nan", 2, "model file error: --tau-bar: "),
+    ("inf", 2, "model file error: --tau-bar: "),
+    ("-inf", 2, "model file error: --tau-bar: "),
+    ("-0.1", 3, "invalid economy: tau_bar must be finite and nonnegative"),
+])
+def test_solve_bad_tau_bar_flag(tmp_path, capsys, tau_bar, code, message):
+    model = _write(tmp_path, "model.json", NON_MONOTONE_MODEL)
+    assert main(["solve", "--model", model, "--seed", "1", f"--tau-bar={tau_bar}"]) == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_sweep_json_format(tmp_path):

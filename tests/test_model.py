@@ -16,16 +16,16 @@ from oracles import second_difference, simpson
 
 def test_hazard_low_uniform_examples():
     d = am.uniform(0.0, 1.0)
-    assert am.hazard_low(d, 0.8) == pytest.approx(0.6, abs=1e-12)
-    assert am.hazard_low(d, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert am.hazard_low(am.uniform(0.0, 2.0), 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert am.virtual_value_gamma(d, 0.8, 1.0) == pytest.approx(0.6, abs=1e-12)
+    assert am.virtual_value_gamma(d, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert am.virtual_value_gamma(am.uniform(0.0, 2.0), 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hazard_high_uniform_examples():
     d = am.uniform(0.0, 1.0)
-    assert am.hazard_high(d, 0.8) == pytest.approx(1.6, abs=1e-12)
-    assert am.hazard_high(d, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert am.hazard_high(am.uniform(0.0, 2.0), 1.0) == pytest.approx(2.0, abs=1e-12)
+    assert am.virtual_value_gamma(d, 0.8, 0.0) == pytest.approx(1.6, abs=1e-12)
+    assert am.virtual_value_gamma(d, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert am.virtual_value_gamma(am.uniform(0.0, 2.0), 1.0, 0.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_virtual_value_gamma_reduces_to_hazards():
@@ -38,9 +38,9 @@ def test_virtual_value_gamma_reduces_to_hazards():
 def test_hazard_domain_error():
     d = am.uniform(0.0, 1.0)
     with pytest.raises(am.ModelError):
-        am.hazard_low(d, 1.5)
+        am.virtual_value_gamma(d, 1.5, 1.0)
     with pytest.raises(am.ModelError):
-        am.hazard_high(d, -0.1)
+        am.virtual_value_gamma(d, -0.1, 0.0)
     with pytest.raises(am.ModelError):
         am.virtual_value_gamma(d, 0.5, 1.5)
 
@@ -56,8 +56,8 @@ DISTS = {
 @settings(max_examples=200, deadline=None)
 def test_hazards_sandwich_type(theta, name):
     d = DISTS[name]()
-    assert am.hazard_low(d, theta) <= theta + 1e-12
-    assert am.hazard_high(d, theta) >= theta - 1e-12
+    assert am.virtual_value_gamma(d, theta, 1.0) <= theta + 1e-12
+    assert am.virtual_value_gamma(d, theta, 0.0) >= theta - 1e-12
 
 
 @given(name=st.sampled_from(sorted(DISTS)))
@@ -65,8 +65,8 @@ def test_hazards_sandwich_type(theta, name):
 def test_hazards_monotone_under_log_concavity(name):
     d = DISTS[name]()
     grid = np.linspace(0.0, 1.0, 101)
-    low = np.array([am.hazard_low(d, t) for t in grid])
-    high = np.array([am.hazard_high(d, t) for t in grid])
+    low = np.array([am.virtual_value_gamma(d, t, 1.0) for t in grid])
+    high = np.array([am.virtual_value_gamma(d, t, 0.0) for t in grid])
     assert (np.diff(low) >= -1e-9).all()
     assert (np.diff(high) >= -1e-9).all()
 
@@ -82,7 +82,7 @@ def test_virtual_value_nonincreasing_in_gamma(theta, g1, g2, name):
             <= am.virtual_value_gamma(d, theta, lo) + 1e-12)
 
 
-def reference_hazard_low(dist, theta):
+def reference_at_gamma_one(dist, theta):
     """The separate downward-distortion formula the shadow weight replaced."""
     if np.isscalar(theta) or np.ndim(theta) == 0:
         dist.check_support(float(theta))
@@ -90,7 +90,7 @@ def reference_hazard_low(dist, theta):
     return np.asarray(theta, float) - (1.0 - dist.F(theta)) / dist.f(theta)
 
 
-def reference_hazard_high(dist, theta):
+def reference_at_gamma_zero(dist, theta):
     """The separate upward-distortion formula the shadow weight replaced."""
     if np.isscalar(theta) or np.ndim(theta) == 0:
         dist.check_support(float(theta))
@@ -102,16 +102,13 @@ def reference_hazard_high(dist, theta):
 def test_virtual_value_gamma_equals_hazard_formulas_exactly(name):
     d = DISTS[name]()
     grid = np.linspace(0.0, 1.0, 97)
-    for gamma, reference, public in ((1.0, reference_hazard_low, am.hazard_low),
-                                     (0.0, reference_hazard_high, am.hazard_high)):
+    for gamma, reference in ((1.0, reference_at_gamma_one), (0.0, reference_at_gamma_zero)):
         want = reference(d, grid)
-        for got in (am.virtual_value_gamma(d, grid, gamma), public(d, grid)):
-            assert got.tolist() == want.tolist()
+        assert am.virtual_value_gamma(d, grid, gamma).tolist() == want.tolist()
         for theta in grid:
             want_t = reference(d, float(theta))
             assert am.virtual_value_gamma(d, float(theta), gamma) == want_t
-            assert public(d, float(theta)) == want_t
-            assert type(public(d, float(theta))) is float
+            assert type(am.virtual_value_gamma(d, float(theta), gamma)) is float
 
 
 def test_virtual_value_gamma_range_check():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import math
 
 import numpy as np
 import pytest
@@ -562,6 +563,12 @@ def test_stochastic_coalition_quota_one(five_agent_economy):
     assert all(sol.transfers[i] == 0.1 for i in five_agent_economy.agents)
 
 
+@pytest.mark.parametrize("tau_bar", [math.nan, math.inf, -math.inf, -0.1])
+def test_stochastic_coalition_rejects_bad_tax(five_agent_economy, tau_bar):
+    with pytest.raises(am.InvalidEconomy, match="tau_bar must be finite and nonnegative"):
+        am.solve_stochastic_coalition(five_agent_economy, seed=1, tau_bar=tau_bar)
+
+
 def test_stochastic_coalition_schedules_keep_their_distribution(log_tech):
     dists = (am.uniform(0.0, 1.0), am.truncated_exponential(1.5, 0.0, 1.0),
              am.truncated_normal(0.6, 0.3, 0.0, 1.0), am.uniform(0.0, 1.0))
@@ -748,7 +755,22 @@ PINNED = {
          "mass at theta=0.8 (weight 1 on the point)",
          (2.5363987687485343, -0.5181993843742672, -0.5181993843742672), (1.5, 1.5), (1.9, 1.9),
          ())),
+    "window_tied": (
+        "concave_window_economy", lambda e: am.solve(_tied_middle(e)),
+        (1.029872035759536, "mixed_interior", [0, 1, 5], [2, 3, 4], [], (0.2, 0.9),
+         ([1, 2, 3, 4], [], [5]), "piecewise [0,0.2)=0, [0.2,0.9)=0.890043, [0.9,1)=1",
+         (1.4514017765282416, -0.09898865896144235, -0.07496182106409693, -0.07496182106409693,
+          -0.07496182106409693, -0.0976556186149726),
+         (1.7999999999999998, 2.4), (1.7999999999999998, 2.4),
+         ("excluded interior window of 3 agent(s)",))),
 }
+
+
+def _tied_middle(econ):
+    """Three tied middle agents: every window whose neighbours are two of
+    them has no width and is skipped."""
+    return dataclasses.replace(econ, agent_types=(0.2, 0.5, 0.5, 0.5, 0.9),
+                               distributions=am.uniform(0.0, 1.0))
 
 
 def _negative_slope(econ):

@@ -228,7 +228,7 @@ def test_gamma_star_constant_interior_self_consistency(convex_economy):
     gamma = am.gamma_star_constant(convex_economy, window)
     assert 0.0 < gamma < 1.0
     g = am.xi_argmax(convex_economy, GammaRepresentation.constant(gamma))
-    assert rent_gap(convex_economy, g, window) == pytest.approx(0.0, abs=1e-8)
+    assert rent_gap(convex_economy, window)(g) == pytest.approx(0.0, abs=1e-8)
     # independent quadrature of the same residual
     tech, res = convex_economy.tech, convex_economy.reservation
     phi_g = math.log(1.0 + g)

@@ -117,7 +117,7 @@ def test_overstate_transfer_anchors_at_top(golden_economy):
     grid = np.linspace(0.0, 1.0, 101)
     rents = np.asarray(sched.rent(grid))
     assert (np.diff(rents) <= 1e-9).all()
-    assert am.transfer_overstate(econ, sched, 1.0) == pytest.approx(
+    assert am.transfer_understate(econ, sched, 1.0) == pytest.approx(
         float(sched.transfer(1.0)), abs=1e-12)
 
 
