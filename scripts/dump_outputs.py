@@ -14,8 +14,9 @@ The dump covers every second draw of the benchmark's 2048-economy corpus
 solution field, the shadow weight at a type grid and at the realized types,
 each schedule's allocation and transfer at 17 reports, and the oracle
 report), re-solves every 16th draw with its technology's closed forms
-stripped, re-solves at every quota and two drawn coalitions and runs the
-three-period dynamic check on every 32nd draw, threshold tables (all 192
+stripped, re-solves at every quota and two drawn coalitions, with
+scalar-only type distributions, and runs the three-period dynamic check on
+every 32nd draw, threshold tables (all 192
 ladder economies, every 8th again with its closed forms stripped, every
 three-agent one again at quota 2, and the six sweep fixtures), the bytes
 of ``agendamech sweep`` over ``0:3:121`` on each fixture (its exit code, CSV
@@ -95,6 +96,8 @@ def _corpus(index: int) -> list:
         for quota in range(1, econ.n + 1):
             lines.append(f"quota {quota}")
             lines += _solved(econ.with_quota(quota), am.solve)
+        lines.append("scalar-only distributions")
+        lines += _solved(_scalar_only(econ), am.solve)
         for seed in (1, 2):
             lines.append(f"coalition seed {seed}")
             lines += _solved(econ, lambda e: am.solve_stochastic_coalition(e, seed, 0.05),
@@ -139,6 +142,15 @@ def _stripped(econ):
     solve and phi inversion bisects."""
     return dataclasses.replace(
         econ, tech=dataclasses.replace(econ.tech, weighted_argmax=None, phi_inverse=None))
+
+
+def _scalar_only(econ):
+    """The economy with every cdf and pdf wrapped to accept only a scalar,
+    so each evaluation takes the per-element fallback of ``model._as_array``."""
+    def wrap(dist):
+        return dataclasses.replace(dist, cdf=lambda x: dist.cdf(float(x)),
+                                   pdf=lambda x: dist.pdf(float(x)))
+    return dataclasses.replace(econ, distributions=tuple(wrap(d) for d in econ.distributions))
 
 
 def main(argv) -> int:

@@ -37,6 +37,7 @@ import math
 import sys
 
 from .model import (
+    AGENDA_SETTER,
     Economy,
     InvalidEconomy,
     ModelError,
@@ -432,12 +433,13 @@ def cmd_verify(args) -> int:
         budget = sum(stored_t) - stored_g
         if stored.get("regime") != "outside_option" and budget < -tol:
             problems.append(f"budget violation: transfers fall short by {-budget:.3g}")
-        for i in econ.agents:
+        for i in range(econ.n):
             expected = solution.transfers[i]
             if abs(stored_t[i] - expected) > max(10 * tol, 1e-7):
-                problems.append(
-                    f"agent {i}: stored transfer {stored_t[i]:.12g} breaks the "
-                    f"incentive schedule (expected {expected:.12g})")
+                broken = ("differs from the re-solved mechanism" if i == AGENDA_SETTER
+                          else "breaks the incentive schedule")
+                problems.append(f"agent {i}: stored transfer {stored_t[i]:.12g} {broken} "
+                                f"(expected {expected:.12g})")
     if not oracle.passed:
         problems.append(oracle.summary())
 

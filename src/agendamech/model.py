@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +56,9 @@ class TypeDistribution:
     """Continuous type distribution on a common support [theta_lo, theta_hi].
 
     cdf and pdf should be vectorized (accept numpy arrays); scalar-only
-    callables are tolerated at a performance cost.
+    callables are tolerated at a performance cost. An ``Economy`` reads
+    them at each agent's realized type once and reuses those values, so
+    both must be pure functions of their argument.
     """
 
     theta_lo: float
@@ -107,12 +110,15 @@ def truncated_exponential(rate: float, lo: float = 0.0, hi: float = 1.0) -> Type
     )
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
     if sigma <= 0:
         raise ModelError("sigma must be positive")
 
     def std_cdf(z):
-        return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+        return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
 
     a, b = (lo - mu) / sigma, (hi - mu) / sigma
     z = float(std_cdf(b) - std_cdf(a))
@@ -126,12 +132,9 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
     )
 
 
-def virtual_value_gamma(dist: TypeDistribution, theta, gamma_at):
-    """Virtual type under a shadow weight: theta - (gamma - F(theta)) / f(theta).
-
-    gamma_at = 1 gives theta - (1 - F) / f and gamma_at = 0 gives theta + F / f.
-    """
-    if np.isscalar(gamma_at):
+def _virtual(theta, cdf, pdf, gamma_at):
+    """theta - (gamma - F) / f for a shadow weight gamma in [0, 1]; NaN passes."""
+    if np.isscalar(gamma_at) or np.ndim(gamma_at) == 0:
         g = float(gamma_at)
         if g < -1e-12 or g > 1 + 1e-12:
             raise ModelError("gamma_at must lie in [0, 1]")
@@ -139,10 +142,20 @@ def virtual_value_gamma(dist: TypeDistribution, theta, gamma_at):
         g = np.asarray(gamma_at, float)
         if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
             raise ModelError("gamma_at must lie in [0, 1]")
+    return theta - (g - cdf) / pdf
+
+
+def virtual_value_gamma(dist: TypeDistribution, theta, gamma_at):
+    """Virtual type under a shadow weight: theta - (gamma - F(theta)) / f(theta).
+
+    gamma_at = 1 gives theta - (1 - F) / f and gamma_at = 0 gives theta + F / f.
+    For an agent's realized type, ``Economy.virtual_type`` gives the same
+    float from F and f read once per economy.
+    """
     if np.isscalar(theta) or np.ndim(theta) == 0:
         dist.check_support(float(theta))
-        return float(theta) - (float(g) - dist.F(theta)) / dist.f(theta)
-    return np.asarray(theta, float) - (g - dist.F(theta)) / dist.f(theta)
+        return _virtual(float(theta), dist.F(theta), dist.f(theta), gamma_at)
+    return _virtual(np.asarray(theta, float), dist.F(theta), dist.f(theta), gamma_at)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +322,8 @@ class Economy:
 
     Agent 0 is the agenda setter with a known type; agents 1..n-1 carry the
     realized type profile at which mechanisms are evaluated, one
-    distribution each. All model objects are immutable.
+    distribution each. All model objects are immutable; each agent's cdf
+    and pdf at its realized type are read once, on first use, and kept.
     """
 
     agenda_setter_type: float
@@ -358,6 +372,19 @@ class Economy:
 
     def dist_of(self, agent: int) -> TypeDistribution:
         return self.distributions[agent - 1]
+
+    @cached_property
+    def _cdf_pdf(self) -> tuple:
+        """(F, f) of each non-agenda agent's distribution at its realized type."""
+        return tuple((dist.F(theta), dist.f(theta))
+                     for theta, dist in zip(self.agent_types, self.distributions))
+
+    def virtual_type(self, agent: int, gamma_at) -> float:
+        """``virtual_value_gamma`` at a non-agenda agent's realized type."""
+        if agent == AGENDA_SETTER:
+            raise ModelError("the agenda setter has no type distribution")
+        cdf, pdf = self._cdf_pdf[agent - 1]
+        return _virtual(self.agent_types[agent - 1], cdf, pdf, gamma_at)
 
     @property
     def theta_lo(self) -> float:

@@ -23,7 +23,6 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
-    virtual_value_gamma,
 )
 from .solver_core import (
     BracketFailure,
@@ -183,8 +182,8 @@ def _solution(econ: Economy, g_star: float, regime: Regime, schedules: dict,
 def _foc_schedules(econ: Economy, agents, weight: float, gamma: float, **kw) -> dict:
     """FOC schedule of each agent at the common weight minus its own virtual
     type under the shadow weight gamma."""
-    own = lambda i: virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma)
-    return {i: FocSchedule(econ, i, weight - own(i), gamma, **kw) for i in agents}
+    return {i: FocSchedule(econ, i, weight - econ.virtual_type(i, gamma), gamma, **kw)
+            for i in agents}
 
 
 def _pool(econ: Economy, schedules: dict, tail, donor: int, theta: float, g_star: float):
@@ -235,7 +234,7 @@ def _one_sided(econ: Economy, side: str, k: int):
     gamma = 1.0 if side == "low" else 0.0
     cutoff = econ.type_of(members[0] if side == "low" else members[-1]) if k else None
     weight = econ.agenda_setter_type + (k * cutoff if k else 0.0)
-    weight += sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma) for i in members)
+    weight += sum(econ.virtual_type(i, gamma) for i in members)
     return members, excluded, cutoff, gamma, weight, solve_weighted_foc(econ.tech, weight)
 
 
@@ -345,8 +344,8 @@ def _split_weights(econ: Economy, order: list):
     order, and the FOC weight of every split s = 0..r: the s lowest agents
     overstate (shadow weight 0), the others understate."""
     types = [econ.type_of(i) for i in order]
-    hl = [virtual_value_gamma(econ.dist_of(i), t, 1.0) for i, t in zip(order, types)]
-    hh = [virtual_value_gamma(econ.dist_of(i), t, 0.0) for i, t in zip(order, types)]
+    hl = [econ.virtual_type(i, 1.0) for i in order]
+    hh = [econ.virtual_type(i, 0.0) for i in order]
     weights = [econ.agenda_setter_type + sum(hh[:s]) + sum(hl[s:]) for s in range(len(order) + 1)]
     return types, hl, weights
 
@@ -393,17 +392,17 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
             raise FixedPointDivergence("no consistent cutoff configuration found")
         s = blend
         j = order[s]
-        dist_j, t_j = econ.dist_of(j), types[s]
+        t_j = types[s]
         base = weights[s] - hl[s]
         target = edges[s + 1]
 
         def phi_at(gam):
-            w = base + virtual_value_gamma(dist_j, t_j, gam)
+            w = base + econ.virtual_type(j, gam)
             return float(econ.tech.phi(solve_weighted_foc(econ.tech, w)))
 
         # level decreases as the blend weight rises
         gamma_s = bisect(lambda gam: phi_at(gam) > target, 0.0, 1.0, 200)
-        w_star = base + virtual_value_gamma(dist_j, t_j, gamma_s)
+        w_star = base + econ.virtual_type(j, gamma_s)
         g_star = solve_weighted_foc(econ.tech, w_star)
         anchor = t_j
         gamma = GammaRepresentation.interior_mass(t_j, at_star=gamma_s)
@@ -506,11 +505,11 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     below, above = order[:start], order[end + 1:]
     theta_p = econ.type_of(order[start - 1])
     theta_q = econ.type_of(order[end + 1])
-    hh_below = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), 0.0) for i in below)
-    hl_above = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), 1.0) for i in above)
+    hh_below = sum(econ.virtual_type(i, 0.0) for i in below)
+    hl_above = sum(econ.virtual_type(i, 1.0) for i in above)
 
     def weight_fn(gam):
-        mid = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam) for i in window)
+        mid = sum(econ.virtual_type(i, gam) for i in window)
         return econ.agenda_setter_type + hh_below + mid + hl_above
 
     f_p = float(econ.dist_of(order[start - 1]).F(theta_p))
@@ -563,7 +562,7 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
     hi_bound = float(econ.dist_of(members[-1]).F(theta_q)) if k_hi else 1.0
 
     def weight_fn(gam):
-        mid = sum(virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gam) for i in members)
+        mid = sum(econ.virtual_type(i, gam) for i in members)
         return econ.agenda_setter_type + k_lo * theta_p + k_hi * theta_q + mid
 
     found = _constant_gamma_level(econ, (theta_p, theta_q), (lo_bound, hi_bound), weight_fn)

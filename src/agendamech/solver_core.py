@@ -16,7 +16,6 @@ from .model import (
     Economy,
     ReservationProfile,
     Technology,
-    virtual_value_gamma,
 )
 
 FOC_TOL = 1e-10
@@ -274,8 +273,7 @@ def gamma_weight_sum(econ: Economy, gamma: GammaRepresentation) -> float:
     lo, hi = econ.theta_lo, econ.theta_hi
     total = econ.agenda_setter_type
     for i in econ.agents:
-        theta = econ.type_of(i)
-        total += virtual_value_gamma(econ.dist_of(i), theta, gamma.value(theta, lo, hi))
+        total += econ.virtual_type(i, gamma.value(econ.type_of(i), lo, hi))
     return total
 
 

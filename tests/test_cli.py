@@ -182,6 +182,12 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert main(["verify", "--model", model, "--solution", str(tampered)]) == 4
     assert "incentive schedule" in capsys.readouterr().err
 
+    record = json.loads(out.read_text())
+    record["transfers"][0] += 5
+    tampered.write_text(json.dumps(record))
+    assert main(["verify", "--model", model, "--solution", str(tampered)]) == 4
+    assert "agent 0: stored transfer" in capsys.readouterr().err
+
     other = {"economy": dict(GOLDEN_MODEL["economy"])}
     other["economy"]["agent_types"] = [0.4]
     model2 = _write(tmp_path, "other.json", other)

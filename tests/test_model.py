@@ -124,6 +124,91 @@ def test_virtual_value_gamma_range_check():
     assert math.isnan(am.virtual_value_gamma(d, 0.4, math.nan))
 
 
+def scalar_only_truncexp(rate: float, calls: list | None = None):
+    """A truncated exponential on [0, 1] whose cdf and pdf reject arrays;
+    each cdf call is appended to ``calls`` when given."""
+    z = 1.0 - math.exp(-rate)
+
+    def cdf(x):
+        if calls is not None:
+            calls.append(x)
+        return (1.0 - math.exp(-rate * x)) / z
+
+    return am.TypeDistribution(0.0, 1.0, cdf, lambda x: rate * math.exp(-rate * x) / z,
+                               name=f"scalar-truncexp({rate})")
+
+
+VIRTUAL_TYPE_DISTS = {**DISTS, "scalar-only": lambda: scalar_only_truncexp(1.3)}
+VIRTUAL_TYPE_GAMMAS = (0.0, 1.0, *np.random.default_rng(11).uniform(0.0, 1.0, 4).tolist())
+
+
+def economy_over(log_tech, types, dists):
+    return am.Economy(0.5, types, dists, log_tech,
+                      am.linear_reservation(log_tech, len(types) + 1), len(types) + 1, 0.3)
+
+
+@pytest.mark.parametrize("name", sorted(VIRTUAL_TYPE_DISTS))
+def test_virtual_type_equals_virtual_value_gamma_exactly(log_tech, name):
+    econ = economy_over(log_tech, (0.0, 0.137, 0.5, 0.81, 1.0), VIRTUAL_TYPE_DISTS[name]())
+    for gamma in VIRTUAL_TYPE_GAMMAS:
+        for i in econ.agents:
+            got = econ.virtual_type(i, gamma)
+            assert type(got) is float
+            assert got == am.virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma)
+
+
+def test_virtual_type_reads_each_cdf_once(log_tech):
+    calls = []
+    econ = economy_over(log_tech, (0.2, 0.7), scalar_only_truncexp(2.0, calls))
+    for gamma in VIRTUAL_TYPE_GAMMAS:
+        econ.virtual_type(1, gamma)
+        econ.virtual_type(2, gamma)
+    assert calls == [0.2, 0.7]
+
+
+def test_virtual_type_range_check(golden_economy):
+    for gamma in (1.5, -0.1, -1e-9, np.array(-0.1)):
+        with pytest.raises(am.ModelError, match=r"gamma_at must lie in \[0, 1\]"):
+            golden_economy.virtual_type(1, gamma)
+    assert golden_economy.virtual_type(1, 1.0 + 1e-13) == pytest.approx(0.6)
+    assert math.isnan(golden_economy.virtual_type(1, math.nan))
+    with pytest.raises(am.ModelError):
+        golden_economy.virtual_type(am.AGENDA_SETTER, 0.5)
+
+
+def test_virtual_type_of_derived_economies_uses_their_own_agents(log_tech):
+    dists = (am.uniform(0.0, 1.0), am.truncated_exponential(1.3, 0.0, 1.0),
+             am.truncated_normal(0.4, 0.5, 0.0, 1.0), scalar_only_truncexp(2.0))
+    econ = economy_over(log_tech, (0.3, 0.6, 0.45, 0.9), dists)
+    parent = {(i, g): econ.virtual_type(i, g) for i in econ.agents for g in VIRTUAL_TYPE_GAMMAS}
+    sub = econ.restricted_to([3, 1])
+    derived = [(econ.with_outside_g(1.2), {i: i for i in econ.agents}),
+               (econ.with_quota(2), {i: i for i in econ.agents}),
+               (sub, {1: 1, 2: 3})]
+    for child, source in derived:
+        for i, j in source.items():
+            for g in VIRTUAL_TYPE_GAMMAS:
+                want = am.virtual_value_gamma(child.dist_of(i), child.type_of(i), g)
+                assert child.virtual_type(i, g) == want == parent[j, g]
+    assert sub.virtual_type(2, 0.5) != econ.virtual_type(2, 0.5)
+
+
+def test_truncated_normal_erf_kernel_matches_math_erf():
+    mu, sigma = 0.4, 0.5
+    d = am.truncated_normal(mu, sigma, 0.0, 1.0)
+    std_cdf = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    at_lo = std_cdf((0.0 - mu) / sigma)
+    mass = std_cdf((1.0 - mu) / sigma) - at_lo
+    for xs in (0.3, np.array([0.3]), np.linspace(0.0, 1.0, 1025)):
+        flat = np.atleast_1d(xs)
+        want_cdf = [(std_cdf((x - mu) / sigma) - at_lo) / mass for x in flat.tolist()]
+        want_pdf = np.exp(-0.5 * ((flat - mu) / sigma) ** 2) / (
+            sigma * math.sqrt(2.0 * math.pi) * mass)
+        assert np.atleast_1d(d.F(xs)).tolist() == want_cdf
+        assert np.atleast_1d(d.f(xs)).tolist() == want_pdf.tolist()
+    assert d.cdf(np.array([])).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # technologies and reservation profiles
 # ---------------------------------------------------------------------------
