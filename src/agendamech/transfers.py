@@ -9,11 +9,12 @@ truthfulness follows from schedule monotonicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Economy, virtual_value_gamma
+from .model import Economy, _virtual
 from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
@@ -42,6 +43,27 @@ class FlatSchedule:
         return float(out) if out.ndim == 0 else out
 
 
+def hermite_panel_root(u0: float, u1: float, s0: float, s1: float, h: float) -> float:
+    """Where the cubic Hermite panel of width h with end values u0, u1 and end
+    slopes s0 < 0 < s1 has zero slope, as a fraction t of the panel.
+
+    With d = (u1 - u0)/h the slope is a t^2 + b t + c, where
+    a = 3(s0 + s1 - 2d), b = 6d - 4s0 - 2s1 and c = s0. It is s0 < 0 at t = 0
+    and s1 > 0 at t = 1, so exactly one root lies between: the larger one
+    when a > 0, the smaller when a < 0, in both cases (-b + r)/(2a) with
+    r = sqrt(b^2 - 4ac). For b >= 0 it is taken as -2c/(b + r), which does
+    not cancel and is -c/b when a vanishes; b < 0 forces a > -b - c > 0.
+    A denominator that rounding leaves at zero puts the root at t = 1.
+    """
+    s0, s1 = float(s0), float(s1)
+    d = (float(u1) - float(u0)) / float(h)
+    a = 3.0 * (s0 + s1 - 2.0 * d)
+    b = 6.0 * d - 4.0 * s0 - 2.0 * s1
+    r = math.sqrt(max(b * b - 4.0 * a * s0, 0.0))
+    num, den = (r - b, 2.0 * a) if b < 0.0 else (-2.0 * s0, b + r)
+    return min(num / den, 1.0) if den > 0.0 else 1.0
+
+
 class FocSchedule:
     """First-order-condition schedule for one agent's own reports.
 
@@ -49,10 +71,11 @@ class FocSchedule:
     agent's virtual type under the constant shadow weight gamma (1 on the
     understating side, 0 on the overstating side), optionally clipped to
     [clip_lo, clip_hi].
-    Rents accumulate the envelope slope along the schedule; by default the
-    curve is shifted so its minimum is exactly zero (participation binds
-    where the slope crosses zero), or it can be pinned to a target value at
-    a given type.
+    Rents accumulate the envelope slope along the schedule and are
+    interpolated by cubic Hermite panels between quadrature nodes. By
+    default the curve is shifted so its minimum is exactly zero: the anchor,
+    where participation binds, is the minimiser of that interpolated curve.
+    Or the curve can be pinned to a target value at a given type.
     """
 
     kind = "foc"
@@ -73,14 +96,17 @@ class FocSchedule:
     # -- allocation ---------------------------------------------------------
 
     def allocation(self, x):
-        econ = self._econ
+        """Level at each report. A scalar report reads F and f as floats; the
+        level is then solved on a one-element array, as for an array of
+        reports, so both give the same float."""
+        tech, dist = self._econ.tech, self._dist
         scalar = np.ndim(x) == 0
-        xs = np.atleast_1d(np.asarray(x, float))
-        w = self.base_weight + np.asarray(virtual_value_gamma(self._dist, xs, self.gamma), float)
-        if econ.tech.weighted_argmax is not None:
-            g = np.maximum(np.asarray(econ.tech.weighted_argmax(w), float), 0.0)
+        x = float(x) if scalar else np.atleast_1d(np.asarray(x, float))
+        w = np.atleast_1d(self.base_weight + _virtual(x, dist.F(x), dist.f(x), self.gamma))
+        if tech.weighted_argmax is not None:
+            g = np.maximum(np.asarray(tech.weighted_argmax(w), float), 0.0)
         else:
-            g = np.array([solve_weighted_foc(econ.tech, wi) for wi in w])
+            g = np.array([solve_weighted_foc(tech, wi) for wi in w])
         if self.clip_lo is not None:
             g = np.maximum(g, self.clip_lo)
         if self.clip_hi is not None:
@@ -156,14 +182,22 @@ class FocSchedule:
         return float(out[0]) if scalar else out
 
     def _locate_minimum(self):
+        """Anchor and value of the lowest point of the interpolated rent curve.
+
+        The candidates are the lowest node and, on each panel where the node
+        slope turns from negative to positive, the zero of the Hermite
+        cubic's derivative there (``hermite_panel_root``), so the anchor is
+        the exact minimiser of the curve that ``rent`` evaluates.
+        """
         xs, u, s = self._xs, self._u, self._s
         best_idx = int(np.argmin(u))
         candidates = [(float(u[best_idx]), float(xs[best_idx]))]
         crossings = np.flatnonzero((s[:-1] < 0.0) & (s[1:] > 0.0))
-        for k in crossings:
-            x_star = bisect(lambda m: self._slope(m) < 0.0, xs[k], xs[k + 1], 60,
-                            vectorized=self._batched)
-            candidates.append((float(self.rent(x_star)), float(x_star)))
+        for k in crossings.tolist():
+            h = xs[k + 1] - xs[k]
+            t = hermite_panel_root(u[k], u[k + 1], s[k], s[k + 1], h)
+            x_star = float(xs[k] + t * h)
+            candidates.append((float(self.rent(x_star)), x_star))
         val, arg = min(candidates)
         return arg, val
 
@@ -171,13 +205,9 @@ class FocSchedule:
 
     def transfer(self, x):
         econ = self._econ
-        scalar = np.ndim(x) == 0
-        xs = np.atleast_1d(np.asarray(x, float))
-        phi_g = np.asarray(econ.tech.phi_at(self.allocation(xs)), float)
-        out = (xs * phi_g
-               - np.asarray(econ.reservation.value(xs, econ.outside_g), float)
-               - self.rent(xs))
-        return float(out[0]) if scalar else out
+        x = float(x) if np.ndim(x) == 0 else np.atleast_1d(np.asarray(x, float))
+        phi_g = econ.tech.phi_at(self.allocation(x))
+        return x * phi_g - econ.reservation.value(x, econ.outside_g) - self.rent(x)
 
 
 def realized_transfers(econ: Economy, schedules, g_star: float) -> tuple:

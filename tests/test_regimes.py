@@ -686,7 +686,7 @@ PINNED = {
         "concave_economy", am.solve,
         (0.866065983073615, "mixed_interior", [0, 1, 2, 3], [], [], (0.5,), ([1], [2], [3]),
          "mass at theta=0.5 (weight 0.933934016926 on the point)",
-         (1.0984138228403644, -0.07831733598119764, -0.08664339756999306, -0.06738710621555868),
+         (1.0984138228403646, -0.07831733598119764, -0.08664339756999306, -0.06738710621555874),
          (0.0, 2.8000000000000003), (0.0, 2.8000000000000003), ())),
     "convex": (
         "convex_economy", am.solve,

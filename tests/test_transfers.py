@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import agendamech as am
-from agendamech.transfers import FocSchedule
+from agendamech import transfers
+from agendamech.transfers import FocSchedule, hermite_panel_root
+from conftest import random_economy
 from oracles import cumulative_trapezoid, simpson
 
 # Frozen with the independent quadrature below: the golden economy's agent
@@ -54,17 +58,6 @@ def test_payoff_dominates_outside_option_linear(golden_economy):
         sol = am.solve(econ)
         outside = 0.5 * math.log(1.0 + g_circ) - g_circ / n
         assert am.agenda_setter_payoff(econ, sol) >= outside - 1e-9
-
-
-def test_anchor_rent_is_zero(golden_economy, concave_economy):
-    for econ in (golden_economy, concave_economy):
-        sol = am.solve(econ)
-        for sched in sol.schedules:
-            if sched.kind != "foc":
-                continue
-            assert float(sched.rent(sched.anchor)) == pytest.approx(0.0, abs=1e-9)
-            grid = np.linspace(econ.theta_lo, econ.theta_hi, 301)
-            assert float(np.min(sched.rent(grid))) >= -1e-9
 
 
 def test_constant_allocation_transfer_hand_integral(log_tech):
@@ -186,3 +179,95 @@ def test_rent_profile_nonnegative_on_coalition_range(majority_economy):
     assert rents[inside].min() >= -1e-9
     # forced participants below the cutoff fall short of their reservation
     assert rents[~inside].min() < -1e-3
+
+
+# ---------------------------------------------------------------------------
+# The rent minimum, read off the Hermite panels
+# ---------------------------------------------------------------------------
+
+
+def _panel(t0, r, k, h=1.0):
+    """(u0, u1, s0, s1, h) of a panel whose slope at t = (x - x0)/h is
+    k (t - t0)(t - r); u1 - u0 is h times its integral over [0, 1]."""
+    d = k * (1.0 / 3.0 - (t0 + r) / 2.0 + t0 * r)
+    return 0.0, h * d, k * t0 * r, k * (1.0 - t0) * (1.0 - r), h
+
+
+@pytest.mark.parametrize("t0, r, k", [
+    (0.3, -2.0, 1.0),  # a > 0: the larger root
+    (0.3, 1.7, -1.0),  # a < 0: the smaller root
+    (0.5, -0.5, 4.0),
+    (1e-9, -0.5, 2.0),  # near t = 0
+    (1e-9, 3.0, -1.0),
+    (1.0 - 1e-9, -1.0, 1.0),  # near t = 1
+    (1.0 - 1e-9, 1.5, -3.0),
+])
+@pytest.mark.parametrize("h", [1.0, 2.0**-10])
+def test_hermite_panel_root_known_root(t0, r, k, h):
+    u0, u1, s0, s1, h = _panel(t0, r, k, h)
+    assert s0 < 0.0 < s1
+    assert abs(hermite_panel_root(u0, u1, s0, s1, h) - t0) <= 1e-15
+
+
+@pytest.mark.parametrize("s1", [1.5, math.nextafter(1.5, 2.0)])
+def test_hermite_panel_root_without_curvature(s1):
+    # slope 2t - 0.5: a is 0, or one rounding step of s1 away from it, and
+    # the root is -c/b = 0.25
+    t = hermite_panel_root(0.0, 0.5, -0.5, s1, 1.0)
+    assert abs(t - 0.25) <= 1e-15
+
+
+def test_locate_minimum_reads_only_the_nodes(concave_economy, monkeypatch):
+    """Locating the minimum evaluates neither the schedule nor its slope."""
+    schedules = [s for s in am.solve(concave_economy).schedules if s.kind == "foc"]
+    assert all(((s._s[:-1] < 0.0) & (s._s[1:] > 0.0)).any() for s in schedules)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the minimum must come from the node values and slopes")
+
+    monkeypatch.setattr(FocSchedule, "allocation", forbidden)
+    monkeypatch.setattr(FocSchedule, "_slope", forbidden)
+    monkeypatch.setattr(transfers, "bisect", forbidden)
+    for sched in schedules:
+        anchor, value = sched._locate_minimum()
+        assert anchor == pytest.approx(sched.anchor, abs=1e-12)
+        assert abs(value) <= 1e-15
+
+
+def _stripped(econ):
+    """The economy with its technology's closed forms removed, so schedules
+    solve each level by bisection on 257 nodes."""
+    return dataclasses.replace(
+        econ, tech=dataclasses.replace(econ.tech, weighted_argmax=None, phi_inverse=None))
+
+
+def _assert_rent_minimum_zero_at_anchor(econ, sol):
+    grid = np.linspace(econ.theta_lo, econ.theta_hi, 2001)
+    for sched in sol.schedules:
+        # an excluded agent's FOC schedule is pinned to its window dip instead
+        if sched.kind != "foc" or sched.agent in sol.excluded:
+            continue
+        assert abs(sched.rent(sched.anchor)) <= 1e-15
+        assert sched.rent(grid).min() >= -1e-14
+
+
+def test_anchor_rent_is_zero(request):
+    """Every fixture, with its technology's closed forms and without."""
+    for fixture in ("golden_economy", "majority_economy", "concave_economy", "convex_economy",
+                    "concave_window_economy", "convex_tail_economy"):
+        econ = request.getfixturevalue(fixture)
+        for e in (econ, _stripped(econ)):
+            _assert_rent_minimum_zero_at_anchor(e, am.solve(e))
+
+
+@given(rng=st.randoms(use_true_random=False), closed_form=st.booleans())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_rent_minimum_zero_at_anchor_on_drawn_economies(rng, closed_form):
+    econ = random_economy(rng, curvatures=("linear", "concave", "convex", "negative"))
+    econ = econ if closed_form else _stripped(econ)
+    assume(am.validate_economy(econ).passed)
+    try:
+        sol = am.solve(econ)
+    except am.SolverError:
+        assume(False)
+    _assert_rent_minimum_zero_at_anchor(econ, sol)
