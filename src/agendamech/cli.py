@@ -1,7 +1,7 @@
 """Batch front-end: model-file ingestion, solves, sweeps, verification runs
 and the efficiency demo.
 
-Model files are JSON with three blocks::
+Model files are JSON with two blocks::
 
     {
       "economy": {
@@ -13,8 +13,7 @@ Model files are JSON with three blocks::
         "technology": {"family": "log"},
         "reservation": {"family": "linear"}
       },
-      "solver": {"seed": 0, "tau_bar": 0.0, "grid_size": 41, "tolerance": 1e-8},
-      "output": {"out": "solution.json", "format": "json"}
+      "solver": {"seed": 0, "tau_bar": 0.0}
     }
 
 ``distributions`` is one spec applied to every agent or a list with one spec
@@ -22,8 +21,11 @@ per agent. Families: uniform(lo, hi), truncated_exponential(rate, lo, hi),
 truncated_normal(mu, sigma, lo, hi). Technologies: log, power(alpha).
 Reservations: linear, zero, quadratic_share(slope, curve),
 negative_slope(level, slope). Every family parameter and solver option must
-be a finite JSON number, not a bool, in range (grid_size >= 5 and seed are
-integers), and every block an object; a bad one is a parse error.
+be a finite JSON number, not a bool, in range (seed is an integer), and every
+block an object; a bad one is a parse error. A ``solver`` seed solves the
+coalition it draws, taxing outsiders ``tau_bar``. The oracle always runs at
+``ORACLE_GRID`` points and tolerance ``ORACLE_TOL``, so ``solver.grid_size``,
+``solver.tolerance`` and an ``output`` block are parse errors.
 
 Exit codes: 0 success, 2 model-file parse error, 3 validation or
 precondition failure, 4 oracle or verification failure.
@@ -52,10 +54,10 @@ from .model import (
     validate_economy,
     zero_reservation,
 )
-from .regimes import solve, solve_stochastic_coalition
+from .regimes import Regime, solve, solve_stochastic_coalition
 from .solver_core import SolverError
 from .transfers import agenda_setter_payoff
-from .verify import vcg_demo, verify_solution
+from .verify import ORACLE_GRID, ORACLE_TOL, vcg_demo, verify_solution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -151,7 +153,7 @@ def _build_reservation(spec: dict, tech, n: int, path: str):
 
 
 def load_model(path: str):
-    """Parse a model file into (economy, solver options, output options)."""
+    """Parse a model file into (economy, solver options)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -194,13 +196,17 @@ def load_model(path: str):
     except (TypeError, ValueError) as exc:
         raise ModelFileError("economy", str(exc)) from exc
 
+    if "output" in raw:
+        raise ModelFileError("output", "retired; use --out and --format")
     solver = _object(raw.get("solver", {}), "solver")
-    for field in ("grid_size", "seed", "tolerance", "tau_bar"):
+    for field in ("grid_size", "tolerance"):
         if field in solver:
-            _number(solver, field, "solver", integer=field in ("grid_size", "seed"))
-    if solver.get("grid_size", 5) < 5:
-        raise ModelFileError("solver.grid_size", "the oracle needs at least 5 grid points")
-    return econ, solver, _object(raw.get("output", {}), "output")
+            raise ModelFileError(f"solver.{field}", f"retired; the oracle always runs at "
+                                 f"{ORACLE_GRID} points and tolerance {ORACLE_TOL:g}")
+    for field in ("seed", "tau_bar"):
+        if field in solver:
+            _number(solver, field, "solver", integer=field == "seed")
+    return econ, solver
 
 
 def _solution_record(econ, solution, oracle) -> dict:
@@ -261,36 +267,30 @@ def _validation_exit(econ) -> int | None:
     return None
 
 
-def _certified(econ, solver_opts, seed=None, tau_bar=None):
-    """(solution, oracle report) as the solver block asks, unless `seed` or
-    `tau_bar` overrides it, with the oracle at its grid size and tolerance."""
-    seed = seed if seed is not None else solver_opts.get("seed")
-    tau_bar = tau_bar if tau_bar is not None else solver_opts.get("tau_bar", 0.0)
-    if seed is not None:
-        # stochastic-coalition variant: incentive constraints hold inside
-        # the drawn coalition only, so the oracle scans its members
-        solution = solve_stochastic_coalition(econ, int(seed), float(tau_bar))
-        oracle_agents = sorted(solution.coalition - {0})
-    else:
-        solution = solve(econ)
-        oracle_agents = None
-    return solution, verify_solution(econ, solution,
-                                     grid_size=int(solver_opts.get("grid_size", 41)),
-                                     tol=float(solver_opts.get("tolerance", 1e-8)),
-                                     agents=oracle_agents)
+def _solved(econ, solver_opts):
+    """`solve`, or the coalition drawn with the solver block's `seed`."""
+    if "seed" not in solver_opts:
+        return solve(econ)
+    return solve_stochastic_coalition(econ, solver_opts["seed"],
+                                      float(solver_opts.get("tau_bar", 0.0)))
+
+
+def _certified(econ, solver_opts):
+    """(solution, oracle report); a drawn coalition's incentive constraints
+    hold inside it only, so the oracle scans its members."""
+    solution = _solved(econ, solver_opts)
+    agents = sorted(solution.coalition - {AGENDA_SETTER}) if "seed" in solver_opts else None
+    return solution, verify_solution(econ, solution, agents=agents)
 
 
 def cmd_solve(args) -> int:
-    econ, solver_opts, output = load_model(args.model)
-    if args.tau_bar is not None:
-        _checked_number(args.tau_bar, "--tau-bar")
+    econ, solver_opts = load_model(args.model)
     code = _validation_exit(econ)
     if code is not None:
         return code
-    solution, oracle = _certified(econ, solver_opts, args.seed, args.tau_bar)
+    solution, oracle = _certified(econ, solver_opts)
     record = _solution_record(econ, solution, oracle)
-    out = args.out or output.get("out")
-    _write_text(out, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if oracle.passed else EXIT_ORACLE
 
 
@@ -312,9 +312,9 @@ def _parse_grid(spec: str):
     return [start + k * step for k in range(count)]
 
 
-def _sweep_row(econ, g_circ):
+def _sweep_row(econ, solver_opts, g_circ):
     try:
-        sol = solve(econ.with_outside_g(g_circ))
+        sol = _solved(econ.with_outside_g(g_circ), solver_opts)
     except (SolverError, InvalidEconomy) as exc:
         return {"g_circ": g_circ, "status": f"error:{type(exc).__name__}"}
     return {
@@ -363,15 +363,14 @@ def _segments(rows):
 
 
 def cmd_sweep(args) -> int:
-    econ, _solver_opts, output = load_model(args.model)
+    econ, solver_opts = load_model(args.model)
     code = _validation_exit(econ)
     if code is not None:
         return code
     grid = _parse_grid(args.grid)
-    rows = [_sweep_row(econ, g) for g in grid]
+    rows = [_sweep_row(econ, solver_opts, g) for g in grid]
 
-    fmt = args.format or output.get("format", "csv")
-    if fmt == "json":
+    if args.format == "json":
         body = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
         lines = [",".join(SWEEP_COLUMNS)]
@@ -382,25 +381,22 @@ def cmd_sweep(args) -> int:
                 cells.append(FLOAT_FMT % val if isinstance(val, float) else str(val))
             lines.append(",".join(cells))
         body = "\n".join(lines) + "\n"
-    out = args.out or output.get("out")
-    _write_text(out, body)
+    _write_text(args.out, body)
 
     segments, jumps = _segments(rows)
-    plot_path = args.plot_data or (out + ".segments.json" if out else None)
+    plot_path = args.plot_data or (args.out + ".segments.json" if args.out else None)
     plot_payload = json.dumps({"segments": segments, "jumps": jumps},
                               indent=2, sort_keys=True) + "\n"
     if plot_path:
         _write_text(plot_path, plot_payload)
-    elif not out:
+    elif not args.out:
         sys.stdout.write(plot_payload)
 
-    if any(row["status"] != "ok" for row in rows):
-        return EXIT_ORACLE
-    return EXIT_OK
+    return EXIT_ORACLE if any(row["status"] != "ok" for row in rows) else EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    econ, solver_opts, _output = load_model(args.model)
+    econ, solver_opts = load_model(args.model)
     try:
         with open(args.solution) as fh:
             stored = _object(json.load(fh), "solution")
@@ -409,8 +405,9 @@ def cmd_verify(args) -> int:
         matches = (eco.get("n") == econ.n and eco.get("quota") == econ.quota
                    and types == list(econ.agent_types)
                    and abs(float(eco.get("outside_g", -1)) - econ.outside_g) <= 1e-12)
-        stored_g = float(stored.get("g_star", float("nan")))
-        stored_t = [float(t) for t in _list(stored.get("transfers", []), "solution.transfers")]
+        stored_g = _checked_number(stored.get("g_star"), "solution.g_star")
+        stored_t = [_checked_number(t, f"solution.transfers[{k}]") for k, t in
+                    enumerate(_list(stored.get("transfers", []), "solution.transfers"))]
     except (OSError, ValueError, TypeError) as exc:
         print(f"cannot read solution: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -421,21 +418,26 @@ def cmd_verify(args) -> int:
         print("solution does not match the model economy", file=sys.stderr)
         return EXIT_VALIDATION
 
-    tol = float(solver_opts.get("tolerance", 1e-8))
     solution, oracle = _certified(econ, solver_opts)
+    bound = 10 * ORACLE_TOL
     problems = []
-    if abs(stored_g - solution.g_star) > 1e-6:
+    if abs(stored_g - solution.g_star) > bound:
         problems.append(f"g_star mismatch: stored {stored_g}, resolved {solution.g_star}")
+    resolved = _solution_record(econ, solution, oracle)
+    for field in ("regime", "coalition", "excluded", "bunched"):
+        if stored.get(field) != resolved[field]:
+            problems.append(f"{field} mismatch: stored {stored.get(field)!r}, "
+                            f"resolved {resolved[field]!r}")
 
     if len(stored_t) != econ.n:
         problems.append(f"transfers: expected {econ.n} entries, got {len(stored_t)}")
     else:
         budget = sum(stored_t) - stored_g
-        if stored.get("regime") != "outside_option" and budget < -tol:
+        if solution.regime is not Regime.OUTSIDE_OPTION and budget < -ORACLE_TOL:
             problems.append(f"budget violation: transfers fall short by {-budget:.3g}")
         for i in range(econ.n):
             expected = solution.transfers[i]
-            if abs(stored_t[i] - expected) > max(10 * tol, 1e-7):
+            if abs(stored_t[i] - expected) > bound:
                 broken = ("differs from the re-solved mechanism" if i == AGENDA_SETTER
                           else "breaks the incentive schedule")
                 problems.append(f"agent {i}: stored transfer {stored_t[i]:.12g} {broken} "
@@ -450,7 +452,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_vcg(args) -> int:
-    econ, _solver_opts, output = load_model(args.model)
+    econ = load_model(args.model)[0]
     ladder = [args.epsilon] if args.epsilon is not None else [1e-2, 1e-3, 1e-4]
     try:
         rows = []
@@ -466,8 +468,7 @@ def cmd_vcg(args) -> int:
     except (InvalidEconomy, ModelError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = args.out or output.get("out")
-    _write_text(out, json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -480,10 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one economy and emit a record")
     p_solve.add_argument("--model", required=True)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="draw a random coalition with this seed")
-    p_solve.add_argument("--tau-bar", type=float, default=None,
-                         help="flat tax on agents outside a drawn coalition")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="re-solve over an outside-option grid")
@@ -491,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True, help="start:stop:count")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--plot-data", default=None)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="re-run the oracle on a stored solution")

@@ -46,6 +46,7 @@ def test_solve_golden_record(tmp_path):
     assert record["g_star"] == pytest.approx(0.1, abs=1e-8)
     assert record["regime"] == "understate_interior"
     assert record["oracle"]["passed"] is True
+    assert (record["oracle"]["grid_size"], record["oracle"]["tolerance"]) == (41, 1e-8)
     assert record["coalition"] == [0, 1]
 
 
@@ -104,7 +105,7 @@ def test_bad_solver_option_exit_2(tmp_path, capsys, solver, field, command):
 
 
 def test_solver_options_accept_integral_tolerance(tmp_path):
-    payload = {**GOLDEN_MODEL, "solver": {"grid_size": 5, "tolerance": 1, "tau_bar": 0}}
+    payload = {**GOLDEN_MODEL, "solver": {"seed": 1, "tau_bar": 0}}
     model = _write(tmp_path, "model.json", payload)
     assert main(["solve", "--model", model, "--out", str(tmp_path / "sol.json")]) == 0
 
@@ -117,9 +118,8 @@ def test_solver_options_accept_integral_tolerance(tmp_path):
     ("economy.distributions[0]", None),
     ("economy", "golden"),
     ("solver", 41),
-    ("output", "out.json"),
 ], ids=["technology-number", "technology-string", "reservation-list", "distributions-number",
-        "distribution-entry-null", "economy-string", "solver-number", "output-string"])
+        "distribution-entry-null", "economy-string", "solver-number"])
 def test_non_object_block_exit_2(tmp_path, capsys, path, value):
     payload = {"economy": dict(GOLDEN_MODEL["economy"])}
     if path == "economy.distributions[0]":
@@ -132,6 +132,41 @@ def test_non_object_block_exit_2(tmp_path, capsys, path, value):
     assert main(["solve", "--model", model]) == 2
     assert capsys.readouterr().err == (
         f"model file error: {path}: must be a JSON object, got {value!r}\n")
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"output": "out.json"}, "output"),
+    ({"output": {"out": "solution.json", "format": "json"}}, "output"),
+    ({"solver": {"grid_size": 41}}, "solver.grid_size"),
+    ({"solver": {"tolerance": 1e-8, "seed": 1}}, "solver.tolerance"),
+], ids=["output-string", "output-block", "grid-size", "tolerance"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify", "vcg"])
+def test_retired_model_key_exit_2(tmp_path, capsys, payload, path, command):
+    # the oracle's grid and tolerance and the output paths have one home
+    # each; a model file that still sets them is refused, not ignored
+    model = _write(tmp_path, "retired.json", {**GOLDEN_MODEL, **payload})
+    args = {"solve": [], "sweep": ["--grid", "0:1:3"], "vcg": [],
+            "verify": ["--solution", _write(tmp_path, "sol.json", {})]}[command]
+    assert main([command, "--model", model, *args]) == 2
+    assert capsys.readouterr().err.startswith(f"model file error: {path}: retired; ")
+
+
+def test_loosening_solver_block_exit_2(tmp_path, capsys):
+    model = _write(tmp_path, "loose.json",
+                   {**GOLDEN_MODEL, "solver": {"grid_size": 5, "tolerance": 1}})
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("model file error: solver.grid_size: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--tau-bar", "0.05"]],
+                         ids=["seed", "tau-bar"])
+def test_solve_mechanism_flags_exit_2(tmp_path, flag):
+    model = _write(tmp_path, "model.json", NON_MONOTONE_MODEL)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--model", model, *flag])
+    assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("block, spec, parts", [
@@ -323,8 +358,11 @@ def test_bad_quota_or_agent_type_exit_2(tmp_path, capsys, field, value, named):
     lambda record: {**record, "g_star": None},
     lambda record: {**record, "transfers": "12"},
     lambda record: {**record, "economy": {**record["economy"], "agent_types": "0.8"}},
+    lambda record: {k: v for k, v in record.items() if k != "g_star"},
+    lambda record: {**record, "g_star": float("nan")},
+    lambda record: {**record, "transfers": [float("nan")] + record["transfers"][1:]},
 ], ids=["list", "economy-number", "transfer-string", "g_star-null", "transfers-string",
-        "agent-types-string"])
+        "agent-types-string", "g_star-missing", "g_star-nan", "transfer-nan"])
 def test_verify_malformed_solution_exit_2(tmp_path, capsys, edit):
     model = _write(tmp_path, "model.json", GOLDEN_MODEL)
     out = tmp_path / "solution.json"
@@ -336,19 +374,54 @@ def test_verify_malformed_solution_exit_2(tmp_path, capsys, edit):
 
 
 def test_solve_stochastic_coalition_flags(tmp_path):
-    payload = {"economy": dict(GOLDEN_MODEL["economy"])}
+    payload = {"economy": dict(GOLDEN_MODEL["economy"]),
+               "solver": {"seed": 7, "tau_bar": 0.05}}
     payload["economy"]["agent_types"] = [0.2, 0.5, 0.8]
     payload["economy"]["quota"] = 3
     model = _write(tmp_path, "model.json", payload)
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["solve", "--model", model, "--seed", "7", "--tau-bar", "0.05",
-                 "--out", str(out_a)]) == 0
-    assert main(["solve", "--model", model, "--seed", "7", "--tau-bar", "0.05",
-                 "--out", str(out_b)]) == 0
+    assert main(["solve", "--model", model, "--out", str(out_a)]) == 0
+    assert main(["solve", "--model", model, "--out", str(out_b)]) == 0
     rec_a, rec_b = json.loads(out_a.read_text()), json.loads(out_b.read_text())
     assert rec_a == rec_b  # same seed, same record
     assert rec_a["oracle"]["passed"]
     assert len(rec_a["coalition"]) == 3
+    assert main(["verify", "--model", model, "--solution", str(out_a)]) == 0
+
+
+def test_seeded_solve_verify_round_trip(tmp_path):
+    # a drawn coalition is asked for in the model file only, so `verify`
+    # re-solves the mechanism `solve` emitted, outsiders' tax included
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "agent_types": [0.2, 0.45, 0.8],
+                           "quota": 3, "outside_g": 0.5},
+               "solver": {"seed": 3, "tau_bar": 0.05}}
+    model = _write(tmp_path, "model.json", payload)
+    out = tmp_path / "sol.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--model", _write(tmp_path, "bare.json", {"economy": payload["economy"]}),
+              "--seed", "3", "--tau-bar", "0.05", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["coalition"] == [0, 1, 3]
+    assert record["transfers"][2] == pytest.approx(0.05)
+    assert main(["verify", "--model", model, "--solution", str(out)]) == 0
+
+
+def test_sweep_solves_as_the_solver_block_asks(tmp_path):
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "agent_types": [0.2, 0.5, 0.8],
+                           "quota": 2},
+               "solver": {"seed": 2}}
+    model = _write(tmp_path, "model.json", payload)
+    out, rows = tmp_path / "sol.json", tmp_path / "rows.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    assert main(["sweep", "--model", model, "--grid", "0:0:1", "--format", "json",
+                 "--out", str(rows)]) == 0
+    record, (row,) = json.loads(out.read_text()), json.loads(rows.read_text())["rows"]
+    assert row["g_star"] == record["g_star"] == 0.0
+    assert row["regime"] == record["regime"]
+    assert row["coalition"] == " ".join(map(str, record["coalition"]))
 
 
 def test_solver_block_seed_from_model_file(tmp_path):
@@ -391,16 +464,37 @@ def test_verify_validation_failure_exit_3(tmp_path, capsys):
     assert "validation failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tau_bar,code,message", [
-    ("nan", 2, "model file error: --tau-bar: "),
-    ("inf", 2, "model file error: --tau-bar: "),
-    ("-inf", 2, "model file error: --tau-bar: "),
-    ("-0.1", 3, "invalid economy: tau_bar must be finite and nonnegative"),
-])
-def test_solve_bad_tau_bar_flag(tmp_path, capsys, tau_bar, code, message):
-    model = _write(tmp_path, "model.json", NON_MONOTONE_MODEL)
-    assert main(["solve", "--model", model, "--seed", "1", f"--tau-bar={tau_bar}"]) == code
+@pytest.mark.parametrize("tau_bar, code, message", [
+    (float("nan"), 2, "model file error: solver.tau_bar: "),
+    (float("inf"), 2, "model file error: solver.tau_bar: "),
+    (float("-inf"), 2, "model file error: solver.tau_bar: "),
+    (-0.1, 3, "invalid economy: tau_bar must be finite and nonnegative"),
+], ids=["nan", "inf", "-inf", "negative"])
+def test_solver_block_bad_tau_bar(tmp_path, capsys, tau_bar, code, message):
+    payload = {**NON_MONOTONE_MODEL, "solver": {"seed": 1, "tau_bar": tau_bar}}
+    model = _write(tmp_path, "model.json", payload)
+    assert main(["solve", "--model", model]) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda record: {**record, "g_star": record["g_star"] - 5e-7}, "g_star mismatch"),
+    (lambda record: {**record, "coalition": [0]}, "coalition mismatch"),
+    (lambda record: {**record, "regime": "mixed_interior"}, "regime mismatch"),
+    (lambda record: {**record, "excluded": [1]}, "excluded mismatch"),
+    (lambda record: {**record, "bunched": [1]}, "bunched mismatch"),
+    # the budget exemption follows the re-solved regime, not the stored one
+    (lambda record: {**record, "regime": "outside_option",
+                     "transfers": [t - 6e-8 for t in record["transfers"]]}, "budget violation"),
+], ids=["g_star-offset", "coalition", "regime", "excluded", "bunched", "budget-exemption"])
+def test_verify_rejects_record_solve_never_wrote(tmp_path, capsys, edit, named):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    tampered = _write(tmp_path, "tampered.json", edit(json.loads(out.read_text())))
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--solution", tampered]) == 4
+    assert named in capsys.readouterr().err
 
 
 def test_sweep_json_format(tmp_path):
