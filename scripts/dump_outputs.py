@@ -20,13 +20,17 @@ every 32nd draw, threshold tables (all 192
 ladder economies, every 8th again with its closed forms stripped, every
 three-agent one again at quota 2, and the six sweep fixtures), the bytes
 of ``agendamech sweep`` over ``0:3:121`` on each fixture (its exit code, CSV
-and segments file), and the concave-window fixture with tied middle types
-solved at every quota and three outside levels.
+and segments file), the bytes of the ``agendamech solve`` record of each
+fixture and of one seeded model with ``verify``'s exit code and stderr on
+it, and the concave-window fixture with tied middle types solved at every
+quota and three outside levels.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
 import tempfile
@@ -43,6 +47,11 @@ from workloads import (CORPUS_POOL, LADDER_CANDIDATES, SWEEP_MODELS,  # noqa: E4
                        corpus_economy, ladder_economy)
 
 REPORTS = 17
+
+# A drawn coalition with an outsiders' tax, so the record covers that branch.
+SEEDED_MODEL = {"economy": {**SWEEP_MODELS["golden"]["economy"], "agent_types": [0.2, 0.45, 0.8],
+                            "quota": 3, "outside_g": 0.5},
+                "solver": {"seed": 3, "tau_bar": 0.05}}
 
 
 def _solution_lines(econ, sol, agents=None) -> list:
@@ -123,6 +132,18 @@ def _sweep(name: str, model: Path) -> list:
     return [f"sweep {name} exit {code}", repr(out.read_bytes()), repr(segments.read_bytes())]
 
 
+def _solve_verify(name: str, model: Path) -> list:
+    """The bytes of the ``solve`` record, then ``verify``'s exit code and
+    stderr on that record."""
+    record = model.with_suffix(".solution.json")
+    code = cli_main(["solve", "--model", str(model), "--out", str(record)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        verified = cli_main(["verify", "--model", str(model), "--solution", str(record)])
+    return [f"solve {name} exit {code}", repr(record.read_bytes()),
+            f"verify {name} exit {verified}", repr(err.getvalue())]
+
+
 def _tied(window) -> list:
     """The concave-window fixture with three, then two, tied middle agents,
     solved at every quota over three outside levels."""
@@ -175,6 +196,10 @@ def main(argv) -> int:
             fixtures[name] = load_model(str(path))[0]
             lines += _table(f"fixture {name}", fixtures[name])
             lines += _sweep(name, path)
+            lines += _solve_verify(name, path)
+        seeded = Path(tmp) / "seeded.json"
+        seeded.write_text(json.dumps(SEEDED_MODEL))
+        lines += _solve_verify("seeded", seeded)
     lines += _tied(fixtures["concave_window"])
     Path(argv[1]).write_text("\n".join(lines) + "\n")
     return 0

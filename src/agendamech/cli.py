@@ -22,10 +22,12 @@ truncated_normal(mu, sigma, lo, hi). Technologies: log, power(alpha).
 Reservations: linear, zero, quadratic_share(slope, curve),
 negative_slope(level, slope). Every family parameter and solver option must
 be a finite JSON number, not a bool, in range (seed is an integer), and every
-block an object; a bad one is a parse error. A ``solver`` seed solves the
-coalition it draws, taxing outsiders ``tau_bar``. The oracle always runs at
-``ORACLE_GRID`` points and tolerance ``ORACLE_TOL``, so ``solver.grid_size``,
-``solver.tolerance`` and an ``output`` block are parse errors.
+block an object; a bad one is a parse error, and so is any key the schema
+above does not name (``_FAMILIES`` lists each family's keys). A ``solver``
+seed solves the coalition it draws, taxing outsiders ``tau_bar``, which
+needs a seed; a negative one is an invalid economy. The oracle always runs
+at ``ORACLE_GRID`` points and tolerance ``ORACLE_TOL``. ``verify`` compares
+every field of a stored record but its ``oracle`` block with the re-solve's.
 
 Exit codes: 0 success, 2 model-file parse error, 3 validation or
 precondition failure, 4 oracle or verification failure.
@@ -34,6 +36,7 @@ precondition failure, 4 oracle or verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -57,7 +60,7 @@ from .model import (
 from .regimes import Regime, solve, solve_stochastic_coalition
 from .solver_core import SolverError
 from .transfers import agenda_setter_payoff
-from .verify import ORACLE_GRID, ORACLE_TOL, vcg_demo, verify_solution
+from .verify import ORACLE_TOL, vcg_demo, verify_solution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,16 +71,21 @@ FLOAT_FMT = "%.17g"
 
 
 class ModelFileError(ModelError):
-    """Malformed model file; carries the offending field path."""
+    """Malformed model file or stored record; the message leads with the
+    offending field path."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, keys=None) -> dict:
+    """A JSON object; with ``keys``, one that has no other key."""
     if not isinstance(value, dict):
         raise ModelFileError(path, f"must be a JSON object, got {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ModelFileError(f"{path}.{key}",
+                                 f"unknown key; expected one of {', '.join(keys)}")
     return value
 
 
@@ -107,49 +115,43 @@ def _checked_number(value, path: str, integer=False):
     return value
 
 
-def _made(path: str, make, *args):
-    """make(*args), with a ModelError from the library reported against path."""
+# The only list of each family block's keys: family -> (constructor, its
+# parameters in call order, each with its default, None for a required one).
+# Reservations are built with (tech, n) ahead of their parameters.
+_SUPPORT = (("lo", 0.0), ("hi", 1.0))
+_FAMILIES = {
+    "distribution": {
+        "uniform": (uniform, _SUPPORT),
+        "truncated_exponential": (truncated_exponential, (("rate", None), *_SUPPORT)),
+        "truncated_normal": (truncated_normal, (("mu", None), ("sigma", None), *_SUPPORT)),
+    },
+    "technology": {
+        "log": (log_technology, ()),
+        "power": (power_technology, (("alpha", None),)),
+    },
+    "reservation": {
+        "linear": (linear_reservation, ()),
+        "zero": (lambda tech, n: zero_reservation(), ()),
+        "quadratic_share": (lambda tech, n, *p: quadratic_share_reservation(tech, *p),
+                            (("slope", None), ("curve", None))),
+        "negative_slope": (lambda tech, n, *p: negative_slope_reservation(tech, *p),
+                           (("level", None), ("slope", None))),
+    },
+}
+
+
+def _build(kind: str, spec, path: str, *leading):
+    """The ``kind`` family that ``spec`` names, built from its parameters."""
+    family = _need(spec, "family", path)
+    if not isinstance(family, str) or family not in _FAMILIES[kind]:
+        raise ModelFileError(f"{path}.family", f"unknown {kind} family {family!r}")
+    make, params = _FAMILIES[kind][family]
+    _object(spec, path, ("family", *(name for name, _ in params)))
+    values = [_number(spec, name, path, default) for name, default in params]
     try:
-        return make(*args)
+        return make(*leading, *values)
     except ModelError as exc:
         raise ModelFileError(path, str(exc)) from exc
-
-
-def _build_distribution(spec: dict, path: str):
-    family = _need(spec, "family", path)
-    support = (_number(spec, "lo", path, 0.0), _number(spec, "hi", path, 1.0))
-    if family == "uniform":
-        return _made(path, uniform, *support)
-    if family == "truncated_exponential":
-        return _made(path, truncated_exponential, _number(spec, "rate", path), *support)
-    if family == "truncated_normal":
-        mu, sigma = _number(spec, "mu", path), _number(spec, "sigma", path)
-        return _made(path, truncated_normal, mu, sigma, *support)
-    raise ModelFileError(f"{path}.family", f"unknown distribution family {family!r}")
-
-
-def _build_technology(spec: dict, path: str):
-    family = _need(spec, "family", path)
-    if family == "log":
-        return log_technology()
-    if family == "power":
-        return _made(path, power_technology, _number(spec, "alpha", path))
-    raise ModelFileError(f"{path}.family", f"unknown technology family {family!r}")
-
-
-def _build_reservation(spec: dict, tech, n: int, path: str):
-    family = _need(spec, "family", path)
-    if family == "linear":
-        return linear_reservation(tech, n)
-    if family == "zero":
-        return zero_reservation()
-    if family == "quadratic_share":
-        return quadratic_share_reservation(tech, _number(spec, "slope", path),
-                                           _number(spec, "curve", path))
-    if family == "negative_slope":
-        return _made(path, negative_slope_reservation, tech, _number(spec, "level", path),
-                     _number(spec, "slope", path))
-    raise ModelFileError(f"{path}.family", f"unknown reservation family {family!r}")
 
 
 def load_model(path: str):
@@ -161,51 +163,41 @@ def load_model(path: str):
         raise ModelFileError(path, f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(path, f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ModelFileError("$", "top level must be an object")
 
-    eco = _need(raw, "economy", "$")
+    raw = _object(raw, "$", ("economy", "solver"))
+    eco = _object(_need(raw, "economy", "$"), "economy",
+                  ("agenda_setter_type", "agent_types", "quota", "outside_g",
+                   "distributions", "technology", "reservation"))
     agent_types = _list(_need(eco, "agent_types", "economy"), "economy.agent_types")
-    n = len(agent_types) + 1
-
     dist_spec = _need(eco, "distributions", "economy")
     if not isinstance(dist_spec, list):
-        dists = (_build_distribution(dist_spec, "economy.distributions"),) * len(agent_types)
+        dists = (_build("distribution", dist_spec, "economy.distributions"),) * len(agent_types)
     else:
-        dists = tuple(
-            _build_distribution(s, f"economy.distributions[{k}]")
-            for k, s in enumerate(dist_spec))
+        dists = tuple(_build("distribution", s, f"economy.distributions[{k}]")
+                      for k, s in enumerate(dist_spec))
+    tech = _build("technology", _need(eco, "technology", "economy"), "economy.technology")
+    reservation = _build("reservation", _need(eco, "reservation", "economy"),
+                         "economy.reservation", tech, len(agent_types) + 1)
 
-    tech = _build_technology(_need(eco, "technology", "economy"), "economy.technology")
-    reservation = _build_reservation(
-        _need(eco, "reservation", "economy"), tech, n, "economy.reservation")
-
+    setter = _number(eco, "agenda_setter_type", "economy")
+    types = tuple(_checked_number(t, f"economy.agent_types[{k}]")
+                  for k, t in enumerate(agent_types))
+    quota = _number(eco, "quota", "economy", integer=True)
+    outside_g = _number(eco, "outside_g", "economy")
     try:
-        econ = Economy(
-            agenda_setter_type=_number(eco, "agenda_setter_type", "economy"),
-            agent_types=tuple(_checked_number(t, f"economy.agent_types[{k}]")
-                              for k, t in enumerate(agent_types)),
-            distributions=dists,
-            tech=tech,
-            reservation=reservation,
-            quota=_number(eco, "quota", "economy", integer=True),
-            outside_g=_number(eco, "outside_g", "economy"),
-        )
-    except (ModelFileError, InvalidEconomy):
+        econ = Economy(setter, types, dists, tech, reservation, quota, outside_g)
+    except InvalidEconomy:
         raise
-    except (TypeError, ValueError) as exc:
+    except ModelError as exc:  # a realized type outside its distribution's support
         raise ModelFileError("economy", str(exc)) from exc
 
-    if "output" in raw:
-        raise ModelFileError("output", "retired; use --out and --format")
-    solver = _object(raw.get("solver", {}), "solver")
-    for field in ("grid_size", "tolerance"):
-        if field in solver:
-            raise ModelFileError(f"solver.{field}", f"retired; the oracle always runs at "
-                                 f"{ORACLE_GRID} points and tolerance {ORACLE_TOL:g}")
-    for field in ("seed", "tau_bar"):
-        if field in solver:
-            _number(solver, field, "solver", integer=field == "seed")
+    solver = _object(raw.get("solver", {}), "solver", ("seed", "tau_bar"))
+    if "tau_bar" in solver and "seed" not in solver:
+        raise ModelFileError("solver.tau_bar", "taxes a drawn coalition's outsiders; needs a seed")
+    for field in solver:
+        _number(solver, field, "solver", integer=field == "seed")
+    if solver.get("tau_bar", 0) < 0:
+        raise InvalidEconomy("tau_bar must be finite and nonnegative")
     return econ, solver
 
 
@@ -218,24 +210,14 @@ def _solution_record(econ, solution, oracle) -> dict:
         "bunched": sorted(solution.bunched),
         "cutoff_types": list(solution.cutoff_types),
         "transfers": list(solution.transfers),
-        "thresholds": {"g_low": solution.thresholds.g_low,
-                       "g_high": solution.thresholds.g_high},
-        "thresholds_raw": {"g_low": solution.thresholds_raw.g_low,
-                           "g_high": solution.thresholds_raw.g_high},
+        "thresholds": dataclasses.asdict(solution.thresholds),
+        "thresholds_raw": dataclasses.asdict(solution.thresholds_raw),
         "gamma": solution.gamma.describe(),
-        "partition": {
-            "K": sorted(solution.partition.K),
-            "L": sorted(solution.partition.L),
-            "M": sorted(solution.partition.M),
-        },
+        "partition": {part: sorted(getattr(solution.partition, part)) for part in "KLM"},
         "payoff": agenda_setter_payoff(econ, solution),
-        "economy": {
-            "n": econ.n,
-            "quota": econ.quota,
-            "outside_g": econ.outside_g,
-            "agenda_setter_type": econ.agenda_setter_type,
-            "agent_types": list(econ.agent_types),
-        },
+        "economy": {"n": econ.n, "quota": econ.quota, "outside_g": econ.outside_g,
+                    "agenda_setter_type": econ.agenda_setter_type,
+                    "agent_types": list(econ.agent_types)},
         "oracle": {
             "passed": oracle.passed,
             "dsic_ok": oracle.dsic_ok,
@@ -395,53 +377,55 @@ def cmd_sweep(args) -> int:
     return EXIT_ORACLE if any(row["status"] != "ok" for row in rows) else EXIT_OK
 
 
+def _mismatches(stored, resolved, path: str, tol: float) -> list:
+    """Each place where a stored record departs from the re-solved one:
+    floats by more than tol, anything else at all. A missing field, a value
+    of the wrong JSON type or a non-finite number raises ModelFileError."""
+    if isinstance(resolved, dict):
+        found = [f"{path}.{key}: solve never writes this field"
+                 for key in _object(stored, path) if key not in resolved]
+        for key, value in resolved.items():
+            found += _mismatches(_need(stored, key, path), value, f"{path}.{key}", tol)
+        return found
+    if isinstance(resolved, list):
+        if len(_list(stored, path)) == len(resolved):
+            return [found for k, pair in enumerate(zip(stored, resolved))
+                    for found in _mismatches(*pair, f"{path}[{k}]", tol)]
+    elif isinstance(resolved, str):
+        if not isinstance(stored, str):
+            raise ModelFileError(path, f"must be a JSON string, got {stored!r}")
+    elif resolved is not None:  # a number; None marks a field left uncompared
+        _checked_number(stored, path)
+    if stored == resolved or isinstance(resolved, float) and abs(stored - resolved) <= tol:
+        return []
+    return [f"{path}: differs from the re-solved record (stored {stored!r}, "
+            f"re-solved {resolved!r})"]
+
+
 def cmd_verify(args) -> int:
     econ, solver_opts = load_model(args.model)
-    try:
-        with open(args.solution) as fh:
-            stored = _object(json.load(fh), "solution")
-        eco = _object(stored.get("economy", {}), "solution.economy")
-        types = _list(eco.get("agent_types", []), "solution.economy.agent_types")
-        matches = (eco.get("n") == econ.n and eco.get("quota") == econ.quota
-                   and types == list(econ.agent_types)
-                   and abs(float(eco.get("outside_g", -1)) - econ.outside_g) <= 1e-12)
-        stored_g = _checked_number(stored.get("g_star"), "solution.g_star")
-        stored_t = [_checked_number(t, f"solution.transfers[{k}]") for k, t in
-                    enumerate(_list(stored.get("transfers", []), "solution.transfers"))]
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"cannot read solution: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     code = _validation_exit(econ)
     if code is not None:
         return code
-    if not matches:
-        print("solution does not match the model economy", file=sys.stderr)
-        return EXIT_VALIDATION
-
     solution, oracle = _certified(econ, solver_opts)
-    bound = 10 * ORACLE_TOL
-    problems = []
-    if abs(stored_g - solution.g_star) > bound:
-        problems.append(f"g_star mismatch: stored {stored_g}, resolved {solution.g_star}")
-    resolved = _solution_record(econ, solution, oracle)
-    for field in ("regime", "coalition", "excluded", "bunched"):
-        if stored.get(field) != resolved[field]:
-            problems.append(f"{field} mismatch: stored {stored.get(field)!r}, "
-                            f"resolved {resolved[field]!r}")
-
-    if len(stored_t) != econ.n:
-        problems.append(f"transfers: expected {econ.n} entries, got {len(stored_t)}")
-    else:
-        budget = sum(stored_t) - stored_g
-        if solution.regime is not Regime.OUTSIDE_OPTION and budget < -ORACLE_TOL:
-            problems.append(f"budget violation: transfers fall short by {-budget:.3g}")
-        for i in range(econ.n):
-            expected = solution.transfers[i]
-            if abs(stored_t[i] - expected) > bound:
-                broken = ("differs from the re-solved mechanism" if i == AGENDA_SETTER
-                          else "breaks the incentive schedule")
-                problems.append(f"agent {i}: stored transfer {stored_t[i]:.12g} {broken} "
-                                f"(expected {expected:.12g})")
+    # the oracle is recomputed, not compared
+    resolved = {**_solution_record(econ, solution, oracle), "oracle": None}
+    try:
+        with open(args.solution) as fh:
+            stored = {**_object(json.load(fh), "solution"), "oracle": None}
+        foreign = _mismatches(_need(stored, "economy", "solution"), resolved["economy"],
+                              "solution.economy", 0.0)
+        problems = _mismatches(stored, resolved, "solution", 10 * ORACLE_TOL)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read solution: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if foreign:
+        print(f"solution does not match the model economy: {'; '.join(foreign)}", file=sys.stderr)
+        return EXIT_VALIDATION
+    transfers = stored["transfers"]
+    shortfall = stored["g_star"] - sum(transfers) if len(transfers) == econ.n else 0.0
+    if solution.regime is not Regime.OUTSIDE_OPTION and shortfall > ORACLE_TOL:
+        problems.append(f"budget violation: transfers fall short by {shortfall:.3g}")
     if not oracle.passed:
         problems.append(oracle.summary())
 

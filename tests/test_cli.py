@@ -134,21 +134,22 @@ def test_non_object_block_exit_2(tmp_path, capsys, path, value):
         f"model file error: {path}: must be a JSON object, got {value!r}\n")
 
 
-@pytest.mark.parametrize("payload, path", [
-    ({"output": "out.json"}, "output"),
-    ({"output": {"out": "solution.json", "format": "json"}}, "output"),
-    ({"solver": {"grid_size": 41}}, "solver.grid_size"),
-    ({"solver": {"tolerance": 1e-8, "seed": 1}}, "solver.tolerance"),
+@pytest.mark.parametrize("payload, path, expected", [
+    ({"output": "out.json"}, "$.output", "economy, solver"),
+    ({"output": {"out": "solution.json", "format": "json"}}, "$.output", "economy, solver"),
+    ({"solver": {"grid_size": 41}}, "solver.grid_size", "seed, tau_bar"),
+    ({"solver": {"tolerance": 1e-8, "seed": 1}}, "solver.tolerance", "seed, tau_bar"),
 ], ids=["output-string", "output-block", "grid-size", "tolerance"])
 @pytest.mark.parametrize("command", ["solve", "sweep", "verify", "vcg"])
-def test_retired_model_key_exit_2(tmp_path, capsys, payload, path, command):
+def test_retired_model_key_exit_2(tmp_path, capsys, payload, path, expected, command):
     # the oracle's grid and tolerance and the output paths have one home
-    # each; a model file that still sets them is refused, not ignored
+    # each; a model file that still sets them is refused like any unknown key
     model = _write(tmp_path, "retired.json", {**GOLDEN_MODEL, **payload})
     args = {"solve": [], "sweep": ["--grid", "0:1:3"], "vcg": [],
             "verify": ["--solution", _write(tmp_path, "sol.json", {})]}[command]
     assert main([command, "--model", model, *args]) == 2
-    assert capsys.readouterr().err.startswith(f"model file error: {path}: retired; ")
+    assert capsys.readouterr().err == (
+        f"model file error: {path}: unknown key; expected one of {expected}\n")
 
 
 def test_loosening_solver_block_exit_2(tmp_path, capsys):
@@ -156,7 +157,8 @@ def test_loosening_solver_block_exit_2(tmp_path, capsys):
                    {**GOLDEN_MODEL, "solver": {"grid_size": 5, "tolerance": 1}})
     out = tmp_path / "sol.json"
     assert main(["solve", "--model", model, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("model file error: solver.grid_size: ")
+    assert capsys.readouterr().err.startswith(
+        "model file error: solver.grid_size: unknown key; ")
     assert not out.exists()
 
 
@@ -215,13 +217,13 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(record))
     assert main(["verify", "--model", model, "--solution", str(tampered)]) == 4
-    assert "incentive schedule" in capsys.readouterr().err
+    assert "solution.transfers[1]: differs from the re-solved record" in capsys.readouterr().err
 
     record = json.loads(out.read_text())
     record["transfers"][0] += 5
     tampered.write_text(json.dumps(record))
     assert main(["verify", "--model", model, "--solution", str(tampered)]) == 4
-    assert "agent 0: stored transfer" in capsys.readouterr().err
+    assert "solution.transfers[0]: differs from the re-solved record" in capsys.readouterr().err
 
     other = {"economy": dict(GOLDEN_MODEL["economy"])}
     other["economy"]["agent_types"] = [0.4]
@@ -478,11 +480,16 @@ def test_solver_block_bad_tau_bar(tmp_path, capsys, tau_bar, code, message):
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda record: {**record, "g_star": record["g_star"] - 5e-7}, "g_star mismatch"),
-    (lambda record: {**record, "coalition": [0]}, "coalition mismatch"),
-    (lambda record: {**record, "regime": "mixed_interior"}, "regime mismatch"),
-    (lambda record: {**record, "excluded": [1]}, "excluded mismatch"),
-    (lambda record: {**record, "bunched": [1]}, "bunched mismatch"),
+    (lambda record: {**record, "g_star": record["g_star"] - 5e-7},
+     "solution.g_star: differs from the re-solved record"),
+    (lambda record: {**record, "coalition": [0]},
+     "solution.coalition: differs from the re-solved record"),
+    (lambda record: {**record, "regime": "mixed_interior"},
+     "solution.regime: differs from the re-solved record"),
+    (lambda record: {**record, "excluded": [1]},
+     "solution.excluded: differs from the re-solved record"),
+    (lambda record: {**record, "bunched": [1]},
+     "solution.bunched: differs from the re-solved record"),
     # the budget exemption follows the re-solved regime, not the stored one
     (lambda record: {**record, "regime": "outside_option",
                      "transfers": [t - 6e-8 for t in record["transfers"]]}, "budget violation"),
@@ -504,3 +511,112 @@ def test_sweep_json_format(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 5 and rows[0]["status"] == "ok"
+
+
+SEED_2_ECONOMY = {**GOLDEN_MODEL["economy"], "agent_types": [0.2, 0.5, 0.8], "quota": 2}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"economy": SEED_2_ECONOMY, "solver": {"sed": 2}},
+     "solver.sed: unknown key; expected one of seed, tau_bar"),
+    ({"economy": SEED_2_ECONOMY, "solver": {"tau_bar": 0.3}},
+     "solver.tau_bar: taxes a drawn coalition's outsiders; needs a seed"),
+    ({"economy": SEED_2_ECONOMY, "Solver": {"seed": 2}},
+     "$.Solver: unknown key; expected one of economy, solver"),
+    ({"economy": {**SEED_2_ECONOMY, "quorum": 2}}, "economy.quorum: unknown key; expected one of "
+     "agenda_setter_type, agent_types, quota, outside_g, distributions, technology, reservation"),
+    ({"economy": {**SEED_2_ECONOMY, "distributions": {"family": "uniform", "low": 0.1}}},
+     "economy.distributions.low: unknown key; expected one of family, lo, hi"),
+    ({"economy": {**SEED_2_ECONOMY, "reservation": {"family": "quadratic_share", "slope": 1.4,
+                                                    "curv": -0.5}}},
+     "economy.reservation.curv: unknown key; expected one of family, slope, curve"),
+], ids=["solver-sed", "tau-bar-without-seed", "top-level-Solver", "economy-quorum",
+        "distribution-low", "reservation-curv"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unknown_model_key_exit_2(tmp_path, capsys, payload, message, command):
+    # each of these once solved some other mechanism than the file meant
+    model = _write(tmp_path, "model.json", payload)
+    out = tmp_path / "out"
+    args = ["--grid", "0:1:3"] if command == "sweep" else []
+    assert main([command, "--model", model, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"model file error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "vcg"])
+def test_negative_tau_bar_exit_3_for_every_command(tmp_path, capsys, command):
+    payload = {**NON_MONOTONE_MODEL, "solver": {"seed": 1, "tau_bar": -0.1}}
+    model = _write(tmp_path, "model.json", payload)
+    out = tmp_path / "out.csv"
+    args = ["--grid", "0:1:3"] if command == "sweep" else []
+    assert main([command, "--model", model, *args, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "invalid economy: tau_bar must be finite and nonnegative\n"
+    assert not out.exists()
+
+
+def test_realized_type_outside_support_exit_2(tmp_path, capsys):
+    model = _write(tmp_path, "model.json",
+                   {"economy": {**GOLDEN_MODEL["economy"], "agent_types": [1.5]}})
+    assert main(["solve", "--model", model]) == 2
+    assert capsys.readouterr().err == (
+        "model file error: economy: type 1.5 outside support [0.0, 1.0]\n")
+
+
+def test_oracle_failure_exit_4(tmp_path, capsys):
+    # a level near 7.1e7 leaves the transfers 1.49e-8 short of it in float
+    # arithmetic, past the oracle's 1e-8 budget tolerance
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "agenda_setter_type": 0.9,
+                           "agent_types": [0.9, 0.95], "quota": 3,
+                           "technology": {"family": "power", "alpha": 0.95}}}
+    model = _write(tmp_path, "model.json", payload)
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 4
+    record = json.loads(out.read_text())
+    assert record["g_star"] == pytest.approx(7.1e7, rel=0.01)
+    assert record["oracle"]["passed"] is False
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--solution", str(out)]) == 4
+    assert "budget=FAIL (slack -1.49e-08)" in capsys.readouterr().err
+
+
+def test_verify_compares_every_record_field(tmp_path, capsys):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    record["thresholds"]["g_low"] = 99
+    record["thresholds_raw"]["g_high"] += 1e-6
+    record["cutoff_types"] = [0.3]
+    record["partition"]["K"] = [1]
+    record["payoff"] = -5
+    record["gamma"] = "constant 0.5 with end-point jumps"
+    record["notes"] = ["edited"]
+    tampered = _write(tmp_path, "tampered.json", record)
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--solution", tampered]) == 4
+    err = capsys.readouterr().err
+    for field in ("thresholds.g_low", "thresholds_raw.g_high", "cutoff_types[0]", "partition.K",
+                  "payoff", "gamma", "notes"):
+        assert f"solution.{field}: differs from the re-solved record" in err
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda record: {**record, "gamma": 5}, 2, "solution.gamma: must be a JSON string"),
+    (lambda record: {**record, "partition": [1]}, 2, "solution.partition: must be a JSON object"),
+    (lambda record: {**record, "payoff": float("inf")}, 2,
+     "solution.payoff: must be a finite JSON number"),
+    (lambda record: {k: v for k, v in record.items() if k != "notes"}, 2,
+     "solution.notes: missing required field"),
+    (lambda record: {**record, "extra": 1}, 4, "solution.extra: solve never writes this field"),
+    (lambda record: {**record, "economy": {**record["economy"], "outside_g": 1e-13}}, 3,
+     "solution.economy.outside_g: differs from the re-solved record"),
+], ids=["gamma-number", "partition-list", "payoff-inf", "notes-missing", "extra-field",
+        "economy-off-by-1e-13"])
+def test_verify_reads_the_whole_record(tmp_path, capsys, edit, code, message):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    tampered = _write(tmp_path, "tampered.json", edit(json.loads(out.read_text())))
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--solution", tampered]) == code
+    assert message in capsys.readouterr().err

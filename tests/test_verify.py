@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -251,3 +252,16 @@ def test_dynamic_check_defaults_to_one_period(golden_economy):
     rep = am.dynamic_check(golden_economy)
     assert (rep.horizon, rep.discount, rep.beta) == (1, 0.0, 1.0)
     assert rep.passed
+
+
+def test_oracle_flags_a_coalition_member_below_its_reservation(golden_economy):
+    sol = am.solve(golden_economy)
+    transfers = list(sol.transfers)
+    transfers[1] += 0.01
+    ok, slacks = am.check_participation(golden_economy, sol.g_star, transfers, sol.coalition)
+    assert not ok
+    assert dict(slacks)[1] < -1e-3
+    raised = dataclasses.replace(sol, transfers=tuple(transfers))
+    rep = am.verify_solution(golden_economy, raised)
+    assert not rep.participation_ok
+    assert not rep.passed
