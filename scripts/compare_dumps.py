@@ -6,21 +6,23 @@ Run from anywhere::
 
 Lines are paired by position and sorted into output classes: validation,
 reservation, solution, shadow weight (its description and its values),
-schedule, anchor (each schedule's anchor type), oracle, dynamic, threshold
-table, sweep CSV, sweep segments, error and header. For each class the
+schedule, anchor (each schedule's anchor type), oracle, threshold table,
+sweep CSV, sweep segments, solve record (the JSON ``solve`` writes), verify
+(``verify``'s stderr on that record), error and header. For each class the
 script prints how many lines moved and the largest absolute and relative
 change of a number (relative to the old value; ``inf`` when a zero moved)
 and the largest change scaled by ``max(1, |old|)``.
 
-Float literals, numeric CSV cells and JSON numbers are numeric. Everything
-else (integers in a ``repr`` such as agent indices, coalitions and grid
-sizes, regimes, booleans, notes' words, CSV text cells, line counts) must
-match exactly. The exit code is 1 when anything but a number differs,
-which includes a flipped oracle verdict, a changed regime, coalition,
-excluded or bunched set, and an oracle's ``worst_deviation`` that moved to
-another (agent, type, misreport). One case is reported as noise instead:
-such a move while the old and new gains are both below 1e-14. The exit
-code is 2 on a usage error.
+Float literals, numeric CSV cells and JSON numbers (of sweep segments and
+solve records) are numeric. Everything else (integers in a ``repr`` such
+as agent indices, coalitions and grid sizes, regimes, booleans, notes'
+words, CSV text cells, line counts) must match exactly. The exit code is
+1 when anything but a number differs, which includes a flipped oracle
+verdict, a changed regime, coalition, excluded or bunched set, and an
+oracle's ``worst_deviation`` that moved to another (agent, type,
+misreport). One case is reported as noise instead: such a move while the
+old and new gains are both below 1e-14. The exit code is 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ DEVIATION = re.compile(r"worst_deviation=DeviationRecord\(agent=(\d+), true_type
                        r"misreport=([^,]+), gain=([^)]+)\)")
 VERDICT = re.compile(r"(\w+_ok)=(\w+)")
 GAMMA_TEXT = ("constant ", "mass at ", "point mass", "piecewise ")
-SEGMENT_LINES = {1: "sweep CSV", 2: "sweep segments"}
+# the lines that follow a "sweep|solve|verify NAME exit N" header, in order
+FOLLOWERS = {"sweep": ("sweep CSV", "sweep segments"), "solve": ("solve record",),
+             "verify": ("verify",)}
+SECTION = re.compile(r"(sweep|solve|verify) \S+ exit -?\d+$")
 
 
 class Stats:
@@ -66,11 +71,13 @@ class Stats:
         return scaled
 
 
-def classify(line: str, since_sweep) -> str:
-    if since_sweep in SEGMENT_LINES and line.startswith(("b'", 'b"')):
-        return SEGMENT_LINES[since_sweep]
+def classify(line: str, follower) -> str:
+    """Class of one dump line; ``follower`` is the class its position after
+    a sweep, solve or verify header gives it, if any."""
+    if follower and line.startswith(("b'", 'b"', "'", '"')):
+        return follower
     for prefix, name in (("ValidationReport(", "validation"), ("OracleReport(", "oracle"),
-                         ("DynamicReport(", "dynamic"), ("ThresholdTable(", "threshold table"),
+                         ("ThresholdTable(", "threshold table"),
                          ("('foc'", "schedule"), ("('flat'", "schedule"),
                          ("([", "reservation"), ("[", "shadow weight")):
         if line.startswith(prefix):
@@ -146,7 +153,7 @@ def _pairs(kind: str, old: str, new: str):
     in anything but numbers. A schedule's first float is its anchor."""
     if kind == "sweep CSV":
         pairs = _csv_pairs(ast.literal_eval(old), ast.literal_eval(new))
-    elif kind == "sweep segments":
+    elif kind in ("sweep segments", "solve record"):
         pairs = []
         if not _json_pairs(json.loads(ast.literal_eval(old)), json.loads(ast.literal_eval(new)),
                            pairs):
@@ -172,13 +179,11 @@ def compare(old_lines: list, new_lines: list) -> tuple:
     noise: list = []
     if len(old_lines) != len(new_lines):
         failures.append(f"line count {len(old_lines)} -> {len(new_lines)}")
-    since_sweep = None  # lines since the last sweep header
+    followers = ()  # classes of the lines after the last section header
     for number, (old, new) in enumerate(zip(old_lines, new_lines), 1):
-        if old.startswith("sweep "):
-            since_sweep = 0
-        elif since_sweep is not None:
-            since_sweep += 1
-        kind = classify(old, since_sweep)
+        kind = classify(old, followers[0] if followers else None)
+        section = SECTION.match(old)
+        followers = FOLLOWERS[section.group(1)] if section else followers[1:]
         for cls in (kind, "anchor") if kind == "schedule" else (kind,):
             stats.setdefault(cls, Stats()).lines += 1
         if old == new:

@@ -14,9 +14,8 @@ The dump covers every second draw of the benchmark's 2048-economy corpus
 solution field, the shadow weight at a type grid and at the realized types,
 each schedule's allocation and transfer at 17 reports, and the oracle
 report), re-solves every 16th draw with its technology's closed forms
-stripped, re-solves at every quota and two drawn coalitions, with
-scalar-only type distributions, and runs the three-period dynamic check on
-every 32nd draw, threshold tables (all 192
+stripped and every 32nd draw at every quota, with two drawn coalitions and
+with scalar-only type distributions, threshold tables (all 192
 ladder economies, every 8th again with its closed forms stripped, every
 three-agent one again at quota 2, and the six sweep fixtures), the bytes
 of ``agendamech sweep`` over ``0:3:121`` on each fixture (its exit code, CSV
@@ -111,10 +110,6 @@ def _corpus(index: int) -> list:
             lines.append(f"coalition seed {seed}")
             lines += _solved(econ, lambda e: am.solve_stochastic_coalition(e, seed, 0.05),
                              agents=lambda sol: sorted(sol.coalition - {0}))
-        try:
-            lines.append(repr(am.dynamic_check(econ, 3, 0.9)))
-        except am.SolverError as exc:
-            lines.append(f"{type(exc).__name__}: {exc}")
     return lines
 
 

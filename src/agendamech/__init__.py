@@ -64,14 +64,10 @@ from .regimes import (
 )
 from .cli import load_model
 from .verify import (
-    DominanceReport,
-    DynamicReport,
     OracleReport,
     VcgReport,
     check_dsic,
     check_participation,
-    dynamic_check,
-    stochastic_dominance_check,
     vcg_demo,
     verify_solution,
 )

@@ -2,10 +2,15 @@
 
 Every check evaluates utilities directly from the emitted allocation and
 transfer rules on a report grid; none of them re-derives first-order
-conditions. Also houses the efficiency-benchmark demonstrators: the
+conditions. Also houses the efficiency-benchmark demonstrator: the
 budget-deficit and renegotiation-gain computation for efficient
-dominant-strategy mechanisms, deterministic dominance over lotteries, and
-the repeated-mechanism consistency check.
+dominant-strategy mechanisms.
+
+The paper's two remaining claims are tested from solutions, not here:
+deterministic dominance over lotteries by the lottery LP in
+``tests/oracles.py``, and repetition by ``verify_solution`` on the static
+solution, whose payoff a T-period repetition scales by
+beta = (1 - delta**T) / (1 - delta).
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AGENDA_SETTER, Economy, InvalidEconomy, ModelError
-from .solver_core import GammaRepresentation, gamma_weight_sum, invert_phi, solve_weighted_foc
-from .transfers import agenda_setter_payoff
+from .solver_core import solve_weighted_foc
 
 ORACLE_GRID = 41
 ORACLE_TOL = 1e-8
@@ -230,129 +234,4 @@ def vcg_demo(econ: Economy, epsilon: float) -> VcgReport:
         perturbation_gain=gain,
         level_reduction=delta,
         lowest_agent_type=theta_j,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Deterministic provision dominates lotteries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LotteryRow:
-    support: tuple
-    probabilities: tuple
-    g_deterministic: float
-    sigma_deterministic: float
-    sigma_lottery: float
-    gap: float
-    mc_phi_error: float | None = None
-
-    @property
-    def dominated(self) -> bool:
-        return self.gap >= -1e-12
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    rows: tuple
-
-    @property
-    def all_dominated(self) -> bool:
-        return all(r.dominated for r in self.rows)
-
-
-def stochastic_dominance_check(econ: Economy, lotteries, samples: int = 0) -> DominanceReport:
-    """For each lottery over levels, the deterministic level with the same
-    expected benefit weakly raises the adjusted surplus (the gap is the
-    expected level minus its certainty equivalent, nonnegative by benefit
-    concavity). ``samples`` adds a Monte-Carlo cross-check of the expected
-    benefit."""
-    weight = gamma_weight_sum(econ, GammaRepresentation.point_mass_at_low())
-    rng = np.random.default_rng(0)
-    rows = []
-    for support, probs in lotteries:
-        support = np.asarray(list(support), float)
-        probs = np.asarray(list(probs), float)
-        if support.size != probs.size or support.size == 0:
-            raise ModelError("lottery support and probabilities must align")
-        if (support < 0).any():
-            raise ModelError("lottery levels must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
-            raise ModelError("probabilities must be nonnegative and sum to one")
-        phi_vals = np.asarray(econ.tech.phi_at(support), float)
-        mean_phi = float(phi_vals @ probs)
-        mean_g = float(support @ probs)
-        g_det = invert_phi(econ.tech, mean_phi, hi=max(float(support.max()), 1.0))
-        sigma_det = weight * mean_phi - g_det
-        sigma_lot = weight * mean_phi - mean_g
-        mc_err = None
-        if samples > 0:
-            draws = rng.choice(support, size=samples, p=probs)
-            mc_err = float(abs(np.asarray(econ.tech.phi_at(draws), float).mean() - mean_phi))
-        rows.append(LotteryRow(tuple(support), tuple(probs), g_det,
-                               sigma_det, sigma_lot, sigma_det - sigma_lot, mc_err))
-    return DominanceReport(tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Repetition of the static solution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DynamicReport:
-    horizon: int
-    discount: float
-    beta: float
-    static_payoff: float
-    total_payoff: float
-    payoff_identity_error: float
-    ir_scaling_error: float
-    dsic_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.payoff_identity_error <= 1e-9
-                and self.ir_scaling_error <= 1e-9
-                and self.dsic_ok)
-
-
-def dynamic_check(econ: Economy, T: int = 1, delta: float = 0.0) -> DynamicReport:
-    """T-fold repetition of the static solution: total payoff scales by
-    beta = (1 - delta**T) / (1 - delta), per-period incentives and
-    participation are unchanged, and dynamic slacks are beta times static
-    ones."""
-    if T < 1:
-        raise ModelError("horizon must be at least 1")
-    if not 0.0 <= delta < 1.0:
-        raise ModelError("discount must lie in [0, 1)")
-    from .regimes import solve
-
-    sol = solve(econ)
-    beta = (1.0 - delta**T) / (1.0 - delta)
-    weights = [delta**t for t in range(T)]
-
-    static_payoff = agenda_setter_payoff(econ, sol)
-    total_payoff = sum(w * static_payoff for w in weights)
-    payoff_err = abs(total_payoff - beta * static_payoff)
-
-    _, slacks = check_participation(econ, sol.g_star, sol.transfers, sol.coalition)
-    ir_err = 0.0
-    for _, s in slacks:
-        dyn = sum(w * s for w in weights)
-        ir_err = max(ir_err, abs(dyn - beta * s))
-
-    dsic_ok, worst, mono_ok, _ = check_dsic(econ, sol)
-    # per-period repetition scales every deviation gain by beta > 0
-    dyn_dsic_ok = dsic_ok and mono_ok
-    return DynamicReport(
-        horizon=T,
-        discount=delta,
-        beta=beta,
-        static_payoff=static_payoff,
-        total_payoff=total_payoff,
-        payoff_identity_error=payoff_err,
-        ir_scaling_error=ir_err,
-        dsic_ok=dyn_dsic_ok,
     )

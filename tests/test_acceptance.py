@@ -1,14 +1,17 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with -s to see them on success)."""
 
+import dataclasses
+import importlib.util
 import random
 import time
 
 import numpy as np
+import pytest
 
 import agendamech as am
 from conftest import random_economy
-from oracles import all_coalitions, foc_level
+from oracles import all_coalitions, foc_level, lottery_lp_value
 
 LOG_PRIME = lambda g: 1.0 / (1.0 + g)
 
@@ -178,25 +181,33 @@ def test_criterion_6_vcg_impossibility(log_tech):
             "compensated reduction strictly profits the proposer", ok)
 
 
-def test_criterion_7_extensions(golden_economy, log_tech):
-    """Repetition scales payoffs by beta (1e-9); deterministic provision
-    weakly dominates 50 random lotteries; decreasing profiles reproduce the
-    zero-reservation solution exactly."""
-    ok = True
-    for T, delta in ((1, 0.0), (3, 0.9), (10, 0.5)):
-        rep = am.dynamic_check(golden_economy, T, delta)
-        ok &= rep.payoff_identity_error <= 1e-9 and rep.passed
+def _lottery_gap(econ, m, n_levels=240):
+    """LP value over lottery mechanisms minus the deterministic map payoff,
+    for the one agent's type on an m-node grid with F-mass weights."""
+    lo, hi = econ.theta_lo, econ.theta_hi
+    types = np.linspace(lo, hi, m)
+    edges = np.concatenate([[lo], 0.5 * (types[1:] + types[:-1]), [hi]])
+    weights = np.diff(econ.dist_of(1).F(edges))
+    top = (1.5 * am.solve_weighted_foc(econ.tech, econ.agenda_setter_type + 2.0 * hi)
+           + 1.5 * econ.outside_g + 1.0)
+    levels = np.linspace(0.0, top, n_levels)
+    reservation = [float(econ.reservation.value(t, econ.outside_g)) for t in types]
+    lp = lottery_lp_value(types, weights, levels, econ.tech.phi_at(levels),
+                          reservation, econ.agenda_setter_type)
+    deterministic = 0.0
+    for w, theta in zip(weights, types):
+        at_type = dataclasses.replace(econ, agent_types=(float(theta),))
+        deterministic += w * am.agenda_setter_payoff(at_type, am.solve(at_type))
+    return lp - deterministic
 
-    rng = random.Random(99)
-    lotteries = []
-    for _ in range(50):
-        size = rng.randint(2, 5)
-        support = sorted(rng.uniform(0.0, 3.0) for _ in range(size))
-        weights = [rng.uniform(0.05, 1.0) for _ in range(size)]
-        total = sum(weights)
-        lotteries.append((tuple(support), tuple(w / total for w in weights)))
-    rep = am.stochastic_dominance_check(golden_economy, lotteries)
-    ok &= rep.all_dominated
+
+def test_criterion_7_extensions(golden_economy, log_tech):
+    """The golden solution passes the oracle, so its T-fold repetition, whose
+    payoff scales by beta = (1 - delta**T) / (1 - delta), does too; a lottery
+    LP gains nothing over the deterministic map beyond discretization error
+    (the gap at 41 type nodes is at most 0.6 of the gap at 21); decreasing
+    profiles reproduce the zero-reservation solution exactly."""
+    ok = am.verify_solution(golden_economy, am.solve(golden_economy)).passed
 
     res_neg = am.negative_slope_reservation(log_tech, 1.2, 0.6)
     for g_circ in (0.0, 0.9, 2.4):
@@ -207,8 +218,23 @@ def test_criterion_7_extensions(golden_economy, log_tech):
         s_neg, s_zero = am.solve(neg), am.solve(zero)
         ok &= s_neg.g_star == s_zero.g_star
         ok &= s_neg.coalition == s_zero.coalition and s_neg.excluded == s_zero.excluded
-    _report("criterion 7: repetition scaling, lottery dominance, decreasing "
-            "profiles match the zero-reservation solution", ok)
+
+    # the lottery LP needs scipy; without it the other two parts still run
+    has_lp = importlib.util.find_spec("scipy") is not None
+    gaps = []
+    for res in (am.linear_reservation(log_tech, 2), res_neg) if has_lp else ():
+        for g_circ in (0.0, 2.0):
+            econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), log_tech, res, 2, g_circ)
+            coarse, fine = _lottery_gap(econ, 21), _lottery_gap(econ, 41)
+            gaps.append(f"{coarse:.3g}->{fine:.3g}")
+            ok &= -1e-9 <= fine <= 0.6 * coarse
+    lottery = (f"lottery LP gap shrinks with the grid ({', '.join(gaps)})"
+               if has_lp else "lottery LP not run (no scipy)")
+    _report("criterion 7: golden solution certified (repetition scales payoff "
+            "by beta), decreasing profiles match the zero-reservation "
+            f"solution, {lottery}", ok)
+    if not has_lp:
+        pytest.skip("lottery LP needs scipy; the other parts passed")
 
 
 def test_criterion_8_non_monotone_regime(tmp_path, majority_economy):

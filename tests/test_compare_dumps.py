@@ -17,8 +17,10 @@ ORACLE = ("OracleReport(dsic_ok=True, worst_deviation=DeviationRecord(agent=1, t
           "participation_ok=True, participation_slack=((0, 0.0), (1, 0.0)), budget_slack=0.0, "
           "budget_ok=True, tolerance=1e-08, grid_size=41, notes=())")
 CSV = repr(b"g_circ,status,g_star,regime,coalition\n0,ok,1.5,understate_interior,0 3 4\n")
+RECORD = repr(b'{"g_star": 0.1, "regime": "understate_interior", "transfers": [0.02, 0.08]}\n')
 DUMP = ["corpus 0", SOLUTION, "mass at theta=0.5 (weight 0.9 on the point)", "[0.9, 1.0]",
-        SCHEDULE, ORACLE.format(gain="1e-16"), "sweep golden exit 0", CSV, repr(b'{"a": 2.5}\n')]
+        SCHEDULE, ORACLE.format(gain="1e-16"), "sweep golden exit 0", CSV, repr(b'{"a": 2.5}\n'),
+        "solve golden exit 0", RECORD, "verify golden exit 0", repr("")]
 
 
 def _run(new):
@@ -39,6 +41,8 @@ def test_identical_dumps_move_nothing():
     assert stats["solution"] == (1, 0, 0.0, 0.0)
     assert stats["anchor"] == (1, 0, 0.0, 0.0)
     assert stats["sweep CSV"] == (1, 0, 0.0, 0.0) and stats["sweep segments"] == (1, 0, 0.0, 0.0)
+    assert stats["solve record"] == (1, 0, 0.0, 0.0) and stats["verify"] == (1, 0, 0.0, 0.0)
+    assert stats["header"][0] == 4  # "corpus 0" and the sweep, solve and verify headers
 
 
 def test_numeric_moves_are_counted_by_class():
@@ -55,12 +59,21 @@ def test_numeric_moves_are_counted_by_class():
     assert stats["sweep segments"][1:] == (1, 2.0, 0.8)  # scaled by max(1, |old|)
 
 
+def test_solve_record_numbers_are_compared_as_json():
+    stats, failures, _ = _run(_edit(10, "0.1,", "0.2,"))
+    assert not failures
+    assert stats["solve record"][:3] == (1, 1, pytest.approx(0.1, rel=1e-12))
+    assert stats["header"][1] == 0
+
+
 @pytest.mark.parametrize("index, old, new", [
     (1, "MIXED_INTERIOR: 'mixed_interior'", "UNDERSTATE_INTERIOR: 'understate_interior'"),
     (1, "[0, 1, 2]", "[0, 2]"),  # coalition
     (5, "dsic_ok=True", "dsic_ok=False"),
     (7, "understate_interior", "mixed_interior"),  # a CSV text cell
     (4, "('foc', 1,", "('foc', 2,"),
+    (10, "understate_interior", "mixed_interior"),  # a record's regime
+    (12, "''", "'solution does not match the model economy'"),  # verify's stderr
 ])
 def test_non_numeric_differences_fail(index, old, new):
     assert _run(_edit(index, old, new))[1]

@@ -181,79 +181,6 @@ def test_vcg_groves_transfers_are_dsic(vcg_economy):
                 assert u_truth >= u_dev - 1e-9
 
 
-# ---------------------------------------------------------------------------
-# Lottery dominance
-# ---------------------------------------------------------------------------
-
-
-def test_dominance_degenerate_lottery_exact(golden_economy):
-    rep = am.stochastic_dominance_check(golden_economy, [((0.7,), (1.0,))])
-    row = rep.rows[0]
-    assert row.g_deterministic == pytest.approx(0.7, abs=1e-9)
-    assert row.gap == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dominance_two_point_lottery_golden(golden_economy):
-    rep = am.stochastic_dominance_check(golden_economy, [((0.0, 1.0), (0.5, 0.5))],
-                                        samples=500)
-    row = rep.rows[0]
-    assert row.g_deterministic == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
-    assert row.gap == pytest.approx(0.5 - (math.sqrt(2.0) - 1.0), abs=1e-9)
-    assert row.gap > 0.0
-    assert row.mc_phi_error is not None
-
-
-def test_dominance_gap_grows_with_spread(golden_economy):
-    spreads = (0.1, 0.2, 0.3, 0.4)
-    lotteries = [((0.5 - s, 0.5 + s), (0.5, 0.5)) for s in spreads]
-    rep = am.stochastic_dominance_check(golden_economy, lotteries)
-    gaps = [row.gap for row in rep.rows]
-    assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
-    assert rep.all_dominated
-
-
-def test_dominance_validates_lotteries(golden_economy):
-    with pytest.raises(am.ModelError):
-        am.stochastic_dominance_check(golden_economy, [((0.4, 0.6), (0.7, 0.7))])
-    with pytest.raises(am.ModelError):
-        am.stochastic_dominance_check(golden_economy, [((-0.1,), (1.0,))])
-
-
-# ---------------------------------------------------------------------------
-# Repetition of the static solution
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("T,delta,beta", [(1, 0.0, 1.0), (3, 0.9, 2.71),
-                                          (10, 0.5, 2.0 * (1.0 - 0.5**10))])
-def test_dynamic_check_beta_and_payoff(golden_economy, T, delta, beta):
-    rep = am.dynamic_check(golden_economy, T, delta)
-    assert rep.beta == pytest.approx(beta, abs=1e-12)
-    assert rep.payoff_identity_error <= 1e-9
-    assert rep.ir_scaling_error <= 1e-9
-    assert rep.passed
-
-
-def test_dynamic_check_t1_matches_static(golden_economy):
-    rep = am.dynamic_check(golden_economy, 1, 0.0)
-    sol = am.solve(golden_economy)
-    assert rep.total_payoff == pytest.approx(
-        am.agenda_setter_payoff(golden_economy, sol), abs=1e-12)
-
-
-def test_dynamic_check_input_guards(golden_economy):
-    with pytest.raises(am.ModelError):
-        am.dynamic_check(golden_economy, 0, 0.5)
-    with pytest.raises(am.ModelError):
-        am.dynamic_check(golden_economy, 3, 1.0)
-
-
-def test_dynamic_check_defaults_to_one_period(golden_economy):
-    rep = am.dynamic_check(golden_economy)
-    assert (rep.horizon, rep.discount, rep.beta) == (1, 0.0, 1.0)
-    assert rep.passed
-
-
 def test_oracle_flags_a_coalition_member_below_its_reservation(golden_economy):
     sol = am.solve(golden_economy)
     transfers = list(sol.transfers)
