@@ -17,6 +17,8 @@ report), re-solves every 16th draw with its technology's closed forms
 stripped and every 32nd draw at every quota, with two drawn coalitions and
 with scalar-only type distributions, threshold tables (all 192
 ladder economies, every 8th again with its closed forms stripped, every
+3rd again with its first agent at the top and at the bottom of the type
+support and with truncated-normal types, each of these also solved, every
 three-agent one again at quota 2, and the six sweep fixtures), the bytes
 of ``agendamech sweep`` over ``0:3:121`` on each fixture (its exit code, CSV
 and segments file), the bytes of the ``agendamech solve`` record of each
@@ -153,6 +155,17 @@ def _tied(window) -> list:
     return lines
 
 
+def _ladder_variants(econ) -> dict:
+    """The economy with its first agent at the top, then at the bottom of the
+    type support, and with truncated-normal types. A convex rung's two kinds
+    of end weight differ most at the top: ``gamma_weight_sum`` gives an agent
+    there shadow weight 1 at every constant, a one-sided sum does not."""
+    rest = econ.agent_types[1:]
+    return {"theta_hi": dataclasses.replace(econ, agent_types=(econ.theta_hi, *rest)),
+            "theta_lo": dataclasses.replace(econ, agent_types=(econ.theta_lo, *rest)),
+            "truncnorm": dataclasses.replace(econ, distributions=am.truncated_normal(0.4, 0.3))}
+
+
 def _stripped(econ):
     """The economy with its technology's closed forms removed, so every FOC
     solve and phi inversion bisects."""
@@ -181,6 +194,10 @@ def main(argv) -> int:
         lines += _table(f"ladder {index}", econ)
         if index % 8 == 0:
             lines += _table(f"ladder {index} stripped", _stripped(econ))
+        if index % 3 == 0:
+            for name, variant in _ladder_variants(econ).items():
+                lines += _table(f"ladder {index} {name}", variant)
+                lines += _solved(variant, am.solve)
         if econ.n == 3:
             lines += _table(f"ladder {index} quota 2", econ.with_quota(2))
     with tempfile.TemporaryDirectory() as tmp:

@@ -135,8 +135,7 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
 def _virtual(theta, cdf, pdf, gamma_at):
     """theta - (gamma - F) / f for a shadow weight gamma in [0, 1]; NaN passes."""
     if np.isscalar(gamma_at) or np.ndim(gamma_at) == 0:
-        g = float(gamma_at)
-        if g < -1e-12 or g > 1 + 1e-12:
+        if (g := float(gamma_at)) < -1e-12 or g > 1 + 1e-12:
             raise ModelError("gamma_at must lie in [0, 1]")
     else:
         g = np.asarray(gamma_at, float)
@@ -323,7 +322,8 @@ class Economy:
     Agent 0 is the agenda setter with a known type; agents 1..n-1 carry the
     realized type profile at which mechanisms are evaluated, one
     distribution each. All model objects are immutable; each agent's cdf
-    and pdf at its realized type are read once, on first use, and kept.
+    and pdf at its realized type are read once, on first use, and kept;
+    ``with_outside_g`` and ``with_quota`` copies share that reading.
     """
 
     agenda_setter_type: float
@@ -383,8 +383,10 @@ class Economy:
         """``virtual_value_gamma`` at a non-agenda agent's realized type."""
         if agent == AGENDA_SETTER:
             raise ModelError("the agenda setter has no type distribution")
+        if (g := float(gamma_at)) < -1e-12 or g > 1 + 1e-12:
+            raise ModelError("gamma_at must lie in [0, 1]")
         cdf, pdf = self._cdf_pdf[agent - 1]
-        return _virtual(self.agent_types[agent - 1], cdf, pdf, gamma_at)
+        return self.agent_types[agent - 1] - (g - cdf) / pdf
 
     @property
     def theta_lo(self) -> float:
@@ -398,11 +400,16 @@ class Economy:
         """Non-agenda agent indices sorted by realized type, index-stable."""
         return sorted(self.agents, key=lambda i: (self.type_of(i), i))
 
+    def _sharing(self, **changes) -> "Economy":
+        copy = replace(self, **changes)  # same agents: keep this reading of them
+        copy.__dict__["_cdf_pdf"] = self._cdf_pdf
+        return copy
+
     def with_outside_g(self, g_circ: float) -> "Economy":
-        return replace(self, outside_g=g_circ)
+        return self._sharing(outside_g=g_circ)
 
     def with_quota(self, quota: int) -> "Economy":
-        return replace(self, quota=quota)
+        return self._sharing(quota=quota)
 
     def restricted_to(self, members: Sequence[int]) -> "Economy":
         """Sub-economy keeping only the given non-agenda agents."""

@@ -32,6 +32,7 @@ from .solver_core import (
     SolverError,
     bisect,
     efficient_level,
+    gamma_root,
     gamma_star_constant,
     gamma_weight_sum,
     invert_phi,
@@ -282,8 +283,7 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
 
     schedules = _foc_schedules(econ, members, weight, shadow, **clip)
     _pool(econ, schedules, excluded, members[0] if low else members[-1], cutoff, g_star)
-    need = econ.quota - 1
-    required = () if need <= 0 else members[-need:] if low else members[:need]
+    required = members if econ.quota > 1 else ()
     if k:
         gamma, cutoff_types = GammaRepresentation.interior_mass(cutoff), (cutoff,)
     elif low:
@@ -425,21 +425,33 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
 # ---------------------------------------------------------------------------
 
 
-def _convex_configuration(econ: Economy):
-    """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC weight, level)."""
-    gamma_const = gamma_star_constant(econ, (econ.theta_lo, econ.theta_hi))
+def _convex_ends(econ: Economy):
+    """What the outside level leaves fixed in `_convex_configuration`: the
+    levels of `gamma_weight_sum` at shadow weights 1 and 0 and both sides'
+    `_one_sided` tuples. They stay apart: the two sums run in different orders
+    and weigh an agent at theta_hi differently, so their levels can differ."""
+    return (tuple(xi_argmax(econ, GammaRepresentation.constant(gam)) for gam in (1.0, 0.0)),
+            {side: _one_sided(econ, side, 0) for side in ("low", "high")})
+
+
+def _convex_configuration(econ: Economy, ends):
+    """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
+    weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
+    gamma_const = gamma_root(rent_gap(econ, (econ.theta_lo, econ.theta_hi)),
+                             lambda gam: xi_argmax(econ, GammaRepresentation.constant(gam)),
+                             (0.0, 1.0), ends[0])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
     if side is not None:
-        config = _one_sided(econ, side, 0)
+        config = ends[1][side]
         return gamma_const, side, config, config[5]
     w_star = gamma_weight_sum(econ, GammaRepresentation.constant(gamma_const))
     return gamma_const, side, w_star, solve_weighted_foc(econ.tech, w_star)
 
 
 def _convex_unanimity(econ: Economy) -> MechanismSolution:
-    gamma_const, side, config, g_star = _convex_configuration(econ)
-    thr = Thresholds(xi_argmax(econ, GammaRepresentation.constant(1.0)),
-                     xi_argmax(econ, GammaRepresentation.constant(0.0)))
+    ends = _convex_ends(econ)
+    gamma_const, side, config, g_star = _convex_configuration(econ, ends)
+    thr = Thresholds(*ends[0])
     if side is not None:
         return _uniform_sign_candidate(econ, side, config, enforce_slope_sign=False,
                                        thresholds=thr, thresholds_raw=thr)
@@ -717,9 +729,9 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     reaches the next realized agent (indices rise with the outside option);
     for convex profiles rungs are where a realized agent's envelope slope
     flips sign at the solution (positional indices fall), found by bisecting
-    on the outside level. Under unanimity each step reads the convex level
-    alone, with no schedules built; other profiles and quotas solve in full.
-    Linear profiles have only the two outer thresholds.
+    on the outside level. Under unanimity a step reads only the convex level,
+    off `_convex_ends` solved once per table; other profiles and quotas solve
+    in full. Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
     if curv is Curvature.LINEAR:
@@ -741,13 +753,14 @@ def threshold_table(econ: Economy) -> ThresholdTable:
             if g_circ is not None:
                 rungs.append(LadderRung(g_circ, k=s, l=s + 1))
     else:
+        ends = _convex_ends(econ) if curv is Curvature.CONVEX and econ.quota == econ.n else None
         for pos in range(r - 1, -1, -1):
             theta = econ.type_of(order[pos])
 
             def flip(gc):
                 at = econ.with_outside_g(gc)
-                if curv is Curvature.CONVEX and econ.quota == econ.n:  # no schedules
-                    g = _convex_configuration(at)[3]
+                if ends is not None:  # no schedules
+                    g = _convex_configuration(at, ends)[3]
                     partition_types(at, g)  # raises wherever solve would
                 else:
                     g = solve(at).g_star

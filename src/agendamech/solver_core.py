@@ -228,10 +228,9 @@ def partition_types(econ: Economy, g: float) -> Partition:
     declared curvature (rising slopes for concave profiles, falling for
     convex, constant for linear).
     """
-    slopes = {
-        i: envelope_slope(econ.type_of(i), g, econ.outside_g, econ.reservation, econ.tech)
-        for i in econ.agents
-    }
+    phi_g = float(econ.tech.phi(g))  # envelope_slope, with phi(g) read once
+    slopes = {i: phi_g - float(econ.reservation.slope(econ.type_of(i), econ.outside_g))
+              for i in econ.agents}
     K, L, M = set(), set(), set()
     for i, s in slopes.items():
         if s < -SLOPE_TOL:
@@ -376,21 +375,24 @@ def gamma_star_constant(econ: Economy, theta_window: tuple,
     keeps one sign there (participation then binds at a single end). R must
     be nonincreasing in gamma; a violation raises BracketFailure.
     """
-    lo_b, hi_b = gamma_bounds
-    gap = rent_gap(econ, theta_window)
     if weight_fn is None:
         def weight_fn(gam):
             return gamma_weight_sum(econ, GammaRepresentation.constant(gam))
 
-    def residual(gam):
-        return gap(solve_weighted_foc(econ.tech, weight_fn(gam)))
+    level = lambda gam: solve_weighted_foc(econ.tech, weight_fn(gam))
+    lo_b, hi_b = gamma_bounds
+    return gamma_root(rent_gap(econ, theta_window), level, gamma_bounds, (level(hi_b), level(lo_b)))
 
-    r_hi = residual(hi_b)  # highest weight -> lowest provision -> smallest gap
-    r_lo = residual(lo_b)
+
+def gamma_root(gap: Callable, level: Callable, gamma_bounds: tuple, end_levels: tuple) -> float:
+    """``gamma_star_constant`` from the rent gap, the level as a function of
+    gamma and the levels at the (high, low) bounds, which callers may keep."""
+    lo_b, hi_b = gamma_bounds
+    r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])  # high weight: low level, small gap
     if r_lo < r_hi - 1e-12:
         raise BracketFailure("rent gap is not decreasing in the shadow weight")
     if r_hi >= 0.0:
         return hi_b
     if r_lo <= 0.0:
         return lo_b
-    return bisect(lambda gam: residual(gam) > 0.0, lo_b, hi_b, 200, 1e-12)
+    return bisect(lambda gam: gap(level(gam)) > 0.0, lo_b, hi_b, 200, 1e-12)

@@ -193,6 +193,55 @@ def test_virtual_type_of_derived_economies_uses_their_own_agents(log_tech):
     assert sub.virtual_type(2, 0.5) != econ.virtual_type(2, 0.5)
 
 
+def counting_uniform(calls: list):
+    """Uniform on [0, 1] whose cdf and pdf append (name, argument) to
+    ``calls`` on every call made at a single type."""
+    base = am.uniform(0.0, 1.0)
+
+    def counted(name, fn):
+        def read(x):
+            if np.ndim(x) == 0:
+                calls.append((name, float(x)))
+            return fn(x)
+        return read
+
+    return am.TypeDistribution(0.0, 1.0, counted("F", base.cdf), counted("f", base.pdf),
+                               name="counting-uniform")
+
+
+def test_economy_copies_share_one_reading(log_tech):
+    def economy(calls):
+        return am.Economy(0.6, (0.3, 0.5, 0.8), counting_uniform(calls), log_tech,
+                          am.quadratic_share_reservation(log_tech, 0.3, 0.5), 4, 1.0)
+
+    # a convex unanimity ladder probes ~70 outside levels on copies of the
+    # economy: it reads no more than the one solve that caps its bracket,
+    # whose schedules read F and f at the realized types once more
+    one_solve, table = [], []
+    am.solve(economy(one_solve).with_outside_g(0.0))
+    econ = economy(table)
+    am.threshold_table(econ)
+    reading = [(name, t) for t in (0.3, 0.5, 0.8) for name in ("F", "f")]
+    assert one_solve[:6] == reading
+    assert table == one_solve
+
+    table.clear()
+    children = (econ.with_outside_g(2.0), econ.with_quota(2),
+                econ.with_outside_g(0.4).with_quota(3))
+    for child in children:
+        assert [child.virtual_type(i, 0.5) for i in child.agents] == \
+            [econ.virtual_type(i, 0.5) for i in econ.agents]
+        for gamma in (1.5, -0.1):
+            with pytest.raises(am.ModelError, match=r"gamma_at must lie in \[0, 1\]"):
+                child.virtual_type(1, gamma)
+        with pytest.raises(am.ModelError):
+            child.virtual_type(am.AGENDA_SETTER, 0.5)
+    assert table == []
+    sub = econ.restricted_to([1, 3])
+    assert sub.virtual_type(2, 0.5) == econ.virtual_type(3, 0.5)
+    assert table == [("F", 0.3), ("f", 0.3), ("F", 0.8), ("f", 0.8)]
+
+
 def test_truncated_normal_erf_kernel_matches_math_erf():
     mu, sigma = 0.4, 0.5
     d = am.truncated_normal(mu, sigma, 0.0, 1.0)

@@ -1,6 +1,8 @@
 import dataclasses
 import random
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import agendamech as am
 from agendamech import regimes
 from agendamech.regimes import LadderRung, ThresholdTable, _posted_solution
-from agendamech.solver_core import invert_phi
+from agendamech.solver_core import invert_phi, partition_types
 from agendamech.transfers import FocSchedule
 from oracles import all_coalitions, foc_level
 
@@ -516,6 +518,91 @@ def test_threshold_table_convex_builds_one_solves_schedules(convex_economy, monk
     am.threshold_table(convex_economy)
     assert one_solve > 0
     assert len(built) == one_solve  # only the solve that caps the bisection bracket
+
+
+def _ladder_pool_economies():
+    """The first 12 economies of the benchmark's ladder pool, then a
+    three-agent one of them with its first agent at the top and at the
+    bottom of the type support, with a truncated-normal first agent, and
+    with its log technology's closed forms stripped."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import ladder_economy
+    finally:
+        sys.path.pop(0)
+    pool = [ladder_economy(am, i) for i in range(12)]
+    econ = next(e for e in pool if e.n == 3 and e.tech.name == "log")
+    rest = econ.agent_types[1:]
+    return [*pool,
+            dataclasses.replace(econ, agent_types=(econ.theta_hi, *rest)),
+            dataclasses.replace(econ, agent_types=(econ.theta_lo, *rest)),
+            dataclasses.replace(econ, distributions=(am.truncated_normal(0.4, 0.3),
+                                                     econ.distributions[1])),
+            dataclasses.replace(econ, tech=dataclasses.replace(
+                econ.tech, weighted_argmax=None, phi_inverse=None))]
+
+
+def _outcome(read):
+    try:
+        return read()
+    except am.SolverError as exc:
+        return type(exc)
+
+
+def test_threshold_table_reads_the_level_solve_finds(monkeypatch):
+    """Every level a convex unanimity ladder reads, at its own probes and at
+    25 outside levels up to its bracket cap, is the float `solve` returns,
+    or both raise the same exception class."""
+    configuration = regimes._convex_configuration
+    probes = []
+    monkeypatch.setattr(regimes, "_convex_configuration",
+                        lambda at, ends: probes.append((at, ends)) or configuration(at, ends))
+    for econ in _ladder_pool_economies():
+        probes.clear()
+        am.threshold_table(econ)
+        (_, own), *table = probes  # the first is the solve that caps the bracket
+        ends = table[0][1]  # the table's own, kept across its probes
+        assert len(table) > 20 and all(e is ends is not own for _, e in table)
+
+        def level(at):
+            g = configuration(at, ends)[3]
+            partition_types(at, g)  # as the ladder does
+            return g
+
+        hi_cap = max(8.0, 16.0 * am.solve(econ.with_outside_g(0.0)).thresholds.g_high + 8.0)
+        grid = [econ.with_outside_g(float(gc)) for gc in np.linspace(0.0, hi_cap, 25)]
+        for at in [at for at, _ in table[::16]] + grid:
+            assert _outcome(lambda: level(at)) == _outcome(lambda: am.solve(at).g_star)
+
+
+def test_uniform_sign_coalition_is_agenda_setter_and_members(log_tech, monkeypatch):
+    """Below unanimity, a uniform-sign solution's coalition is the agenda
+    setter plus every agent it does not exclude, on linear, negative-slope
+    and curved profiles and on both sides."""
+    candidate = regimes._uniform_sign_candidate
+    made = []
+
+    def spy(econ, side, *args, **kwargs):
+        sol = candidate(econ, side, *args, **kwargs)
+        if sol is not None and econ.quota < econ.n:
+            made.append((econ.reservation.curvature, side, sol, econ))
+        return sol
+
+    monkeypatch.setattr(regimes, "_uniform_sign_candidate", spy)
+    profiles = (am.linear_reservation(log_tech, 5), am.negative_slope_reservation(log_tech, 1.0, 0.5),
+                am.quadratic_share_reservation(log_tech, 0.3, 0.5),
+                am.quadratic_share_reservation(log_tech, 1.4, -0.5))
+    for res in profiles:
+        for quota in (2, 3, 4):
+            for g_circ in (0.0, 0.5, 2.0, 10.0):
+                am.solve(am.Economy(0.6, (0.2, 0.35, 0.5, 0.8), am.uniform(0.0, 1.0), log_tech,
+                                    res, quota, g_circ))
+    for _, _, sol, econ in made:
+        assert sol.excluded
+        assert sol.coalition == {am.AGENDA_SETTER, *(set(econ.agents) - sol.excluded)}
+    seen = {(curv, side) for curv, side, _, _ in made}
+    assert {(curv, "low") for curv in am.Curvature} <= seen
+    assert (am.Curvature.LINEAR, "high") in seen
 
 
 # ---------------------------------------------------------------------------
