@@ -49,10 +49,12 @@ class FixedPointDivergence(SolverError):
 # ---------------------------------------------------------------------------
 
 BISECT_LEVELS = 6  # steps per predicate call in vectorized mode
+GUESS_ROUNDS = 2  # guessed paths a vectorized bisection checks before its batches
 
 
 def bisect(below: Callable, lo: float, hi: float, max_iter: int,
-           tol: float | None = None, *, vectorized: bool = False) -> float:
+           tol: float | None = None, *, vectorized: bool = False,
+           guess: Callable | None = None) -> float:
     """Midpoint of a bisected bracket: ``lo`` moves to the midpoint where
     ``below(mid)`` holds, ``hi`` otherwise.
 
@@ -64,6 +66,14 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
     The vectorized mode calls ``below`` once per ``BISECT_LEVELS`` steps, on
     an array of every midpoint they can reach, and walks those with the same
     arithmetic and stops: both modes return the same float, monotone or not.
+
+    ``guess`` (vectorized mode only) maps the bracket to a report x. The
+    midpoints the loop would visit if ``below(mid)`` were ``mid < x``, less
+    the last ``BISECT_LEVELS``, are read with one call and replayed with the
+    real flags up to the first that differs from the guessed one; from that
+    bracket it guesses again, ``GUESS_ROUNDS`` times at most, and batches
+    finish. Every step still reads ``below`` at its own midpoint, so the
+    guess changes the number of calls, never the result.
     """
     if not vectorized:
         for _ in range(max_iter):
@@ -77,7 +87,30 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
             if tol is not None and hi - lo <= tol:
                 break
         return 0.5 * (lo + hi)
-    for first in range(0, max_iter, BISECT_LEVELS):
+    steps = 0
+    for _ in range(GUESS_ROUNDS if guess is not None else 0):
+        x, path, a, b = guess(lo, hi), [], lo, hi
+        while steps + len(path) < max_iter:
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            path.append(mid)
+            a, b = (mid, b) if mid < x else (a, mid)
+            if tol is not None and b - a <= tol:
+                break
+        path = path[:-BISECT_LEVELS]  # near the root the predicate's rounding decides, not x
+        if not path:
+            break
+        for mid, flag in zip(path, np.asarray(below(np.array(path))).tolist()):
+            steps += 1
+            lo, hi = (mid, hi) if flag else (lo, mid)
+            if tol is not None and hi - lo <= tol:
+                return 0.5 * (lo + hi)
+            if flag != (mid < x):
+                break
+        else:
+            break
+    for first in range(steps, max_iter, BISECT_LEVELS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -19,6 +19,7 @@ from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
 RENT_GRID = 201
+GUESS_GRID = np.linspace(0.0, 1.0, 65)  # where in a bracket a kink's guess reads the weight
 
 
 class FlatSchedule:
@@ -99,10 +100,10 @@ class FocSchedule:
         """Level at each report. A scalar report reads F and f as floats; the
         level is then solved on a one-element array, as for an array of
         reports, so both give the same float."""
-        tech, dist = self._econ.tech, self._dist
+        tech = self._econ.tech
         scalar = np.ndim(x) == 0
         x = float(x) if scalar else np.atleast_1d(np.asarray(x, float))
-        w = np.atleast_1d(self.base_weight + _virtual(x, dist.F(x), dist.f(x), self.gamma))
+        w = np.atleast_1d(self._weight(x))
         if tech.weighted_argmax is not None:
             g = np.maximum(np.asarray(tech.weighted_argmax(w), float), 0.0)
         else:
@@ -112,6 +113,11 @@ class FocSchedule:
         if self.clip_hi is not None:
             g = np.minimum(g, self.clip_hi)
         return float(g[0]) if scalar else g
+
+    def _weight(self, x):
+        """FOC weight base_weight + w(x) at each report, from F and f."""
+        dist = self._dist
+        return self.base_weight + _virtual(x, dist.F(x), dist.f(x), self.gamma)
 
     def _slope(self, x):
         econ = self._econ
@@ -136,12 +142,30 @@ class FocSchedule:
             if not g_lo - 1e-14 <= level <= g_hi + 1e-14 or g_hi - g_lo <= 1e-14:
                 continue
 
+            edge = level + 1e-14 if is_floor else level - 1e-14
+
             def below(m):
                 g_m = self.allocation(m)
-                return g_m <= level + 1e-14 if is_floor else g_m < level - 1e-14
+                return g_m <= edge if is_floor else g_m < edge
 
-            kinks.append(bisect(below, lo, hi, 80, vectorized=self._batched))
+            kinks.append(bisect(below, lo, hi, 80, vectorized=self._batched,
+                                guess=lambda a, b: self._weight_crossing(edge, a, b)))
         return kinks
+
+    def _weight_crossing(self, level: float, lo: float, hi: float) -> float:
+        """Report in [lo, hi] where the FOC weight reaches 1/phi'(level), by
+        inverse cubic interpolation on the reports of GUESS_GRID. It only
+        guesses a kink for ``bisect``, so a weight that is not increasing
+        costs calls, not accuracy."""
+        with np.errstate(all="ignore"):
+            target = 1.0 / np.float64(self._econ.tech.marginal(level))
+            xs = lo + (hi - lo) * GUESS_GRID
+            ws = np.asarray(self._weight(xs), float)
+            k = min(max(int(np.searchsorted(ws, target)) - 2, 0), GUESS_GRID.size - 4)
+            x, w, eye = xs[k:k + 4], ws[k:k + 4], np.eye(4, dtype=bool)
+            # the Lagrange basis in the weight on the four reports around the crossing
+            basis = np.where(eye, 1.0, (target - w) / (w[:, None] - w + eye))
+            return float(basis.prod(axis=1) @ x)
 
     def _build(self, nodes: int, pin):
         econ = self._econ

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import agendamech as am
 from agendamech import cli, regimes, solver_core, transfers
-from agendamech.solver_core import (BISECT_LEVELS, GammaRepresentation, bisect, invert_phi,
-                                    rent_gap)
+from agendamech.solver_core import (BISECT_LEVELS, GUESS_ROUNDS, GammaRepresentation, bisect,
+                                    invert_phi, rent_gap)
 from oracles import foc_level, simpson
 
 
@@ -250,10 +250,10 @@ def test_gamma_star_constant_bracket_failure_guard(convex_economy):
 # ---------------------------------------------------------------------------
 
 
-def reference_bisect(below, lo, hi, max_iter, tol=None, *, vectorized=False):
-    """``bisect`` without its early stop or batches: every step runs until
-    ``max_iter`` or the tolerance ends the loop. A vectorized predicate sees
-    one one-element array per step."""
+def reference_bisect(below, lo, hi, max_iter, tol=None, *, vectorized=False, guess=None):
+    """``bisect`` without its early stop, batches or guessed paths: every
+    step runs until ``max_iter`` or the tolerance ends the loop. A vectorized
+    predicate sees one one-element array per step; ``guess`` is ignored."""
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if below(np.array([mid]))[0] if vectorized else below(mid):
@@ -296,21 +296,29 @@ def bisection_cases(draw):
     sense = draw(st.sampled_from(sorted(STEP_PREDICATES)))
     max_iter = draw(st.integers(0, 1200))
     tol = draw(st.sampled_from([None, 0.0, 1e-300, 1e-12 * scale, 1e-3 * scale]))
-    return STEP_PREDICATES[sense](root), lo, hi, max_iter, tol
+    # the guessed report: the root, its neighbouring float, the root mirrored
+    # in the bracket, or a point outside it
+    guessed = draw(st.sampled_from([None, root, math.nextafter(root, math.inf),
+                                    math.nextafter(root, -math.inf), lo + hi - root,
+                                    lo - scale, hi + scale]))
+    guess = None if guessed is None else (lambda a, b: guessed)
+    return STEP_PREDICATES[sense](root), lo, hi, max_iter, tol, guess
 
 
 @given(case=bisection_cases())
-@example(case=(STEP_PREDICATES["<"](0.3), 0.0, 1.0, BISECT_LEVELS + 1, None))
-@example(case=(STEP_PREDICATES[">="](0.7), 0.0, 1.0, 4 * BISECT_LEVELS + 3, 1e-15))
-@example(case=(STEP_PREDICATES["<="](2e-300), 1e-300, 3e-300, 80, 1e-300))
-@example(case=(STEP_PREDICATES["<"](0.3), 0.3, math.nextafter(0.3, 1.0), 80, None))
-@example(case=(STEP_PREDICATES[">"](0.3), 0.3, 0.3, BISECT_LEVELS - 1, 0.0))
+@example(case=(STEP_PREDICATES["<"](0.3), 0.0, 1.0, BISECT_LEVELS + 1, None, None))
+@example(case=(STEP_PREDICATES[">="](0.7), 0.0, 1.0, 4 * BISECT_LEVELS + 3, 1e-15, None))
+@example(case=(STEP_PREDICATES["<="](2e-300), 1e-300, 3e-300, 80, 1e-300, None))
+@example(case=(STEP_PREDICATES["<"](0.3), 0.3, math.nextafter(0.3, 1.0), 80, None, None))
+@example(case=(STEP_PREDICATES[">"](0.3), 0.3, 0.3, BISECT_LEVELS - 1, 0.0, None))
+@example(case=(STEP_PREDICATES["<"](0.3), 0.0, 1.0, 80, None, lambda a, b: 0.3))
+@example(case=(STEP_PREDICATES["<="](0.3), 0.0, 1.0, 40, 1e-9, lambda a, b: 0.7))
 @settings(max_examples=400, deadline=None)
 def test_bisect_equals_fixed_count_loop(case):
-    below, lo, hi, max_iter, tol = case
+    below, lo, hi, max_iter, tol, guess = case
     got = bisect(below, lo, hi, max_iter, tol)
     assert got == reference_bisect(below, lo, hi, max_iter, tol)
-    assert bisect(below, lo, hi, max_iter, tol, vectorized=True) == got
+    assert bisect(below, lo, hi, max_iter, tol, vectorized=True, guess=guess) == got
 
 
 @pytest.mark.parametrize("root", [0.0, 5e-324, 1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0])
@@ -346,6 +354,7 @@ def test_bisect_vectorized_follows_a_non_monotone_predicate(lo, hi):
 
     got = bisect(parity, lo, hi, 200, vectorized=True)
     assert got == bisect(parity, lo, hi, 200) == reference_bisect(parity, lo, hi, 200)
+    assert bisect(parity, lo, hi, 200, vectorized=True, guess=lambda a, b: 0.7 * a + 0.3 * b) == got
 
 
 def test_bisect_vectorized_takes_a_batch_of_steps_per_call():
@@ -359,6 +368,22 @@ def test_bisect_vectorized_takes_a_batch_of_steps_per_call():
     assert got == reference_bisect(lambda x: x < 0.3, 0.0, 1.0, 200)
     assert len(calls) <= math.ceil(60 / BISECT_LEVELS)
     assert set(calls) == {2**BISECT_LEVELS - 1}
+
+
+# a good guess costs the path's call and one batch; a wrong one costs its
+# rounds on top of the ten batches of the unguessed search
+@pytest.mark.parametrize("guessed, most", [(0.3, 2), (math.nextafter(0.3, 0.0), 2),
+                                            (0.7, GUESS_ROUNDS + 10)])
+def test_bisect_checks_a_guessed_path_in_few_calls(guessed, most):
+    calls = []
+
+    def below(x):
+        calls.append(len(x))
+        return x < 0.3
+
+    got = bisect(below, 0.0, 1.0, 200, vectorized=True, guess=lambda a, b: guessed)
+    assert got == reference_bisect(lambda x: x < 0.3, 0.0, 1.0, 200)
+    assert len(calls) <= most
 
 
 CONCAVE_WINDOW_MODEL = {

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import agendamech as am
 from agendamech import transfers
+from agendamech.solver_core import bisect
 from agendamech.transfers import FocSchedule, hermite_panel_root
 from conftest import random_economy
 from oracles import cumulative_trapezoid, simpson
@@ -271,3 +273,89 @@ def test_rent_minimum_zero_at_anchor_on_drawn_economies(rng, closed_form):
     except am.SolverError:
         assume(False)
     _assert_rent_minimum_zero_at_anchor(econ, sol)
+
+
+# Each rent dip below reproduces at HEAD: agent 1's rent on a 2001-point grid
+# falls to -1.818e-9 at report 0.0345 (-1.043e-7 at 0.033 with the closed
+# forms stripped), next to the node where its level leaves zero.
+@pytest.mark.xfail(strict=True, reason="the flat panel before the leaves-zero node dips below 0")
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "stripped"])
+def test_rent_dip_next_to_the_leaves_zero_node(closed_form):
+    tech = am.power_technology(0.3)
+    econ = am.Economy(1.0, (0.5, 0.5), (am.truncated_normal(0.5, 1.0), am.uniform()), tech,
+                      am.linear_reservation(tech, 3), 3, 0.0)
+    econ = econ if closed_form else _stripped(econ)
+    _assert_rent_minimum_zero_at_anchor(econ, am.solve(econ))
+
+
+# ---------------------------------------------------------------------------
+# Kink nodes: a guessed bisection path gives the plain bisection's floats
+# ---------------------------------------------------------------------------
+
+
+def _unguessed(below, *args, guess=None, **kwargs):
+    return bisect(below, *args, **kwargs)
+
+
+KINK_TECHS = [am.log_technology(), am.power_technology(0.3), am.power_technology(0.5),
+              am.power_technology(0.7)]
+KINK_DISTS = [am.uniform(), am.uniform(0.2, 1.7), am.truncated_exponential(0.5),
+              am.truncated_exponential(4.0), am.truncated_normal(0.5, 1.0),
+              am.truncated_normal(0.2, 0.3), am.truncated_normal(0.8, 0.2)]
+
+
+@st.composite
+def kink_schedules(draw):
+    """A schedule whose level leaves zero at a drawn report, optionally
+    clipped to the unclipped levels at two more drawn reports."""
+    tech, dist = draw(st.sampled_from(KINK_TECHS)), draw(st.sampled_from(KINK_DISTS))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95)))
+    lo, hi = dist.theta_lo, dist.theta_hi
+    at = [lo + draw(st.floats(0.01, 0.99)) * (hi - lo) for _ in range(3)]
+    base = 1.0 / tech.marginal(1e-14) - am.virtual_value_gamma(dist, at[0], gamma)
+
+    def level(x):
+        return float(tech.weighted_argmax(base + am.virtual_value_gamma(dist, x, gamma)))
+
+    clip_lo, clip_hi = (level(x) if draw(st.booleans()) else None for x in sorted(at[1:]))
+    econ = am.Economy(0.5, (0.5 * (lo + hi),), dist, tech, am.linear_reservation(tech, 2), 2, 0.0)
+    return FocSchedule(econ, 1, base, gamma, clip_lo, clip_hi)
+
+
+@given(sched=kink_schedules())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_guessed_kinks_equal_plain_bisection(sched):
+    lo, hi = sched._econ.theta_lo, sched._econ.theta_hi
+    kinks = sched._allocation_kinks(lo, hi)
+    assume(kinks)
+    with mock.patch.object(transfers, "bisect", _unguessed):
+        assert kinks == sched._allocation_kinks(lo, hi)
+
+
+def _below_calls(sched, bisector):
+    """Calls of each kink's ``below`` when ``bisector`` stands in for ``bisect``."""
+    counts = []
+
+    def counted(below, *args, **kwargs):
+        counts.append(0)
+
+        def tallied(m):
+            counts[-1] += 1
+            return below(m)
+
+        return bisector(tallied, *args, **kwargs)
+
+    with mock.patch.object(transfers, "bisect", counted):
+        kinks = sched._allocation_kinks(0.0, 1.0)
+    return kinks, counts
+
+
+def test_kink_where_the_level_leaves_zero_takes_three_calls(log_tech):
+    econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), log_tech,
+                      am.linear_reservation(log_tech, 2), 2, 0.0)
+    sched = FocSchedule(econ, 1, base_weight=0.5, gamma=1.0)  # level max(0, 2x - 1.5)
+    kinks, counts = _below_calls(sched, bisect)
+    plain, plain_counts = _below_calls(sched, _unguessed)
+    assert kinks == plain and kinks[0] == pytest.approx(0.75, abs=1e-14)
+    assert len(counts) == 1 and counts[0] <= 3
+    assert plain_counts[0] >= 9
