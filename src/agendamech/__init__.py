@@ -37,7 +37,6 @@ from .solver_core import (
     UnboundedObjective,
     efficient_level,
     envelope_slope,
-    gamma_star_constant,
     partition_types,
     sigma,
     solve_weighted_foc,

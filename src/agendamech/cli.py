@@ -296,7 +296,8 @@ def _parse_grid(spec: str):
 
 def _sweep_row(econ, solver_opts, g_circ):
     try:
-        sol = _solved(econ.with_outside_g(g_circ), solver_opts)
+        at = econ.with_outside_g(g_circ)  # a negative level is an error row
+        sol = _solved(at, solver_opts)
     except (SolverError, InvalidEconomy) as exc:
         return {"g_circ": g_circ, "status": f"error:{type(exc).__name__}"}
     return {
@@ -308,7 +309,7 @@ def _sweep_row(econ, solver_opts, g_circ):
         "excluded": " ".join(str(i) for i in sorted(sol.excluded)),
         "g_low": sol.thresholds.g_low,
         "g_high": sol.thresholds.g_high,
-        "payoff": agenda_setter_payoff(econ.with_outside_g(g_circ), sol),
+        "payoff": agenda_setter_payoff(at, sol),
     }
 
 

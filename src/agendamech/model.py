@@ -121,11 +121,12 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
         return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
 
     a, b = (lo - mu) / sigma, (hi - mu) / sigma
-    z = float(std_cdf(b) - std_cdf(a))
+    cdf_a = std_cdf(a)
+    z = float(std_cdf(b) - cdf_a)
     return TypeDistribution(
         theta_lo=lo,
         theta_hi=hi,
-        cdf=lambda x: (std_cdf((np.asarray(x, float) - mu) / sigma) - std_cdf(a)) / z,
+        cdf=lambda x: (std_cdf((np.asarray(x, float) - mu) / sigma) - cdf_a) / z,
         pdf=lambda x: np.exp(-0.5 * ((np.asarray(x, float) - mu) / sigma) ** 2)
         / (sigma * math.sqrt(2.0 * math.pi) * z),
         name=f"truncnorm(mu={mu},sigma={sigma})[{lo},{hi}]",
@@ -388,6 +389,12 @@ class Economy:
         cdf, pdf = self._cdf_pdf[agent - 1]
         return self.agent_types[agent - 1] - (g - cdf) / pdf
 
+    def realized_cdf(self, agent: int) -> float:
+        """F at a non-agenda agent's realized type, read once per economy."""
+        if agent == AGENDA_SETTER:
+            raise ModelError("the agenda setter has no type distribution")
+        return self._cdf_pdf[agent - 1][0]
+
     @property
     def theta_lo(self) -> float:
         return self.distributions[0].theta_lo
@@ -513,16 +520,15 @@ def _check_reservation(res: ReservationProfile, lo: float, hi: float,
     grid = np.linspace(lo, hi, VALIDATION_GRID)
     checks = []
 
-    at_zero = res.value(grid, 0.0)
-    bad = np.abs(at_zero) > 1e-9
-    checks.append(CheckResult(
-        "v_bar(theta, 0) = 0", not bad.any(), first_violation=_first_bad(grid, bad)))
-
     # The status-quo level may be financed: a reservation utility can fall
     # with the outside level, but never faster than bearing the entire
     # marginal cost alone (the head-tax profile falls at rate 1/n).
     probes = [0.0] + sorted({0.5, 1.0, max(2.0 * g_circ, 2.0)})
     vals = np.array([res.value(grid, gc) for gc in probes])
+    bad = np.abs(vals[0]) > 1e-9
+    checks.append(CheckResult(
+        "v_bar(theta, 0) = 0", not bad.any(), first_violation=_first_bad(grid, bad)))
+
     steps = np.diff(np.asarray(probes, float))
     drops = np.diff(vals, axis=0) + steps[:, None]
     bad_cols = (drops < -1e-9).any(axis=0)
@@ -549,18 +555,14 @@ def _check_reservation(res: ReservationProfile, lo: float, hi: float,
     scale = max(1.0, np.abs(second).max()) * CURVATURE_TOL * 10 + CURVATURE_TOL
     if res.curvature is Curvature.CONCAVE:
         bad = second > scale
-        ok = not bad.any()
     elif res.curvature is Curvature.CONVEX:
         bad = second < -scale
-        ok = not bad.any()
     elif res.curvature is Curvature.LINEAR:
         bad = np.abs(second) > scale
-        ok = not bad.any()
     else:
         bad = np.zeros_like(second, bool)
-        ok = True
     checks.append(CheckResult(
-        f"declared curvature matches ({res.curvature.value})", ok,
+        f"declared curvature matches ({res.curvature.value})", not bad.any(),
         first_violation=_first_bad(grid[1:-1], bad)))
     return checks
 

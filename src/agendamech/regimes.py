@@ -33,7 +33,6 @@ from .solver_core import (
     bisect,
     efficient_level,
     gamma_root,
-    gamma_star_constant,
     gamma_weight_sum,
     invert_phi,
     partition_types,
@@ -495,8 +494,10 @@ def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn
     are degenerate or the search has no bracket."""
     if window[1] <= window[0] + 1e-12 or bounds[1] <= bounds[0] + 1e-12:
         return None
+    level = lambda gam: solve_weighted_foc(econ.tech, weight_fn(gam))
     try:
-        gam = gamma_star_constant(econ, window, bounds, weight_fn)
+        gam = gamma_root(rent_gap(econ, window), level, bounds,
+                         (level(bounds[1]), level(bounds[0])))
     except BracketFailure:
         return None
     w_star = weight_fn(gam)
@@ -509,10 +510,7 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     neighbours keep binding participation and the coalition is the
     (possibly non-convex) set of agents outside the window."""
     order = econ.sorted_agents()
-    r = len(order)
     end = start + width - 1
-    if start < 1 or end > r - 2:
-        return None
     window = order[start:end + 1]
     below, above = order[:start], order[end + 1:]
     theta_p = econ.type_of(order[start - 1])
@@ -524,9 +522,8 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
         mid = sum(econ.virtual_type(i, gam) for i in window)
         return econ.agenda_setter_type + hh_below + mid + hl_above
 
-    f_p = float(econ.dist_of(order[start - 1]).F(theta_p))
-    f_q = float(econ.dist_of(order[end + 1]).F(theta_q))
-    found = _constant_gamma_level(econ, (theta_p, theta_q), (f_p, f_q), weight_fn)
+    bounds = (econ.realized_cdf(order[start - 1]), econ.realized_cdf(order[end + 1]))
+    found = _constant_gamma_level(econ, (theta_p, theta_q), bounds, weight_fn)
     if found is None:
         return None
     gam, w_star, g_star, phi_g = found
@@ -566,12 +563,10 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
     low_tail = order[:k_lo]
     high_tail = order[r - k_hi:] if k_hi else []
     members = order[k_lo: r - k_hi]
-    if not members:
-        return None
     theta_p = econ.type_of(members[0]) if k_lo else econ.theta_lo
     theta_q = econ.type_of(members[-1]) if k_hi else econ.theta_hi
-    lo_bound = float(econ.dist_of(members[0]).F(theta_p)) if k_lo else 0.0
-    hi_bound = float(econ.dist_of(members[-1]).F(theta_q)) if k_hi else 1.0
+    lo_bound = econ.realized_cdf(members[0]) if k_lo else 0.0
+    hi_bound = econ.realized_cdf(members[-1]) if k_hi else 1.0
 
     def weight_fn(gam):
         mid = sum(econ.virtual_type(i, gam) for i in members)

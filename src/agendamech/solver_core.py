@@ -398,28 +398,16 @@ def rent_gap(econ: Economy, window: tuple) -> Callable:
     return gap
 
 
-def gamma_star_constant(econ: Economy, theta_window: tuple,
-                        gamma_bounds: tuple = (0.0, 1.0),
-                        weight_fn: Callable | None = None) -> float:
-    """Constant shadow weight equalizing rents at the window's two ends.
-
-    Solves R(gamma) = 0 where R integrates the envelope slope over the
-    window at the gamma-dependent optimum; returns the nearest bound when R
-    keeps one sign there (participation then binds at a single end). R must
-    be nonincreasing in gamma; a violation raises BracketFailure.
-    """
-    if weight_fn is None:
-        def weight_fn(gam):
-            return gamma_weight_sum(econ, GammaRepresentation.constant(gam))
-
-    level = lambda gam: solve_weighted_foc(econ.tech, weight_fn(gam))
-    lo_b, hi_b = gamma_bounds
-    return gamma_root(rent_gap(econ, theta_window), level, gamma_bounds, (level(hi_b), level(lo_b)))
-
-
 def gamma_root(gap: Callable, level: Callable, gamma_bounds: tuple, end_levels: tuple) -> float:
-    """``gamma_star_constant`` from the rent gap, the level as a function of
-    gamma and the levels at the (high, low) bounds, which callers may keep."""
+    """Constant shadow weight gamma equalizing rents at a window's two ends.
+
+    Solves gap(level(gamma)) = 0 on ``gamma_bounds``, where ``gap`` is the
+    window's ``rent_gap`` and ``level`` the FOC level as a function of gamma;
+    ``end_levels`` are the levels at the (high, low) bounds, which callers
+    may keep. Returns the nearest bound when the gap keeps one sign there
+    (participation then binds at a single end). The gap must be
+    nonincreasing in gamma; a rising gap raises BracketFailure.
+    """
     lo_b, hi_b = gamma_bounds
     r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])  # high weight: low level, small gap
     if r_lo < r_hi - 1e-12:

@@ -175,8 +175,7 @@ class FocSchedule:
         if kinks:
             xs = np.unique(np.concatenate([xs, np.asarray(kinks, float)]))
         mids = 0.5 * (xs[:-1] + xs[1:])
-        s_nodes = self._slope(xs)
-        s_mids = self._slope(mids)
+        s_nodes, s_mids = np.split(self._slope(np.concatenate([xs, mids])), [xs.size])
         h = np.diff(xs)
         increments = h / 6.0 * (s_nodes[:-1] + 4.0 * s_mids + s_nodes[1:])
         u = np.concatenate([[0.0], np.cumsum(increments)])

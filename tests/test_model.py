@@ -157,6 +157,17 @@ def test_virtual_type_equals_virtual_value_gamma_exactly(log_tech, name):
             assert got == am.virtual_value_gamma(econ.dist_of(i), econ.type_of(i), gamma)
 
 
+@pytest.mark.parametrize("name", sorted(VIRTUAL_TYPE_DISTS))
+def test_realized_cdf_equals_dist_cdf_exactly(log_tech, name):
+    econ = economy_over(log_tech, (0.0, 0.137, 0.5, 0.81, 1.0), VIRTUAL_TYPE_DISTS[name]())
+    for i in econ.agents:
+        got = econ.realized_cdf(i)
+        assert type(got) is float
+        assert got == econ.dist_of(i).F(econ.type_of(i))
+    with pytest.raises(am.ModelError):
+        econ.realized_cdf(am.AGENDA_SETTER)
+
+
 def test_virtual_type_reads_each_cdf_once(log_tech):
     calls = []
     econ = economy_over(log_tech, (0.2, 0.7), scalar_only_truncexp(2.0, calls))

@@ -218,14 +218,18 @@ def test_gamma_step_function_pinned(rep, values, props, text):
     assert rep.describe() == text
 
 
+def _constant_gamma(econ):
+    return regimes._convex_configuration(econ, regimes._convex_ends(econ))[0]
+
+
 def test_gamma_star_constant_boundary_branches(convex_economy):
-    assert am.gamma_star_constant(convex_economy.with_outside_g(0.0), (0.0, 1.0)) == 1.0
-    assert am.gamma_star_constant(convex_economy.with_outside_g(25.0), (0.0, 1.0)) == 0.0
+    assert _constant_gamma(convex_economy.with_outside_g(0.0)) == 1.0
+    assert _constant_gamma(convex_economy.with_outside_g(25.0)) == 0.0
 
 
 def test_gamma_star_constant_interior_self_consistency(convex_economy):
     window = (0.0, 1.0)
-    gamma = am.gamma_star_constant(convex_economy, window)
+    gamma = _constant_gamma(convex_economy)
     assert 0.0 < gamma < 1.0
     g = am.xi_argmax(convex_economy, GammaRepresentation.constant(gamma))
     assert rent_gap(convex_economy, window)(g) == pytest.approx(0.0, abs=1e-8)
@@ -239,10 +243,11 @@ def test_gamma_star_constant_interior_self_consistency(convex_economy):
 
 
 def test_gamma_star_constant_bracket_failure_guard(convex_economy):
+    # rising weight: the gap increases in the shadow weight
+    level = lambda gam: am.solve_weighted_foc(convex_economy.tech, 1.0 + gam)
     with pytest.raises(am.BracketFailure):
-        am.gamma_star_constant(
-            convex_economy, (0.0, 1.0),
-            weight_fn=lambda gam: 1.0 + gam)  # rising weight: gap increases
+        solver_core.gamma_root(rent_gap(convex_economy, (0.0, 1.0)), level, (0.0, 1.0),
+                               (level(1.0), level(0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,14 @@ def test_constant_allocation_transfer_hand_integral(log_tech):
             0.0 * math.log(1.0 + level), abs=1e-10)
 
 
+def test_schedule_build_evaluates_slopes_in_one_pass(concave_economy, monkeypatch):
+    calls = []
+    slope = FocSchedule._slope
+    monkeypatch.setattr(FocSchedule, "_slope", lambda self, x: calls.append(x) or slope(self, x))
+    FocSchedule(concave_economy, 1, base_weight=0.5, gamma=1.0)
+    assert len(calls) == 1  # nodes and panel midpoints together
+
+
 def test_bunched_agents_pool_at_cutoff_bundle(majority_economy):
     sol = am.solve(majority_economy)
     assert sol.excluded == frozenset({1})
