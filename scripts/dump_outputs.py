@@ -20,8 +20,9 @@ ladder economies, every 8th again with its closed forms stripped, every
 3rd again with its first agent at the top and at the bottom of the type
 support and with truncated-normal types, each of these also solved, every
 three-agent one again at quota 2, and the six sweep fixtures), the bytes
-of ``agendamech sweep`` over ``0:3:121`` on each fixture (its exit code, CSV
-and segments file), the bytes of the ``agendamech solve`` record of each
+of ``agendamech sweep`` over ``0:3:121`` and over ``-0.5:0.5:5`` (whose
+negative levels are error rows) on each fixture (its exit code, CSV and
+segments file), the bytes of the ``agendamech solve`` record of each
 fixture and of one seeded model with ``verify``'s exit code and stderr on
 it, and the concave-window fixture with tied middle types solved at every
 quota and three outside levels.
@@ -123,10 +124,16 @@ def _table(name: str, econ) -> list:
 
 
 def _sweep(name: str, model: Path) -> list:
-    out = model.with_suffix(".csv")
-    code = cli_main(["sweep", "--model", str(model), "--grid", "0:3:121", "--out", str(out)])
-    segments = Path(str(out) + ".segments.json")
-    return [f"sweep {name} exit {code}", repr(out.read_bytes()), repr(segments.read_bytes())]
+    """The sweep over ``0:3:121``, then over ``-0.5:0.5:5``, whose negative
+    levels are error rows."""
+    lines = []
+    for grid, label in (("0:3:121", name), ("-0.5:0.5:5", f"{name}@negative")):
+        out = model.with_name(f"{label}.csv")
+        code = cli_main(["sweep", "--model", str(model), f"--grid={grid}", "--out", str(out)])
+        segments = Path(str(out) + ".segments.json")
+        lines += [f"sweep {label} exit {code}", repr(out.read_bytes()),
+                  repr(segments.read_bytes())]
+    return lines
 
 
 def _solve_verify(name: str, model: Path) -> list:

@@ -345,17 +345,23 @@ class Economy:
             raise InvalidEconomy("need at least one non-agenda agent (n >= 2)")
         if len(self.distributions) != len(self.agent_types):
             raise InvalidEconomy("one distribution per non-agenda agent required")
-        if isinstance(self.quota, bool) or not isinstance(self.quota, (int, np.integer)):
-            raise InvalidEconomy(f"quota must be an integer, got {self.quota!r}")
-        if not 1 <= self.quota <= self.n:
-            raise InvalidEconomy(f"quota must lie in [1, {self.n}]")
-        for name in ("agenda_setter_type", "outside_g"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidEconomy(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.outside_g < 0:
-            raise InvalidEconomy("outside_g must be nonnegative")
+        for name in ("quota", "agenda_setter_type", "outside_g"):
+            self._check(name)
         for theta, dist in zip(self.agent_types, self.distributions):
             dist.check_support(theta)
+
+    def _check(self, name: str) -> None:
+        """Raise InvalidEconomy unless the named scalar field is valid."""
+        value = getattr(self, name)
+        if name == "quota":
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidEconomy(f"quota must be an integer, got {value!r}")
+            if not 1 <= value <= self.n:
+                raise InvalidEconomy(f"quota must lie in [1, {self.n}]")
+        elif not math.isfinite(value):
+            raise InvalidEconomy(f"{name} must be finite, got {value!r}")
+        elif name == "outside_g" and value < 0:
+            raise InvalidEconomy("outside_g must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -407,16 +413,17 @@ class Economy:
         """Non-agenda agent indices sorted by realized type, index-stable."""
         return sorted(self.agents, key=lambda i: (self.type_of(i), i))
 
-    def _sharing(self, **changes) -> "Economy":
-        copy = replace(self, **changes)  # same agents: keep this reading of them
-        copy.__dict__["_cdf_pdf"] = self._cdf_pdf
+    def _sharing(self, name: str, value) -> "Economy":
+        copy = object.__new__(type(self))  # no constructor: check only the changed field
+        copy.__dict__.update(self.__dict__, _cdf_pdf=self._cdf_pdf, **{name: value})
+        copy._check(name)  # same agents: keep this reading of them
         return copy
 
     def with_outside_g(self, g_circ: float) -> "Economy":
-        return self._sharing(outside_g=g_circ)
+        return self._sharing("outside_g", g_circ)
 
     def with_quota(self, quota: int) -> "Economy":
-        return self._sharing(quota=quota)
+        return self._sharing("quota", quota)
 
     def restricted_to(self, members: Sequence[int]) -> "Economy":
         """Sub-economy keeping only the given non-agenda agents."""

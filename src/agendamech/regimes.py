@@ -30,6 +30,8 @@ from .solver_core import (
     GammaRepresentation,
     Partition,
     SolverError,
+    _rent_gap_on,
+    _simpson_grid,
     bisect,
     efficient_level,
     gamma_root,
@@ -426,17 +428,18 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
 
 def _convex_ends(econ: Economy):
     """What the outside level leaves fixed in `_convex_configuration`: the
-    levels of `gamma_weight_sum` at shadow weights 1 and 0 and both sides'
-    `_one_sided` tuples. They stay apart: the two sums run in different orders
-    and weigh an agent at theta_hi differently, so their levels can differ."""
+    levels of `gamma_weight_sum` at shadow weights 1 and 0, both sides'
+    `_one_sided` tuples (kept apart: the sums weigh an agent at theta_hi
+    differently, so their levels can differ) and the support's Simpson grid."""
     return (tuple(xi_argmax(econ, GammaRepresentation.constant(gam)) for gam in (1.0, 0.0)),
-            {side: _one_sided(econ, side, 0) for side in ("low", "high")})
+            {side: _one_sided(econ, side, 0) for side in ("low", "high")},
+            _simpson_grid((econ.theta_lo, econ.theta_hi)))
 
 
 def _convex_configuration(econ: Economy, ends):
     """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
     weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
-    gamma_const = gamma_root(rent_gap(econ, (econ.theta_lo, econ.theta_hi)),
+    gamma_const = gamma_root(_rent_gap_on(econ, ends[2]),
                              lambda gam: xi_argmax(econ, GammaRepresentation.constant(gam)),
                              (0.0, 1.0), ends[0])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
@@ -724,9 +727,9 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     reaches the next realized agent (indices rise with the outside option);
     for convex profiles rungs are where a realized agent's envelope slope
     flips sign at the solution (positional indices fall), found by bisecting
-    on the outside level. Under unanimity a step reads only the convex level,
-    off `_convex_ends` solved once per table; other profiles and quotas solve
-    in full. Linear profiles have only the two outer thresholds.
+    on the outside level. A convex unanimity table, its bracket cap included,
+    reads only levels, off `_convex_ends` solved once per table; the rest
+    solve in full. Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
     if curv is Curvature.LINEAR:
@@ -735,7 +738,10 @@ def threshold_table(econ: Economy) -> ThresholdTable:
 
     order = econ.sorted_agents()
     r = len(order)
-    hi_cap = max(8.0, 16.0 * solve(econ.with_outside_g(0.0)).thresholds.g_high + 8.0)
+    ends = _convex_ends(econ) if curv is Curvature.CONVEX and econ.quota == econ.n else None
+    # convex unanimity posts ends[0][1]; the first probe, at 0, raises where a solve would
+    g_high = ends[0][1] if ends is not None else solve(econ.with_outside_g(0.0)).thresholds.g_high
+    hi_cap = max(8.0, 16.0 * g_high + 8.0)
 
     rungs = []
     if curv is Curvature.CONCAVE:
@@ -748,7 +754,6 @@ def threshold_table(econ: Economy) -> ThresholdTable:
             if g_circ is not None:
                 rungs.append(LadderRung(g_circ, k=s, l=s + 1))
     else:
-        ends = _convex_ends(econ) if curv is Curvature.CONVEX and econ.quota == econ.n else None
         for pos in range(r - 1, -1, -1):
             theta = econ.type_of(order[pos])
 

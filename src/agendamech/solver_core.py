@@ -378,18 +378,26 @@ def efficient_level(econ: Economy) -> float:
 
 def rent_gap(econ: Economy, window: tuple) -> Callable:
     """The integral of the envelope slope over the window at a flat level g,
-    by composite Simpson quadrature, as a function of g; the window's grid and
-    slope are built once.
+    by composite Simpson quadrature, as a function of g; the window's slope is
+    built once per call, its grid too (a convex ladder keeps one per table).
 
     It equals the rent difference between the window's top and bottom types
     when the allocation is held at g.
     """
-    lo, hi = window
-    if hi <= lo:
+    if window[1] <= window[0]:
         return lambda g: 0.0
-    x = np.linspace(lo, hi, 2 * SIMPSON_PANELS + 1)
+    return _rent_gap_on(econ, _simpson_grid(window))
+
+
+def _simpson_grid(window: tuple) -> np.ndarray:
+    """`rent_gap`'s nodes on a nondegenerate window, kept across outside levels."""
+    return np.linspace(window[0], window[1], 2 * SIMPSON_PANELS + 1)
+
+
+def _rent_gap_on(econ: Economy, x: np.ndarray) -> Callable:
+    """`rent_gap` on the window whose `_simpson_grid` is x."""
     slope = np.asarray(econ.reservation.slope(x, econ.outside_g), float)
-    h = (hi - lo) / (2 * SIMPSON_PANELS)
+    h = (x[-1] - x[0]) / (2 * SIMPSON_PANELS)
 
     def gap(g):
         y = float(econ.tech.phi(g)) - slope

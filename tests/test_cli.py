@@ -259,6 +259,15 @@ def test_sweep_single_point(tmp_path):
     assert lines[1].startswith("0.5,ok,0.5")
 
 
+def test_sweep_negative_level_is_an_error_row(tmp_path):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "neg.csv"
+    assert main(["sweep", "--model", model, "--grid=-0.5:0.5:3", "--out", str(out)]) == 4
+    rows = out.read_text().splitlines()[1:]
+    assert rows[0] == "-0.5,error:InvalidEconomy,,,,,,,"
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "ok"], ["0.5", "ok"]]
+
+
 def test_sweep_detects_downward_jump(tmp_path):
     model = _write(tmp_path, "model.json", NON_MONOTONE_MODEL)
     seg = tmp_path / "seg.json"

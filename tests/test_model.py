@@ -226,15 +226,12 @@ def test_economy_copies_share_one_reading(log_tech):
                           am.quadratic_share_reservation(log_tech, 0.3, 0.5), 4, 1.0)
 
     # a convex unanimity ladder probes ~70 outside levels on copies of the
-    # economy: it reads no more than the one solve that caps its bracket,
-    # whose schedules read F and f at the realized types once more
-    one_solve, table = [], []
-    am.solve(economy(one_solve).with_outside_g(0.0))
+    # economy and builds no schedules, so it reads F and f at the realized
+    # types once and nothing else
+    table = []
     econ = economy(table)
     am.threshold_table(econ)
-    reading = [(name, t) for t in (0.3, 0.5, 0.8) for name in ("F", "f")]
-    assert one_solve[:6] == reading
-    assert table == one_solve
+    assert table == [(name, t) for t in (0.3, 0.5, 0.8) for name in ("F", "f")]
 
     table.clear()
     children = (econ.with_outside_g(2.0), econ.with_quota(2),
@@ -251,6 +248,32 @@ def test_economy_copies_share_one_reading(log_tech):
     sub = econ.restricted_to([1, 3])
     assert sub.virtual_type(2, 0.5) == econ.virtual_type(3, 0.5)
     assert table == [("F", 0.3), ("f", 0.3), ("F", 0.8), ("f", 0.8)]
+
+
+def _raised(make):
+    with pytest.raises(am.InvalidEconomy) as info:
+        make()
+    return str(info.value)
+
+
+def test_economy_copies_match_the_constructor(log_tech):
+    """`with_outside_g` and `with_quota` skip the constructor, yet give the
+    economy `dataclasses.replace` builds and share its realized-type reading;
+    an invalid level or quota raises the constructor's message."""
+    econ = am.Economy(0.6, (0.3, 0.5, 0.8), am.uniform(0.0, 1.0), log_tech,
+                      am.quadratic_share_reservation(log_tech, 0.3, 0.5), 4, 1.0)
+    copies = [(econ.with_outside_g(g), dataclasses.replace(econ, outside_g=g))
+              for g in (0.0, 1.2, 7)]
+    copies += [(econ.with_quota(q), dataclasses.replace(econ, quota=q)) for q in (1, 3, 4)]
+    for copy, built in copies:
+        assert copy == built and repr(copy) == repr(built)
+        assert copy._cdf_pdf is econ._cdf_pdf
+    for g in (-0.5, math.nan, math.inf):
+        assert _raised(lambda: econ.with_outside_g(g)) == \
+            _raised(lambda: dataclasses.replace(econ, outside_g=g))
+    for q in (0, 2.5, 5, True):
+        assert _raised(lambda: econ.with_quota(q)) == \
+            _raised(lambda: dataclasses.replace(econ, quota=q))
 
 
 def test_truncated_normal_erf_kernel_matches_math_erf():

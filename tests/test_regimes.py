@@ -517,17 +517,18 @@ def test_threshold_table_convex_rung_independent_of_closed_forms(log_tech, conve
     assert rung == pytest.approx({r.k: r.g_circ for r in stripped}[2], abs=1e-6)
 
 
-def test_threshold_table_convex_builds_one_solves_schedules(convex_economy, monkeypatch):
-    built = []
-    init = FocSchedule.__init__
+def test_threshold_table_convex_builds_no_schedules(convex_economy, monkeypatch):
+    built, solves = [], []
+    init, solve = FocSchedule.__init__, regimes.solve
     monkeypatch.setattr(FocSchedule, "__init__",
                         lambda self, *a, **kw: built.append(a[1]) or init(self, *a, **kw))
-    am.solve(convex_economy.with_outside_g(0.0))
-    one_solve = len(built)
+    monkeypatch.setattr(regimes, "solve", lambda econ: solves.append(econ) or solve(econ))
+    regimes.solve(convex_economy.with_outside_g(0.0))
+    assert built and solves  # the spies see a solve and its schedules
     built.clear()
-    am.threshold_table(convex_economy)
-    assert one_solve > 0
-    assert len(built) == one_solve  # only the solve that caps the bisection bracket
+    solves.clear()
+    assert am.threshold_table(convex_economy).intermediate
+    assert built == [] and solves == []  # not even for the bracket's cap
 
 
 def _ladder_pool_economies():
@@ -562,7 +563,8 @@ def _outcome(read):
 def test_threshold_table_reads_the_level_solve_finds(monkeypatch):
     """Every level a convex unanimity ladder reads, at its own probes and at
     25 outside levels up to its bracket cap, is the float `solve` returns,
-    or both raise the same exception class."""
+    or both raise the same exception class. The cap is the table's own ends'
+    level at shadow weight 0, the high threshold `solve` posts at 0."""
     configuration = regimes._convex_configuration
     probes = []
     monkeypatch.setattr(regimes, "_convex_configuration",
@@ -570,18 +572,19 @@ def test_threshold_table_reads_the_level_solve_finds(monkeypatch):
     for econ in _ladder_pool_economies():
         probes.clear()
         am.threshold_table(econ)
-        (_, own), *table = probes  # the first is the solve that caps the bracket
-        ends = table[0][1]  # the table's own, kept across its probes
-        assert len(table) > 20 and all(e is ends is not own for _, e in table)
+        ends = probes[0][1]  # the table's own, kept across its probes
+        assert len(probes) > 20 and all(e is ends for _, e in probes)
+        assert probes[0][0].outside_g == 0.0  # the first rung probes 0 before the cap is read
+        assert am.solve(econ.with_outside_g(0.0)).thresholds.g_high == ends[0][1]
 
         def level(at):
             g = configuration(at, ends)[3]
             partition_types(at, g)  # as the ladder does
             return g
 
-        hi_cap = max(8.0, 16.0 * am.solve(econ.with_outside_g(0.0)).thresholds.g_high + 8.0)
+        hi_cap = max(8.0, 16.0 * ends[0][1] + 8.0)
         grid = [econ.with_outside_g(float(gc)) for gc in np.linspace(0.0, hi_cap, 25)]
-        for at in [at for at, _ in table[::16]] + grid:
+        for at in [at for at, _ in probes[::16]] + grid:
             assert _outcome(lambda: level(at)) == _outcome(lambda: am.solve(at).g_star)
 
 
