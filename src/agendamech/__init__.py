@@ -36,19 +36,14 @@ from .solver_core import (
     SolverError,
     UnboundedObjective,
     efficient_level,
-    envelope_slope,
     partition_types,
-    sigma,
     solve_weighted_foc,
     xi_argmax,
 )
 from .transfers import (
     FlatSchedule,
     FocSchedule,
-    RentProfile,
     agenda_setter_payoff,
-    rent_profile,
-    transfer_understate,
 )
 from .regimes import (
     LadderRung,
@@ -58,7 +53,6 @@ from .regimes import (
     ThresholdTable,
     solve,
     solve_stochastic_coalition,
-    sweep_outside_option,
     threshold_table,
 )
 from .cli import load_model

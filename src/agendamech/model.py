@@ -367,7 +367,7 @@ class Economy:
     def n(self) -> int:
         return len(self.agent_types) + 1
 
-    @property
+    @cached_property
     def agents(self) -> tuple:
         """Indices of the non-agenda agents."""
         return tuple(range(1, self.n))
@@ -415,7 +415,8 @@ class Economy:
 
     def _sharing(self, name: str, value) -> "Economy":
         copy = object.__new__(type(self))  # no constructor: check only the changed field
-        copy.__dict__.update(self.__dict__, _cdf_pdf=self._cdf_pdf, **{name: value})
+        copy.__dict__.update(self.__dict__, _cdf_pdf=self._cdf_pdf, agents=self.agents,
+                             **{name: value})
         copy._check(name)  # same agents: keep this reading of them
         return copy
 

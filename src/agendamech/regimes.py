@@ -672,16 +672,8 @@ def solve(econ: Economy) -> MechanismSolution:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps, stochastic coalitions, threshold ladder
+# Stochastic coalitions, threshold ladder
 # ---------------------------------------------------------------------------
-
-
-def sweep_outside_option(econ: Economy, g_grid) -> list:
-    """Re-solve at each outside-option level; rows are (g_circ, solution)."""
-    grid = list(g_grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be sorted ascending")
-    return [(g, solve(econ.with_outside_g(g))) for g in grid]
 
 
 def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> MechanismSolution:

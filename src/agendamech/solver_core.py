@@ -11,12 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (
-    Curvature,
-    Economy,
-    ReservationProfile,
-    Technology,
-)
+from .model import Curvature, Economy, Technology
 
 FOC_TOL = 1e-10
 FOC_MAX_ITER = 200
@@ -234,12 +229,6 @@ class GammaRepresentation:
 # ---------------------------------------------------------------------------
 
 
-def envelope_slope(theta_i: float, g: float, g_circ: float,
-                   res: ReservationProfile, tech: Technology) -> float:
-    """Marginal information rent phi(g) - dv_bar/dtheta at (theta_i, g_circ)."""
-    return float(tech.phi(g)) - float(res.slope(theta_i, g_circ))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Agents split by the sign of the envelope slope at a solution.
@@ -261,7 +250,7 @@ def partition_types(econ: Economy, g: float) -> Partition:
     declared curvature (rising slopes for concave profiles, falling for
     convex, constant for linear).
     """
-    phi_g = float(econ.tech.phi(g))  # envelope_slope, with phi(g) read once
+    phi_g = float(econ.tech.phi(g))  # envelope slope phi(g) - v_bar'(theta), phi read once
     slopes = {i: phi_g - float(econ.reservation.slope(econ.type_of(i), econ.outside_g))
               for i in econ.agents}
     K, L, M = set(), set(), set()
@@ -307,11 +296,6 @@ def gamma_weight_sum(econ: Economy, gamma: GammaRepresentation) -> float:
     for i in econ.agents:
         total += econ.virtual_type(i, gamma.value(econ.type_of(i), lo, hi))
     return total
-
-
-def sigma(econ: Economy, gamma: GammaRepresentation, g: float) -> float:
-    """Shadow-adjusted surplus at level g for the realized profile."""
-    return gamma_weight_sum(econ, gamma) * float(econ.tech.phi(g)) - g
 
 
 def solve_weighted_foc(tech: Technology, weight: float) -> float:

@@ -10,7 +10,6 @@ truthfulness follows from schedule monotonicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .model import Economy, _virtual
 from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
-RENT_GRID = 201
 GUESS_GRID = np.linspace(0.0, 1.0, 65)  # where in a bracket a kink's guess reads the weight
 
 
@@ -239,56 +237,6 @@ def realized_transfers(econ: Economy, schedules, g_star: float) -> tuple:
     others = [float(s.transfer(econ.type_of(s.agent))) for s in schedules]
     t_a = g_star - sum(others)
     return (t_a, *others)
-
-
-# ---------------------------------------------------------------------------
-# Named transfer formulas
-# ---------------------------------------------------------------------------
-
-
-def transfer_understate(econ: Economy, schedule, theta_i: float) -> float:
-    """Envelope transfer of an agent at type theta_i: the gross value minus
-    the rent the schedule accumulates, normalized so the type where
-    participation binds earns exactly its reservation utility."""
-    econ.dist_of(schedule.agent).check_support(theta_i)
-    return float(schedule.transfer(theta_i))
-
-
-# ---------------------------------------------------------------------------
-# Solution-level rent curve
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RentProfile:
-    """Information rents over the type space at the solved level."""
-
-    grid: tuple
-    rent: tuple
-    anchors: tuple
-
-    def as_arrays(self):
-        return np.asarray(self.grid), np.asarray(self.rent)
-
-
-def rent_profile(econ: Economy, solution, grid_size: int = RENT_GRID) -> RentProfile:
-    """Type-space rent curve at the solved level by cumulative trapezoid.
-
-    Integrates the envelope slope phi(g_star) - dv_bar/dtheta over the type
-    space and normalizes so the solution's first binding type has zero rent.
-    """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    lo, hi = econ.theta_lo, econ.theta_hi
-    grid = np.linspace(lo, hi, grid_size)
-    phi_g = float(econ.tech.phi(solution.g_star))
-    slope = phi_g - np.asarray(econ.reservation.slope(grid, econ.outside_g), float)
-    u = np.concatenate([[0.0], np.cumsum(0.5 * (slope[:-1] + slope[1:]) * np.diff(grid))])
-
-    anchors = solution.cutoff_types if solution.cutoff_types else (lo,)
-    first = anchors[0]
-    u = u - float(np.interp(first, grid, u))
-    return RentProfile(tuple(grid), tuple(u), tuple(anchors))
 
 
 def agenda_setter_payoff(econ: Economy, solution) -> float:

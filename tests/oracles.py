@@ -65,6 +65,18 @@ def cumulative_trapezoid(values, grid):
     return out
 
 
+def flat_rent_curve(econ, solution, grid_size=201):
+    """(grid, rents) over the type space at the solution's flat level: the
+    cumulative trapezoid of phi(g_star) - v_bar'(theta), shifted to zero at
+    the first cutoff type (the support bottom when there is none)."""
+    grid = np.linspace(econ.theta_lo, econ.theta_hi, grid_size)
+    phi_g = float(econ.tech.phi(solution.g_star))
+    slope = [phi_g - float(econ.reservation.slope(t, econ.outside_g)) for t in grid]
+    raw = np.asarray(cumulative_trapezoid(slope, list(grid)))
+    first = solution.cutoff_types[0] if solution.cutoff_types else econ.theta_lo
+    return grid, raw - np.interp(first, grid, raw)
+
+
 def all_coalitions(members, quota, agenda=0):
     """Every quota-sized coalition containing the agenda setter."""
     others = [m for m in members if m != agenda]

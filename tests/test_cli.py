@@ -268,6 +268,43 @@ def test_sweep_negative_level_is_an_error_row(tmp_path):
     assert [row.split(",")[:2] for row in rows[1:]] == [["0", "ok"], ["0.5", "ok"]]
 
 
+def test_sweep_without_out_writes_csv_then_segments_to_stdout(tmp_path, capsys):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "golden.csv"
+    seg = tmp_path / "golden.seg.json"
+    assert main(["sweep", "--model", model, "--grid", "0:2:5",
+                 "--out", str(out), "--plot-data", str(seg)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--model", model, "--grid", "0:2:5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text() + seg.read_text()
+    assert captured.err == ""
+
+
+def test_missing_model_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert main(["solve", "--model", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"model file error: {missing}: cannot read")
+
+
+def test_unknown_family_exit_2(tmp_path, capsys):
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "technology": {"family": "cubic"}}}
+    model = _write(tmp_path, "unknown.json", payload)
+    assert main(["solve", "--model", model]) == 2
+    assert capsys.readouterr().err == (
+        "model file error: economy.technology.family: unknown technology family 'cubic'\n")
+
+
+def test_sweep_validation_failure_exit_3(tmp_path, capsys):
+    payload = {"economy": {**GOLDEN_MODEL["economy"], "reservation": {
+        "family": "quadratic_share", "slope": -0.5, "curve": 0.1}}}
+    model = _write(tmp_path, "invalid.json", payload)
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--model", model, "--grid", "0:1:3", "--out", str(out)]) == 3
+    assert "validation failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_detects_downward_jump(tmp_path):
     model = _write(tmp_path, "model.json", NON_MONOTONE_MODEL)
     seg = tmp_path / "seg.json"

@@ -276,6 +276,18 @@ def test_economy_copies_match_the_constructor(log_tech):
             _raised(lambda: dataclasses.replace(econ, quota=q))
 
 
+def test_economy_agents_read_once_and_shared_by_copies(log_tech):
+    """`agents` is built once per economy: outside-level and quota copies
+    share it, and a restricted economy builds its own for its size."""
+    econ = am.Economy(0.6, (0.3, 0.5, 0.8), am.uniform(0.0, 1.0), log_tech,
+                      am.quadratic_share_reservation(log_tech, 0.3, 0.5), 4, 1.0)
+    assert econ.agents == (1, 2, 3) and econ.agents is econ.agents
+    assert econ.with_outside_g(1.0).agents is econ.agents
+    assert econ.with_quota(2).agents is econ.agents
+    sub = econ.restricted_to([1, 3])
+    assert sub.agents == (1, 2) == tuple(range(1, sub.n))
+
+
 def test_truncated_normal_erf_kernel_matches_math_erf():
     mu, sigma = 0.4, 0.5
     d = am.truncated_normal(mu, sigma, 0.0, 1.0)

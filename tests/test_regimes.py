@@ -235,7 +235,7 @@ def test_concave_interior_anchor_between_realized_types(concave_economy):
     sol = am.solve(econ)
     anchor = sol.cutoff_types[0]
     assert sol.gamma.kind is am.GammaKind.INTERIOR_MASS
-    slope = am.envelope_slope(anchor, sol.g_star, 0.9, econ.reservation, econ.tech)
+    slope = float(econ.tech.phi(sol.g_star)) - float(econ.reservation.slope(anchor, 0.9))
     assert slope == pytest.approx(0.0, abs=1e-8)
 
 
@@ -289,7 +289,7 @@ def test_custom_distribution_and_technology_bisection_path():
 
 def test_concave_sweep_is_nondecreasing_staircase(concave_economy):
     grid = list(np.linspace(0.0, 3.0, 31))
-    rows = am.sweep_outside_option(concave_economy, grid)
+    rows = [(g, am.solve(concave_economy.with_outside_g(g))) for g in grid]
     levels = [sol.g_star for _, sol in rows]
     assert all(b >= a - 1e-9 for a, b in zip(levels, levels[1:]))
     # genuinely stepped: strictly higher provision at the top than the bottom
@@ -410,7 +410,7 @@ def test_exclusion_bounded_by_quota_slack(concave_window_economy):
 
 def test_sweep_three_segment_shape(golden_economy):
     grid = list(np.round(np.arange(0.0, 2.0001, 0.05), 10))
-    rows = am.sweep_outside_option(golden_economy, grid)
+    rows = [(g, am.solve(golden_economy.with_outside_g(g))) for g in grid]
     for g_circ, sol in rows:
         if g_circ < 0.1 - 1e-9:
             assert sol.g_star == pytest.approx(0.1, abs=1e-8)
@@ -421,21 +421,13 @@ def test_sweep_three_segment_shape(golden_economy):
 
 
 def test_sweep_non_monotone_downward_jump(majority_economy):
-    rows = am.sweep_outside_option(majority_economy, list(np.linspace(0.0, 1.2, 25)))
+    grid = np.linspace(0.0, 1.2, 25)
+    rows = [(g, am.solve(majority_economy.with_outside_g(g))) for g in grid]
     levels = [sol.g_star for _, sol in rows]
     drops = [b - a for a, b in zip(levels, levels[1:])]
     assert min(drops) < -0.3  # a genuine downward jump
     assert rows[0][1].g_star == pytest.approx(0.5, abs=1e-8)
     assert rows[-1][1].g_star == pytest.approx(0.1, abs=1e-8)
-
-
-def test_sweep_empty_grid(golden_economy):
-    assert am.sweep_outside_option(golden_economy, []) == []
-
-
-def test_sweep_rejects_unsorted_grid(golden_economy):
-    with pytest.raises(ValueError):
-        am.sweep_outside_option(golden_economy, [0.5, 0.1])
 
 
 def test_allocation_monotone_in_own_report(concave_economy):

