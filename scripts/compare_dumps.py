@@ -6,7 +6,8 @@ Run from anywhere::
 
 Lines are paired by position and sorted into output classes: validation,
 reservation, solution, shadow weight (its description and its values),
-schedule, anchor (each schedule's anchor type), oracle, threshold table,
+schedule (one report at a time), schedule array (the same reads as one
+array), anchor (each schedule's anchor type), oracle, threshold table,
 sweep CSV, sweep segments, solve record (the JSON ``solve`` writes), verify
 (``verify``'s stderr on that record), error and header. For each class the
 script prints how many lines moved and the largest absolute and relative
@@ -79,6 +80,7 @@ def classify(line: str, follower) -> str:
     for prefix, name in (("ValidationReport(", "validation"), ("OracleReport(", "oracle"),
                          ("ThresholdTable(", "threshold table"),
                          ("('foc'", "schedule"), ("('flat'", "schedule"),
+                         ("('array'", "schedule array"),
                          ("([", "reservation"), ("[", "shadow weight")):
         if line.startswith(prefix):
             return name

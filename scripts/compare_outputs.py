@@ -13,7 +13,7 @@ the dumps are identical; 1 when they differ, after printing
 ``scripts/compare_dumps.py OLD NEW``'s report of what moved; 2 on a usage
 error, an unknown revision or a failed dump. The extracted tree and both
 dumps are removed in every case, and the repository's worktree list is
-never touched. Each dump takes about 90 s on one core.
+never touched. Each dump takes about 100 s on one core.
 """
 
 from __future__ import annotations

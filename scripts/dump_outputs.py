@@ -12,10 +12,11 @@ and compare them with ``cmp``: any output that moved shows as a difference.
 The dump covers every second draw of the benchmark's 2048-economy corpus
 (validation, the reservation profile's value and slope at 17 types, every
 solution field, the shadow weight at a type grid and at the realized types,
-each schedule's allocation and transfer at 17 reports, and the oracle
-report), re-solves every 16th draw with its technology's closed forms
-stripped and every 32nd draw at every quota, with two drawn coalitions and
-with scalar-only type distributions, threshold tables (all 192
+each schedule's allocation, transfer and rent at 17 reports, read one
+report at a time and again as one array, and the oracle report),
+re-solves every 16th draw with its technology's closed forms stripped and
+every 32nd draw at every quota, with two drawn coalitions and with
+scalar-only type distributions, threshold tables (all 192
 ladder economies, every 8th again with its closed forms stripped, every
 3rd again with its first agent at the top and at the bottom of the type
 support and with truncated-normal types, each of these also solved, every
@@ -65,9 +66,15 @@ def _solution_lines(econ, sol, agents=None) -> list:
                    sol.thresholds, sol.thresholds_raw, sol.notes)),
              sol.gamma.describe(),
              repr([sol.gamma.value(t, lo, hi) for t in grid + realized])]
+    reports = np.array(grid)
     for s in sol.schedules:
+        foc = s.kind == "foc"  # a flat schedule has no rent curve
         lines.append(repr((s.kind, s.agent, s.anchor, [float(s.allocation(t)) for t in grid],
-                           [float(s.transfer(t)) for t in grid])))
+                           [float(s.transfer(t)) for t in grid],
+                           [float(s.rent(t)) for t in grid] if foc else None)))
+        lines.append(repr(("array", s.kind, s.agent, s.allocation(reports).tolist(),
+                           s.transfer(reports).tolist(),
+                           s.rent(reports).tolist() if foc else None)))
     lines.append(repr(am.verify_solution(econ, sol, agents=agents)))
     return lines
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -466,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one economy and emit a record")
     p_solve.add_argument("--model", required=True)
     p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="re-solve over an outside-option grid")
     p_sweep.add_argument("--model", required=True)
@@ -474,26 +474,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--plot-data", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="re-run the oracle on a stored solution")
     p_verify.add_argument("--model", required=True)
     p_verify.add_argument("--solution", required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_vcg = sub.add_parser("vcg", help="efficiency benchmark: deficit and gain ladder")
     p_vcg.add_argument("--model", required=True)
     p_vcg.add_argument("--epsilon", type=float, default=None)
     p_vcg.add_argument("--out", default=None)
-    p_vcg.set_defaults(func=cmd_vcg)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a command patched on this module is the one run
+    commands = {"solve": cmd_solve, "sweep": cmd_sweep, "verify": cmd_verify, "vcg": cmd_vcg}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ModelFileError as exc:
         print(f"model file error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,6 +10,7 @@ truthfulness follows from schedule monotonicity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -61,6 +62,27 @@ def hermite_panel_root(u0: float, u1: float, s0: float, s1: float, h: float) -> 
     r = math.sqrt(max(b * b - 4.0 * a * s0, 0.0))
     num, den = (r - b, 2.0 * a) if b < 0.0 else (-2.0 * s0, b + r)
     return min(num / den, 1.0) if den > 0.0 else 1.0
+
+
+def _capped_slopes(h, u, s):
+    """Node slopes for the Hermite panels, limited so no panel overshoots its
+    end values (the Fritsch-Carlson box). On a panel whose end slopes both
+    share the secant d's sign (zero counts as either) each end slope is held
+    to 3|d|; a node takes the tighter cap of its two panels. A panel whose end
+    slopes have opposite signs holds a minimum and caps nothing. Where no cap
+    binds the slopes come back unchanged."""
+    cap = 3.0 * np.abs(np.diff(u) / h)
+    mag = np.abs(s)
+    over = np.flatnonzero((mag[:-1] > cap) | (mag[1:] > cap))
+    if over.size == 0:
+        return s
+    capped = s.copy()
+    for k in over.tolist():
+        s0, s1, d = s[k], s[k + 1], u[k + 1] - u[k]
+        if s0 * d >= 0.0 and s1 * d >= 0.0 and s0 * s1 >= 0.0:
+            c = cap[k]
+            capped[k:k + 2] = np.clip(capped[k:k + 2], -c, c)
+    return capped
 
 
 class FocSchedule:
@@ -117,17 +139,12 @@ class FocSchedule:
         dist = self._dist
         return self.base_weight + _virtual(x, dist.F(x), dist.f(x), self.gamma)
 
-    def _slope(self, x):
-        econ = self._econ
-        phi_g = np.asarray(econ.tech.phi_at(self.allocation(x)), float)
-        return phi_g - np.asarray(econ.reservation.slope(x, econ.outside_g), float)
-
     # -- rent curve ---------------------------------------------------------
 
-    def _allocation_kinks(self, lo: float, hi: float) -> list:
+    def _allocation_kinks(self, lo: float, hi: float, g_lo: float, g_hi: float) -> list:
         """Reports where the schedule crosses a clip level or leaves the
-        zero corner; they become quadrature nodes so every panel is smooth."""
-        g_lo, g_hi = self.allocation([lo, hi]).tolist()
+        zero corner; they become quadrature nodes so every panel is smooth.
+        ``g_lo`` and ``g_hi`` are the levels at ``lo`` and ``hi``."""
         # (level, True) marks a floor the schedule leaves from; (level, False)
         # a ceiling it enters. The schedule is nondecreasing in the report.
         levels = [(0.0, True)]
@@ -169,15 +186,21 @@ class FocSchedule:
         econ = self._econ
         lo, hi = econ.theta_lo, econ.theta_hi
         xs = np.linspace(lo, hi, nodes)
-        kinks = self._allocation_kinks(lo, hi)
+        pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
+        g = self.allocation(pts)
+        # linspace puts lo and hi exactly at the ends, so these are their levels
+        kinks = self._allocation_kinks(lo, hi, float(g[0]), float(g[nodes - 1]))
         if kinks:
             xs = np.unique(np.concatenate([xs, np.asarray(kinks, float)]))
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        s_nodes, s_mids = np.split(self._slope(np.concatenate([xs, mids])), [xs.size])
+            pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
+            g = self.allocation(pts)
+        slopes = (np.asarray(econ.tech.phi_at(g), float)
+                  - np.asarray(econ.reservation.slope(pts, econ.outside_g), float))
+        s_nodes, s_mids = slopes[:xs.size], slopes[xs.size:]
         h = np.diff(xs)
         increments = h / 6.0 * (s_nodes[:-1] + 4.0 * s_mids + s_nodes[1:])
         u = np.concatenate([[0.0], np.cumsum(increments)])
-        self._xs, self._u, self._s = xs, u, s_nodes
+        self._xs, self._u, self._s = xs, u, _capped_slopes(h, u, s_nodes)
 
         if pin is not None:
             theta_pin, target = pin
@@ -189,7 +212,21 @@ class FocSchedule:
         self._u = self._u - offset
 
     def rent(self, x):
-        scalar = np.ndim(x) == 0
+        """Rent at each report, from the cubic Hermite panel that holds it. A
+        scalar report reads its one panel in floats with the array path's
+        operations; t**3 comes from numpy's power, which Python's ``**`` can
+        miss by one ulp."""
+        if np.ndim(x) == 0:
+            nodes, x = self._xs, float(x)
+            k = min(max(bisect_right(nodes, x) - 1, 0), len(nodes) - 2)
+            x0, x1 = float(nodes[k]), float(nodes[k + 1])
+            u0, u1 = float(self._u[k]), float(self._u[k + 1])
+            s0, s1 = float(self._s[k]), float(self._s[k + 1])
+            h = x1 - x0
+            t = (x - x0) / h
+            t2, t3 = t * t, float(np.power(t, 3.0))
+            return ((2 * t3 - 3 * t2 + 1) * u0 + (t3 - 2 * t2 + t) * h * s0
+                    + (-2 * t3 + 3 * t2) * u1 + (t3 - t2) * h * s1)
         xs = np.atleast_1d(np.asarray(x, float))
         idx = np.clip(np.searchsorted(self._xs, xs, side="right") - 1, 0, len(self._xs) - 2)
         h = self._xs[idx + 1] - self._xs[idx]
@@ -198,9 +235,8 @@ class FocSchedule:
         h10 = t**3 - 2 * t**2 + t
         h01 = -2 * t**3 + 3 * t**2
         h11 = t**3 - t**2
-        out = (h00 * self._u[idx] + h10 * h * self._s[idx]
-               + h01 * self._u[idx + 1] + h11 * h * self._s[idx + 1])
-        return float(out[0]) if scalar else out
+        return (h00 * self._u[idx] + h10 * h * self._s[idx]
+                + h01 * self._u[idx + 1] + h11 * h * self._s[idx + 1])
 
     def _locate_minimum(self):
         """Anchor and value of the lowest point of the interpolated rent curve.

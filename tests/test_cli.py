@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import agendamech as am
+from agendamech import cli
 from agendamech.cli import load_model, main
 
 GOLDEN_MODEL = {
@@ -666,3 +667,39 @@ def test_verify_reads_the_whole_record(tmp_path, capsys, edit, code, message):
     capsys.readouterr()
     assert main(["verify", "--model", model, "--solution", tampered]) == code
     assert message in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    assert main(["solve", "--model", model, "--out", str(tmp_path / "solution.json")]) == 0
+    assert main(["sweep", "--model", model, "--grid", "0.5:0.5:1",
+                 "--out", str(tmp_path / "one.csv")]) == 0
+    assert len(builds) == 1
+
+
+def test_main_runs_the_command_patched_on_the_module(tmp_path, monkeypatch):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    assert main(["sweep", "--model", model, "--grid", "0.5:0.5:1",
+                 "--out", str(tmp_path / "one.csv")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.grid) or 0)
+    assert main(["sweep", "--model", model, "--grid", "0:1:3"]) == 0
+    assert seen == ["0:1:3"]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["solve"], ["sweep", "--model", "m.json"],
+                                  ["verify", "--model", "m.json", "--grid", "0:1:3"]],
+                         ids=["no-command", "unknown-command", "solve-no-model", "sweep-no-grid",
+                              "verify-unknown-flag"])
+def test_usage_errors_exit_2_on_the_kept_parser(tmp_path, capsys, argv):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert main(["solve", "--model", model, "--out", str(tmp_path / "solution.json")]) == 0
+    assert "usage: agendamech" in capsys.readouterr().err

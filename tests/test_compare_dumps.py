@@ -66,6 +66,18 @@ def test_solve_record_numbers_are_compared_as_json():
     assert stats["header"][1] == 0
 
 
+def test_schedule_array_reads_are_their_own_class():
+    array = "('array', 'foc', 1, [0.0, 0.5], [0.125, -0.25], [0.0, 0.375])"
+    moved = array.replace("0.375", "0.37500000000000006")
+    stats, failures, _ = compare_dumps.compare([SCHEDULE, array], [SCHEDULE, moved])
+    assert not failures
+    row = stats["schedule array"]
+    assert (row.lines, row.moved, row.abs) == (1, 1, pytest.approx(5.55e-17, rel=1e-2))
+    assert stats["schedule"].moved == 0 and stats["anchor"].moved == 0
+    flat = "('array', 'flat', 2, [0.5, 0.5], [0.25, 0.25], None)"
+    assert compare_dumps.compare([flat], [flat.replace("'flat'", "'foc'")])[1]
+
+
 @pytest.mark.parametrize("index, old, new", [
     (1, "MIXED_INTERIOR: 'mixed_interior'", "UNDERSTATE_INTERIOR: 'understate_interior'"),
     (1, "[0, 1, 2]", "[0, 2]"),  # coalition

@@ -79,12 +79,24 @@ def test_constant_allocation_transfer_hand_integral(log_tech):
             0.0 * math.log(1.0 + level), abs=1e-10)
 
 
-def test_schedule_build_evaluates_slopes_in_one_pass(concave_economy, monkeypatch):
-    calls = []
-    slope = FocSchedule._slope
-    monkeypatch.setattr(FocSchedule, "_slope", lambda self, x: calls.append(x) or slope(self, x))
-    FocSchedule(concave_economy, 1, base_weight=0.5, gamma=1.0)
-    assert len(calls) == 1  # nodes and panel midpoints together
+def test_schedule_build_evaluates_slopes_in_one_pass(log_tech, monkeypatch):
+    """One allocation pass over the nodes and panel midpoints builds a
+    schedule without kinks; a kinked one reads its merged nodes once more."""
+    sizes = []
+    allocation = FocSchedule.allocation
+    monkeypatch.setattr(FocSchedule, "allocation",
+                        lambda self, x: sizes.append(np.size(x)) or allocation(self, x))
+    econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), log_tech,
+                      am.linear_reservation(log_tech, 2), 2, 0.0)
+    full = 2 * transfers.RENT_NODES - 1
+    sched = FocSchedule(econ, 1, base_weight=3.0, gamma=1.0)  # level 2x + 1
+    assert sched._xs.size == transfers.RENT_NODES
+    assert sizes == [full]  # nodes and panel midpoints together, no kink to bisect
+
+    sizes.clear()
+    sched = FocSchedule(econ, 1, base_weight=0.5, gamma=1.0)  # level max(0, 2x - 1.5)
+    assert sched._xs.size == transfers.RENT_NODES + 1
+    assert [n for n in sizes if n >= transfers.RENT_NODES] == [full, full + 2]
 
 
 def test_bunched_agents_pool_at_cutoff_bundle(majority_economy):
@@ -227,7 +239,6 @@ def test_locate_minimum_reads_only_the_nodes(concave_economy, monkeypatch):
         raise AssertionError("the minimum must come from the node values and slopes")
 
     monkeypatch.setattr(FocSchedule, "allocation", forbidden)
-    monkeypatch.setattr(FocSchedule, "_slope", forbidden)
     monkeypatch.setattr(transfers, "bisect", forbidden)
     for sched in schedules:
         anchor, value = sched._locate_minimum()
@@ -274,10 +285,9 @@ def test_rent_minimum_zero_at_anchor_on_drawn_economies(rng, closed_form):
     _assert_rent_minimum_zero_at_anchor(econ, sol)
 
 
-# Each rent dip below reproduces at HEAD: agent 1's rent on a 2001-point grid
-# falls to -1.818e-9 at report 0.0345 (-1.043e-7 at 0.033 with the closed
-# forms stripped), next to the node where its level leaves zero.
-@pytest.mark.xfail(strict=True, reason="the flat panel before the leaves-zero node dips below 0")
+# Without the panels' slope cap, agent 1's rent on a 2001-point grid falls to
+# -1.818e-9 at report 0.0345 (-1.043e-7 at 0.033 with the closed forms
+# stripped), on the flat panel before the node where its level leaves zero.
 @pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "stripped"])
 def test_rent_dip_next_to_the_leaves_zero_node(closed_form):
     tech = am.power_technology(0.3)
@@ -285,6 +295,16 @@ def test_rent_dip_next_to_the_leaves_zero_node(closed_form):
                       am.linear_reservation(tech, 3), 3, 0.0)
     econ = econ if closed_form else _stripped(econ)
     _assert_rent_minimum_zero_at_anchor(econ, am.solve(econ))
+
+
+# Without the slope cap, agent 5's rent dips to -1.82e-10: under power(0.7)
+# its slope past the kink rises faster than a cubic with exact end slopes follows.
+def test_rent_dip_past_the_kink_under_power_07():
+    tech = am.power_technology(0.7)
+    econ = am.Economy(0.5, (0.5, 0.25, 0.25, 0.5, 0.5),
+                      (am.uniform(),) * 4 + (am.truncated_normal(0.5, 0.375),), tech,
+                      am.quadratic_share_reservation(tech, 1.0, -0.25), 4, 0.0)
+    _assert_rent_minimum_zero_at_anchor(_stripped(econ), am.solve(_stripped(econ)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +341,70 @@ def kink_schedules(draw):
     return FocSchedule(econ, 1, base, gamma, clip_lo, clip_hi)
 
 
+def _end_levels(sched) -> list:
+    return sched.allocation([sched._econ.theta_lo, sched._econ.theta_hi]).tolist()
+
+
 @given(sched=kink_schedules())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_guessed_kinks_equal_plain_bisection(sched):
     lo, hi = sched._econ.theta_lo, sched._econ.theta_hi
-    kinks = sched._allocation_kinks(lo, hi)
+    kinks = sched._allocation_kinks(lo, hi, *_end_levels(sched))
     assume(kinks)
     with mock.patch.object(transfers, "bisect", _unguessed):
-        assert kinks == sched._allocation_kinks(lo, hi)
+        assert kinks == sched._allocation_kinks(lo, hi, *_end_levels(sched))
+
+
+@given(sched=kink_schedules())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_node_pass_end_levels_equal_the_levels_at_the_support_ends(sched):
+    """The build hands ``_allocation_kinks`` the first and last node's level
+    from its one allocation pass: the floats a read at lo and hi gives."""
+    seen = []
+    kinks = FocSchedule._allocation_kinks
+
+    def recorded(self, lo, hi, g_lo, g_hi):
+        seen.append((g_lo.hex(), g_hi.hex()))
+        return kinks(self, lo, hi, g_lo, g_hi)
+
+    with mock.patch.object(FocSchedule, "_allocation_kinks", recorded):
+        sched._build(transfers.RENT_NODES, None)
+    assert seen == [tuple(g.hex() for g in _end_levels(sched))]
+
+
+@st.composite
+def schedule_reports(draw):
+    """A drawn kink schedule and reports on it: nodes, kinks, panel
+    interiors, the support's ends and reports outside the support."""
+    sched = draw(kink_schedules())
+    xs, lo, hi = sched._xs, sched._econ.theta_lo, sched._econ.theta_hi
+    kinks = np.setdiff1d(xs, np.linspace(lo, hi, transfers.RENT_NODES)).tolist()
+
+    def interior(k, frac):
+        return float(xs[k] + frac * (xs[k + 1] - xs[k]))
+
+    report = st.one_of(
+        st.sampled_from(xs.tolist()),
+        st.sampled_from(kinks or [lo]),
+        st.builds(interior, st.integers(0, xs.size - 2),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        st.sampled_from([lo, hi]),
+        st.builds(lambda d, above: hi + d if above else lo - d,
+                  st.floats(1e-12, 1.0).map(lambda f: f * (hi - lo)), st.booleans()))
+    return sched, draw(st.lists(report, min_size=1, max_size=8))
+
+
+@given(case=schedule_reports())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_scalar_reads_equal_one_element_array_reads(case):
+    """``rent`` reads one report's panel in floats; it and ``transfer`` give
+    a Python float equal bit for bit to the read on a one-element array."""
+    sched, reports = case
+    for x in reports:
+        for read in (sched.rent, sched.transfer):
+            got, want = read(x), read(np.array([x]))[0]
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (read.__name__, x)
 
 
 def _below_calls(sched, bisector):
@@ -345,7 +421,7 @@ def _below_calls(sched, bisector):
         return bisector(tallied, *args, **kwargs)
 
     with mock.patch.object(transfers, "bisect", counted):
-        kinks = sched._allocation_kinks(0.0, 1.0)
+        kinks = sched._allocation_kinks(0.0, 1.0, *_end_levels(sched))
     return kinks, counts
 
 
