@@ -153,12 +153,13 @@ def _solution(econ: Economy, g_star: float, regime: Regime, schedules: dict,
               coalition: frozenset, gamma: GammaRepresentation, cutoff_types: tuple,
               excluded=(), bunched=(), thresholds: Thresholds | None = None,
               thresholds_raw: Thresholds | None = None, notes: tuple = (),
-              transfers: tuple | None = None) -> MechanismSolution:
+              transfers: tuple | None = None,
+              partition: Partition | None = None) -> MechanismSolution:
     """The one constructor of a solved mechanism.
 
     `schedules` maps every non-agenda agent to its report rule. Transfers
-    default to the schedules' realized ones, thresholds to the level itself
-    and raw thresholds to the thresholds.
+    default to the schedules' realized ones, thresholds to the level itself,
+    raw thresholds to the thresholds and the partition to the one at the level.
     """
     ordered = tuple(schedules[i] for i in econ.agents)
     if transfers is None:
@@ -171,7 +172,7 @@ def _solution(econ: Economy, g_star: float, regime: Regime, schedules: dict,
         excluded=frozenset(excluded),
         bunched=frozenset(bunched),
         cutoff_types=cutoff_types,
-        partition=partition_types(econ, g_star),
+        partition=partition or partition_types(econ, g_star),
         gamma=gamma,
         transfers=transfers,
         thresholds=thr,
@@ -351,7 +352,7 @@ def _split_weights(econ: Economy, order: list):
     return types, hl, weights
 
 
-def _concave_unanimity(econ: Economy) -> MechanismSolution:
+def _concave_unanimity(econ: Economy):
     order = econ.sorted_agents()
     r = len(order)
     types, hl, weights = _split_weights(econ, order)
@@ -362,13 +363,9 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
     edges = [float(econ.reservation.slope(p, econ.outside_g)) for p in points]
     thr = Thresholds(levels[0], levels[-1])
 
-    found = None
-    for s in range(r + 1):
-        lo_ok = (s == r) or phis[s] >= edges[s + 1] - CONSISTENCY_TOL
-        hi_ok = (s == 0) or phis[s] <= edges[s] + CONSISTENCY_TOL
-        if lo_ok and hi_ok:
-            found = s
-            break
+    found = next((s for s in range(r + 1)
+                  if (s == r or phis[s] >= edges[s + 1] - CONSISTENCY_TOL)
+                  and (s == 0 or phis[s] <= edges[s] + CONSISTENCY_TOL)), None)
 
     if found is not None:
         s = found
@@ -384,11 +381,8 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
             gamma = GammaRepresentation.interior_mass(anchor)
         gamma_s = 1.0  # the agent at split s understates
     else:
-        blend = None
-        for s in range(r):
-            if phis[s] < edges[s + 1] - CONSISTENCY_TOL and phis[s + 1] > edges[s + 1] + CONSISTENCY_TOL:
-                blend = s
-                break
+        blend = next((s for s in range(r) if phis[s] < edges[s + 1] - CONSISTENCY_TOL
+                      and phis[s + 1] > edges[s + 1] + CONSISTENCY_TOL), None)
         if blend is None:
             raise FixedPointDivergence("no consistent cutoff configuration found")
         s = blend
@@ -408,17 +402,21 @@ def _concave_unanimity(econ: Economy) -> MechanismSolution:
         anchor = t_j
         gamma = GammaRepresentation.interior_mass(t_j, at_star=gamma_s)
 
-    schedules = {**_foc_schedules(econ, order[:s], w_star, 0.0),
-                 **_foc_schedules(econ, order[s:s + 1], w_star, gamma_s),
-                 **_foc_schedules(econ, order[s + 1:], w_star, 1.0)}
     if anchor <= econ.theta_lo + 1e-12:
         regime = Regime.UNDERSTATE_INTERIOR
     elif anchor >= econ.theta_hi - 1e-12:
         regime = Regime.OVERSTATE_INTERIOR
     else:
         regime = Regime.MIXED_INTERIOR
-    return _solution(econ, g_star, regime, schedules, _pick_coalition(econ, order, order),
-                     gamma, (anchor,), thresholds=thr)
+
+    def assemble(partition):
+        schedules = {**_foc_schedules(econ, order[:s], w_star, 0.0),
+                     **_foc_schedules(econ, order[s:s + 1], w_star, gamma_s),
+                     **_foc_schedules(econ, order[s + 1:], w_star, 1.0)}
+        return _solution(econ, g_star, regime, schedules, _pick_coalition(econ, order, order),
+                         gamma, (anchor,), thresholds=thr, partition=partition)
+
+    return _candidate(econ, assemble, g_star, types)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +448,22 @@ def _convex_configuration(econ: Economy, ends):
     return gamma_const, side, w_star, solve_weighted_foc(econ.tech, w_star)
 
 
-def _convex_unanimity(econ: Economy) -> MechanismSolution:
+def _convex_unanimity(econ: Economy):
     ends = _convex_ends(econ)
     gamma_const, side, config, g_star = _convex_configuration(econ, ends)
     thr = Thresholds(*ends[0])
-    if side is not None:
-        return _uniform_sign_candidate(econ, side, config, enforce_slope_sign=False,
-                                       thresholds=thr, thresholds_raw=thr)
-    return _solution(econ, g_star, Regime.MIXED_INTERIOR,
-                     _foc_schedules(econ, econ.agents, config, gamma_const),
-                     _pick_coalition(econ, econ.agents, econ.agents),
-                     GammaRepresentation.constant(gamma_const), (econ.theta_lo, econ.theta_hi),
-                     thresholds=thr)
+
+    def assemble(partition):
+        if side is not None:
+            return _uniform_sign_candidate(econ, side, config, enforce_slope_sign=False,
+                                           thresholds=thr, thresholds_raw=thr)
+        return _solution(econ, g_star, Regime.MIXED_INTERIOR,
+                         _foc_schedules(econ, econ.agents, config, gamma_const),
+                         _pick_coalition(econ, econ.agents, econ.agents),
+                         GammaRepresentation.constant(gamma_const),
+                         (econ.theta_lo, econ.theta_hi), thresholds=thr, partition=partition)
+
+    return _candidate(econ, assemble, g_star, econ.agent_types)
 
 
 # ---------------------------------------------------------------------------
@@ -469,23 +471,54 @@ def _convex_unanimity(econ: Economy) -> MechanismSolution:
 # ---------------------------------------------------------------------------
 
 
-def _curved_unanimity(econ: Economy) -> MechanismSolution:
-    """Unanimity solution for a concave or convex reservation profile."""
+def _curved_unanimity(econ: Economy):
+    """Unanimity candidate for a concave or convex reservation profile."""
     if econ.reservation.curvature is Curvature.CONCAVE:
         try:
             return _concave_unanimity(econ)
         except FixedPointDivergence:
-            return _posted_solution(econ, econ.outside_g,
-                                    notes=("no consistent cutoff; status quo implemented",))
+            sol = _posted_solution(econ, econ.outside_g,
+                                   notes=("no consistent cutoff; status quo implemented",))
+            return agenda_setter_payoff(econ, sol), lambda: sol
     return _convex_unanimity(econ)
 
 
-def _better_of(econ: Economy, *candidates) -> MechanismSolution:
+def _payoff_bound(econ: Economy, g_star: float, payers, dips=()) -> float:
+    """Bound on a candidate's payoff theta_a phi(g*) - g* + sum of transfers
+    theta phi(g*) - v_bar(theta) - rent, read at each type in `payers` (a
+    pooled tail's is its donor's): a rent is >= 0, or its pinned dip in `dips`.
+    A slack of 1e-9 times the size of the terms covers rounding."""
+    phi_g, theta = float(econ.tech.phi(g_star)), np.asarray(payers, float)
+    terms = [econ.agenda_setter_type * phi_g, -g_star, *(-d for d in dips),
+             *(theta * phi_g - np.asarray(econ.reservation.value(theta, econ.outside_g), float))]
+    return math.fsum(terms) + 1e-9 * (1.0 + math.fsum(map(abs, terms)))
+
+
+def _candidate(econ: Economy, assemble, g_star: float, payers, dips=()):
+    """(`_payoff_bound`, assembly) of a candidate whose `assemble` takes the
+    partition, checked here. Bisected levels (no closed form) can raise in a
+    build, so those candidates are assembled here, in their old order."""
+    if econ.tech.weighted_argmax is None:
+        sol = assemble(None)
+        return math.inf, lambda: sol
+    partition = partition_types(econ, g_star)
+    return _payoff_bound(econ, g_star, payers, dips), lambda: assemble(partition)
+
+
+def _better_of(econ: Economy, candidates: list) -> MechanismSolution | None:
+    """What the in-order rule (replace on a payoff gain above 1e-12) picks from
+    (bound, assembly) pairs assembled by decreasing bound, skipping any more
+    than `slack` below the best payoff so far. Every payoff within `slack` of
+    the top is assembled; fewer than len(candidates) steps of 1e-12 cannot span
+    that window, so a gap above 1e-12 cuts it and above it the rule runs as over all."""
+    slack, built, top = 1e-12 * len(candidates), {}, -math.inf
+    for pos in sorted(range(len(candidates)), key=lambda i: -candidates[i][0]):
+        if not candidates[pos][0] < top - slack:
+            sol = candidates[pos][1]()
+            built[pos] = agenda_setter_payoff(econ, sol), sol
+            top = max(top, built[pos][0])  # a NaN payoff leaves top as it is
     best, best_pay = None, -math.inf
-    for sol in candidates:
-        if sol is None:
-            continue
-        pay = agenda_setter_payoff(econ, sol)
+    for pay, sol in (built[pos] for pos in sorted(built)):
         if pay > best_pay + 1e-12:
             best, best_pay = sol, pay
     return best
@@ -508,10 +541,10 @@ def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn
     return gam, w_star, g_star, float(econ.tech.phi(g_star))
 
 
-def _concave_window_candidate(econ: Economy, start: int, width: int) -> MechanismSolution | None:
+def _concave_window_candidate(econ: Economy, start: int, width: int):
     """Exclude a run of interior agents around the binding type; the window's
     neighbours keep binding participation and the coalition is the
-    (possibly non-convex) set of agents outside the window."""
+    (possibly non-convex) set of agents outside the window: a `_candidate` or None."""
     order = econ.sorted_agents()
     end = start + width - 1
     window = order[start:end + 1]
@@ -541,24 +574,27 @@ def _concave_window_candidate(econ: Economy, start: int, width: int) -> Mechanis
     if any(d > -1e-12 for d in dips):
         return None
 
-    schedules = {**_foc_schedules(econ, below, w_star, 0.0),
-                 **_foc_schedules(econ, above, w_star, 1.0)}
-    for i, dip in zip(window, dips):
-        schedules.update(_foc_schedules(econ, [i], w_star, gam, pin=(econ.type_of(i), dip)))
-    gamma = GammaRepresentation.piecewise(
-        pieces=((econ.theta_lo, theta_p, 0.0), (theta_p, theta_q, gam),
-                (theta_q, econ.theta_hi, 1.0)),
-        atoms=((theta_p, 0.0), (theta_q, 1.0)),
-    )
-    required = [order[start - 1], order[end + 1]][:econ.quota - 1]
-    return _solution(econ, g_star, Regime.MIXED_INTERIOR, schedules,
-                     _pick_coalition(econ, required, below + above), gamma, (theta_p, theta_q),
-                     excluded=window, notes=(f"excluded interior window of {width} agent(s)",))
+    coalition = _pick_coalition(econ, [order[start - 1], order[end + 1]][:econ.quota - 1],
+                                below + above)
+
+    def assemble(partition):
+        schedules = {**_foc_schedules(econ, below, w_star, 0.0),
+                     **_foc_schedules(econ, above, w_star, 1.0)}
+        for i, dip in zip(window, dips):
+            schedules.update(_foc_schedules(econ, [i], w_star, gam, pin=(econ.type_of(i), dip)))
+        gamma = GammaRepresentation.piecewise(
+            ((econ.theta_lo, theta_p, 0.0), (theta_p, theta_q, gam), (theta_q, econ.theta_hi, 1.0)),
+            ((theta_p, 0.0), (theta_q, 1.0)))
+        return _solution(econ, g_star, Regime.MIXED_INTERIOR, schedules, coalition, gamma,
+                         (theta_p, theta_q), excluded=window, partition=partition,
+                         notes=(f"excluded interior window of {width} agent(s)",))
+
+    return _candidate(econ, assemble, g_star, [econ.type_of(i) for i in order], dips)
 
 
-def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolution | None:
+def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int):
     """Exclude tail agents on one or both sides; participation binds at the
-    extreme coalition members and the tails pool at their bundles."""
+    extreme coalition members and the tails pool at their bundles: a `_candidate` or None."""
     order = econ.sorted_agents()
     r = len(order)
     if k_lo + k_hi > r - 1:
@@ -586,38 +622,39 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int) -> MechanismSolu
     if k_hi and phi_g - float(econ.reservation.slope(theta_q, econ.outside_g)) > CONSISTENCY_TOL:
         return None
 
-    schedules = _foc_schedules(econ, members, w_star, gam)
-    _pool(econ, schedules, low_tail, members[0], theta_p, g_star)
-    _pool(econ, schedules, high_tail, members[-1], theta_q, g_star)
-    tails = (*low_tail, *high_tail)
-    transfers = realized_transfers(econ, [schedules[i] for i in econ.agents], g_star)
-    pieces = []
-    atoms = []
-    if k_lo:
-        pieces.append((econ.theta_lo, theta_p, 0.0))
-        atoms.append((theta_p, gam))
-    pieces.append((theta_p, theta_q, gam))
-    if k_hi:
-        pieces.append((theta_q, econ.theta_hi, 1.0))
-        atoms.append((theta_q, gam))
-    gamma = GammaRepresentation.piecewise(pieces=pieces, atoms=atoms)
     binding = ([members[0]] if k_lo else []) + ([members[-1]] if k_hi else [])
-    return _solution(econ, g_star, Regime.MIXED_INTERIOR, schedules,
-                     _pick_coalition(econ, binding[:econ.quota - 1], members), gamma,
-                     (theta_p, theta_q),
-                     excluded=_short_of_reservation(econ, tails, g_star, transfers),
-                     bunched=tails, notes=(f"excluded tails ({k_lo} low, {k_hi} high)",),
-                     transfers=transfers)
+    coalition = _pick_coalition(econ, binding[:econ.quota - 1], members)
+
+    def assemble(partition):
+        schedules = _foc_schedules(econ, members, w_star, gam)
+        _pool(econ, schedules, low_tail, members[0], theta_p, g_star)
+        _pool(econ, schedules, high_tail, members[-1], theta_q, g_star)
+        tails = (*low_tail, *high_tail)
+        transfers = realized_transfers(econ, [schedules[i] for i in econ.agents], g_star)
+        pieces = ([(econ.theta_lo, theta_p, 0.0)] if k_lo else []) + [(theta_p, theta_q, gam)]
+        pieces += [(theta_q, econ.theta_hi, 1.0)] if k_hi else []
+        atoms = ([(theta_p, gam)] if k_lo else []) + ([(theta_q, gam)] if k_hi else [])
+        gamma = GammaRepresentation.piecewise(pieces=pieces, atoms=atoms)
+        return _solution(econ, g_star, Regime.MIXED_INTERIOR, schedules, coalition, gamma,
+                         (theta_p, theta_q),
+                         excluded=_short_of_reservation(econ, tails, g_star, transfers),
+                         bunched=tails, notes=(f"excluded tails ({k_lo} low, {k_hi} high)",),
+                         transfers=transfers, partition=partition)
+
+    payers = [econ.type_of(i) for i in members] + [theta_p] * k_lo + [theta_q] * k_hi
+    return _candidate(econ, assemble, g_star, payers)
 
 
 def solve(econ: Economy) -> MechanismSolution:
     """Solve at the economy's quota and curvature.
 
     Linear and decreasing profiles follow their closed branch rules. Curved
-    profiles under unanimity solve directly; under a quota, uniform-sign
-    candidates with tail exclusion, curvature-specific intermediate
-    candidates and the posted status quo compete on the agenda setter's
-    realized payoff.
+    profiles under unanimity solve directly. Under a quota a uniform-sign
+    candidate with tail exclusion applies where its slope signs hold; else
+    the unanimity copy and the curvature's exclusion candidates are each
+    configured (every check that can raise runs there) and bounded without
+    schedules, and `_better_of` assembles only those that can win, picking
+    what full assembly would. Without a consistent one the status quo is posted.
     """
     curv = econ.reservation.curvature
     k = econ.n - econ.quota
@@ -628,7 +665,7 @@ def solve(econ: Economy) -> MechanismSolution:
                                        enforce_slope_sign=False,
                                        eff=efficient_level(econ) if k else None)
     if not k:
-        return _curved_unanimity(econ)
+        return _curved_unanimity(econ)[1]()
 
     thresholds, thresholds_raw, eff, sides = _outer_thresholds(econ, k)
     # uniform-sign regimes apply mechanically: force the cheapest tail in,
@@ -650,16 +687,12 @@ def solve(econ: Economy) -> MechanismSolution:
         pass
     r = econ.n - 1
     if curv is Curvature.CONCAVE:
-        for width in range(k, 0, -1):
-            for start in range(1, r - width):
-                candidates.append(_concave_window_candidate(econ, start, width))
+        candidates += [_concave_window_candidate(econ, start, width)
+                       for width in range(k, 0, -1) for start in range(1, r - width)]
     else:
-        for k_lo in range(0, k + 1):
-            for k_hi in range(0, k + 1 - k_lo):
-                if k_lo == k_hi == 0:
-                    continue
-                candidates.append(_convex_tail_candidate(econ, k_lo, k_hi))
-    best = _better_of(econ, *candidates)
+        candidates += [_convex_tail_candidate(econ, k_lo, k_hi) for k_lo in range(k + 1)
+                       for k_hi in range(k + 1 - k_lo) if k_lo or k_hi]
+    best = _better_of(econ, [c for c in candidates if c is not None])
     if best is None:
         return _posted_solution(econ, econ.outside_g, thresholds=thresholds,
                                 thresholds_raw=thresholds_raw,

@@ -60,7 +60,12 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
 
     The vectorized mode calls ``below`` once per ``BISECT_LEVELS`` steps, on
     an array of every midpoint they can reach, and walks those with the same
-    arithmetic and stops: both modes return the same float, monotone or not.
+    arithmetic and stops: both modes return the same float, monotone or not,
+    if ``below`` flags each array element as it flags that float alone. A
+    power technology's level does not: numpy's scalar power is an ulp off its
+    array ufunc for some weights (164 of 20001 near the benchmark corpus draw
+    222's concave blend), where a guessed-path bisection moved gamma from
+    0.5981989664667204 to 0.5981989664667198.
 
     ``guess`` (vectorized mode only) maps the bracket to a report x. The
     midpoints the loop would visit if ``below(mid)`` were ``mid < x``, less

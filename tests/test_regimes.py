@@ -3,12 +3,13 @@ import random
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import agendamech as am
-from agendamech import regimes
+from agendamech import cli, regimes
 from agendamech.regimes import LadderRung, ThresholdTable, _posted_solution
 from agendamech.solver_core import invert_phi, partition_types
 from agendamech.transfers import FocSchedule
@@ -523,17 +524,22 @@ def test_threshold_table_convex_builds_no_schedules(convex_economy, monkeypatch)
     assert built == [] and solves == []  # not even for the bracket's cap
 
 
+def _workloads():
+    """The benchmark's input generators, `perfbench/workloads.py`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
 def _ladder_pool_economies():
     """The first 12 economies of the benchmark's ladder pool, then a
     three-agent one of them with its first agent at the top and at the
     bottom of the type support, with a truncated-normal first agent, and
     with its log technology's closed forms stripped."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        from workloads import ladder_economy
-    finally:
-        sys.path.pop(0)
-    pool = [ladder_economy(am, i) for i in range(12)]
+    pool = [_workloads().ladder_economy(am, i) for i in range(12)]
     econ = next(e for e in pool if e.n == 3 and e.tech.name == "log")
     rest = econ.agent_types[1:]
     return [*pool,
@@ -907,3 +913,113 @@ def test_exclusion_candidates_read_no_distribution(request, monkeypatch, fixture
     sol = am.solve(econ)
     assert any(n.startswith(note) for n in sol.notes)
     assert callers and "agendamech.regimes" not in callers
+
+
+# ---------------------------------------------------------------------------
+# Candidate competition: bound first, assemble only what can win
+# ---------------------------------------------------------------------------
+
+
+SWEEP_FIXTURES = ["golden_economy", "majority_economy", "concave_economy", "convex_economy",
+                  "concave_window_economy", "convex_tail_economy"]
+
+
+def _outputs(econ):
+    """`solve`'s record as the CLI writes it (oracle fields stubbed) and each
+    schedule's level and transfer bytes at 9 reports, or the exception class."""
+    try:
+        sol = am.solve(econ)
+    except (am.SolverError, am.InvalidEconomy) as exc:
+        return type(exc)
+    oracle = SimpleNamespace(passed=True, dsic_ok=True, monotone_ok=True, participation_ok=True,
+                             budget_slack=0.0, tolerance=0.0, grid_size=0, summary=lambda: "")
+    reports = np.linspace(econ.theta_lo, econ.theta_hi, 9)
+    return (cli._solution_record(econ, sol, oracle),
+            [(np.asarray(s.allocation(reports)).tobytes(), np.asarray(s.transfer(reports)).tobytes())
+             for s in sol.schedules])
+
+
+def test_skipped_candidates_never_change_the_winner(request, monkeypatch):
+    """Every solve that reaches the candidate competition, on the six fixtures
+    over the sweep grid 0:3:31 and on the corpus pool's first 256 draws at
+    every quota below n, gives the same record and schedule floats as a solve
+    that assembles every candidate (the payoff bound patched to +inf), and
+    the bound does skip candidates there."""
+    economies = [request.getfixturevalue(name).with_outside_g(g)
+                 for name in SWEEP_FIXTURES for g in cli._parse_grid("0:3:31")]
+    corpus = [_workloads().corpus_economy(am, i) for i in range(256)]
+    economies += [e.with_quota(q) for e in corpus for q in range(1, e.n + 1)]
+    curved = (am.Curvature.CONCAVE, am.Curvature.CONVEX)  # no other shape competes, nor unanimity
+    economies = [e for e in economies if e.reservation.curvature in curved and e.quota < e.n]
+    competed, built = [], []
+    better_of, init = regimes._better_of, FocSchedule.__init__
+    monkeypatch.setattr(regimes, "_better_of",
+                        lambda econ, candidates: competed.append(1) or better_of(econ, candidates))
+    monkeypatch.setattr(FocSchedule, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    compared, pruned_builds, full_builds = 0, 0, 0
+    for econ in economies:
+        competed.clear()
+        built.clear()
+        pruned = _outputs(econ)
+        if not competed:
+            continue
+        pruned_builds += len(built)
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(regimes, "_payoff_bound", lambda *args: math.inf)
+            assert _outputs(econ) == pruned
+        full_builds += len(built)
+        compared += 1
+    assert compared >= 250
+    assert pruned_builds < 0.8 * full_builds, (pruned_builds, full_builds)
+
+
+@pytest.mark.parametrize("g_circ, pruned, full", [(1.3, 8, 12), (2.0, 4, 8)])
+def test_candidates_that_cannot_win_build_no_schedules(concave_window_economy, monkeypatch,
+                                                       g_circ, pruned, full):
+    """On the concave-window fixture each assembled candidate builds four
+    schedules. At g_circ 1.3 the unanimity candidate's payoff bound, -1.0334,
+    lies below the winning window's payoff, -1.0225, so its schedules are
+    never built; at 2.0 only the winner is assembled."""
+    econ = concave_window_economy.with_outside_g(g_circ)
+    built = []
+    init = FocSchedule.__init__
+    monkeypatch.setattr(FocSchedule, "__init__",
+                        lambda self, *a, **kw: built.append(a[1]) or init(self, *a, **kw))
+    sol = am.solve(econ)
+    assert len(built) == pruned
+    if g_circ == 1.3:
+        bound, _ = regimes._curved_unanimity(econ.with_quota(econ.n))
+        assert bound == pytest.approx(-1.0334, abs=1e-4)
+        assert am.agenda_setter_payoff(econ, sol) == pytest.approx(-1.0225, abs=1e-4)
+    built.clear()
+    monkeypatch.setattr(regimes, "_payoff_bound", lambda *args: math.inf)
+    assert _record(am.solve(econ)) == _record(sol)
+    assert len(built) == full
+
+
+@pytest.mark.parametrize("fixture, g_circ", [("concave_window_economy", 1.3),
+                                             ("convex_tail_economy", 2.0)])
+def test_bisected_levels_build_every_candidate_where_configured(request, monkeypatch, fixture,
+                                                                g_circ):
+    """Without a closed-form level a schedule build bisects each report's
+    level and can raise, so each candidate is built where it is configured,
+    before the competition, and none is skipped: as many builds as with the
+    closed form and every candidate assembled."""
+    econ = request.getfixturevalue(fixture).with_outside_g(g_circ)
+    events = []
+    init, better_of = FocSchedule.__init__, regimes._better_of
+    monkeypatch.setattr(FocSchedule, "__init__",
+                        lambda self, *a, **kw: events.append("build") or init(self, *a, **kw))
+    with monkeypatch.context() as patch:
+        patch.setattr(regimes, "_payoff_bound", lambda *args: math.inf)
+        am.solve(econ)
+    every = events.count("build")
+    events.clear()
+    monkeypatch.setattr(regimes, "_better_of",
+                        lambda econ, candidates: events.append("compete") or better_of(econ, candidates))
+    bisected = dataclasses.replace(econ, tech=dataclasses.replace(
+        econ.tech, weighted_argmax=None, phi_inverse=None))
+    am.solve(bisected)
+    assert events == ["build"] * every + ["compete"]
