@@ -9,7 +9,8 @@ reservation, solution, shadow weight (its description and its values),
 schedule (one report at a time), schedule array (the same reads as one
 array), anchor (each schedule's anchor type), oracle, threshold table,
 sweep CSV, sweep segments, solve record (the JSON ``solve`` writes), verify
-(``verify``'s stderr on that record), error and header. For each class the
+(``verify``'s stderr on that record), configured gamma (each candidate's
+constant shadow weight), error and header. For each class the
 script prints how many lines moved and the largest absolute and relative
 change of a number (relative to the old value; ``inf`` when a zero moved)
 and the largest change scaled by ``max(1, |old|)``.
@@ -81,7 +82,8 @@ def classify(line: str, follower) -> str:
                          ("ThresholdTable(", "threshold table"),
                          ("('foc'", "schedule"), ("('flat'", "schedule"),
                          ("('array'", "schedule array"),
-                         ("([", "reservation"), ("[", "shadow weight")):
+                         ("([", "reservation"), ("[", "shadow weight"),
+                         ("gamma ", "configured gamma")):
         if line.startswith(prefix):
             return name
     if line.startswith("(") and "<Regime." in line:

@@ -25,8 +25,12 @@ of ``agendamech sweep`` over ``0:3:121`` and over ``-0.5:0.5:5`` (whose
 negative levels are error rows) on each fixture (its exit code, CSV and
 segments file), the bytes of the ``agendamech solve`` record of each
 fixture and of one seeded model with ``verify``'s exit code and stderr on
-it, and the concave-window fixture with tied middle types solved at every
-quota and three outside levels.
+it, the concave-window fixture with tied middle types solved at every
+quota and three outside levels, and every candidate's configured constant
+shadow weight (each concave window, each convex tail and the convex
+unanimity configuration) on the six fixtures over ``0:3:121`` and on the
+ladder economies over ``0:1:31``, so the shadow-weight solve is compared
+directly, not only through the candidates that win.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import agendamech as am  # noqa: E402
-from agendamech.cli import load_model, main as cli_main  # noqa: E402
+from agendamech import regimes  # noqa: E402
+from agendamech.cli import _parse_grid, load_model, main as cli_main  # noqa: E402
 from workloads import (CORPUS_POOL, LADDER_CANDIDATES, SWEEP_MODELS,  # noqa: E402
                        corpus_economy, ladder_economy)
 
@@ -169,6 +174,50 @@ def _tied(window) -> list:
     return lines
 
 
+def _configured_gammas(name: str, econ, grid: str) -> list:
+    """Each candidate's constant shadow weight at every outside level of
+    ``grid``: what ``gamma_root`` returns (``%.17g``) or the error it raises,
+    then ``then`` and the error that ends the candidate, if one does; ``-``
+    when the candidate returns before the solve without an error."""
+    r, root, found = econ.n - 1, regimes.gamma_root, []
+
+    def recorded(*args):
+        try:
+            gamma = root(*args)
+        except am.SolverError as exc:
+            found.append(type(exc).__name__)
+            raise
+        found.append("%.17g" % gamma)
+        return gamma
+
+    curvature = econ.reservation.curvature
+    if curvature is am.Curvature.CONCAVE:
+        candidates = {f"window {start},{width}": (regimes._concave_window_candidate, start, width)
+                      for width in range(1, r - 1) for start in range(1, r - width)}
+    elif curvature is am.Curvature.CONVEX:
+        candidates = {f"tail {k_lo},{k_hi}": (regimes._convex_tail_candidate, k_lo, k_hi)
+                      for k_lo in range(r) for k_hi in range(r - k_lo) if k_lo or k_hi}
+        candidates["unanimity"] = (lambda e: regimes._convex_configuration(
+            e, regimes._convex_ends(e)),)
+    else:
+        return []
+    lines = []
+    regimes.gamma_root = recorded
+    try:
+        for g_circ in _parse_grid(grid):
+            at = econ.with_outside_g(g_circ)
+            for label, (candidate, *args) in candidates.items():
+                found.clear()
+                try:
+                    candidate(at, *args)
+                except (am.SolverError, am.InvalidEconomy) as exc:
+                    found.append(f"then {type(exc).__name__}")
+                lines.append(f"gamma {name} {g_circ!r} {label}: {' '.join(found) or '-'}")
+    finally:
+        regimes.gamma_root = root
+    return lines
+
+
 def _ladder_variants(econ) -> dict:
     """The economy with its first agent at the top, then at the bottom of the
     type support, and with truncated-normal types. A convex rung's two kinds
@@ -214,6 +263,7 @@ def main(argv) -> int:
                 lines += _solved(variant, am.solve)
         if econ.n == 3:
             lines += _table(f"ladder {index} quota 2", econ.with_quota(2))
+        lines += _configured_gammas(f"ladder {index}", econ, "0:1:31")
     with tempfile.TemporaryDirectory() as tmp:
         fixtures = {}
         for name, model in SWEEP_MODELS.items():
@@ -223,6 +273,7 @@ def main(argv) -> int:
             lines += _table(f"fixture {name}", fixtures[name])
             lines += _sweep(name, path)
             lines += _solve_verify(name, path)
+            lines += _configured_gammas(f"fixture {name}", fixtures[name], "0:3:121")
         seeded = Path(tmp) / "seeded.json"
         seeded.write_text(json.dumps(SEEDED_MODEL))
         lines += _solve_verify("seeded", seeded)

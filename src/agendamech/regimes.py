@@ -29,8 +29,8 @@ from .solver_core import (
     FixedPointDivergence,
     GammaRepresentation,
     Partition,
+    RentGap,
     SolverError,
-    _rent_gap_on,
     _simpson_grid,
     bisect,
     efficient_level,
@@ -258,7 +258,8 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
                             enforce_slope_sign: bool,
                             thresholds: Thresholds | None = None,
                             thresholds_raw: Thresholds | None = None,
-                            eff: float | None = None) -> MechanismSolution | None:
+                            eff: float | None = None,
+                            partition: Partition | None = None) -> MechanismSolution | None:
     """One-sided solution: every type mis-reports in the same direction.
 
     `config` is the `_one_sided` configuration of `side`. side "low": all
@@ -296,7 +297,7 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
     return _solution(econ, g_star, regime, schedules,
                      _pick_coalition(econ, required, members), gamma, cutoff_types,
                      excluded=excluded, bunched=excluded, thresholds=thresholds,
-                     thresholds_raw=thresholds_raw or Thresholds(g_raw, g_raw))
+                     thresholds_raw=thresholds_raw or Thresholds(g_raw, g_raw), partition=partition)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +438,7 @@ def _convex_ends(econ: Economy):
 def _convex_configuration(econ: Economy, ends):
     """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
     weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
-    gamma_const = gamma_root(_rent_gap_on(econ, ends[2]),
+    gamma_const = gamma_root(RentGap(econ, ends[2]),
                              lambda gam: xi_argmax(econ, GammaRepresentation.constant(gam)),
                              (0.0, 1.0), ends[0])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
@@ -456,7 +457,7 @@ def _convex_unanimity(econ: Economy):
     def assemble(partition):
         if side is not None:
             return _uniform_sign_candidate(econ, side, config, enforce_slope_sign=False,
-                                           thresholds=thr, thresholds_raw=thr)
+                                           thresholds=thr, thresholds_raw=thr, partition=partition)
         return _solution(econ, g_star, Regime.MIXED_INTERIOR,
                          _foc_schedules(econ, econ.agents, config, gamma_const),
                          _pick_coalition(econ, econ.agents, econ.agents),
@@ -479,7 +480,7 @@ def _curved_unanimity(econ: Economy):
         except FixedPointDivergence:
             sol = _posted_solution(econ, econ.outside_g,
                                    notes=("no consistent cutoff; status quo implemented",))
-            return agenda_setter_payoff(econ, sol), lambda: sol
+            return lambda: agenda_setter_payoff(econ, sol), lambda: sol
     return _convex_unanimity(econ)
 
 
@@ -495,25 +496,26 @@ def _payoff_bound(econ: Economy, g_star: float, payers, dips=()) -> float:
 
 
 def _candidate(econ: Economy, assemble, g_star: float, payers, dips=()):
-    """(`_payoff_bound`, assembly) of a candidate whose `assemble` takes the
-    partition, checked here. Bisected levels (no closed form) can raise in a
-    build, so those candidates are assembled here, in their old order."""
+    """(`_payoff_bound`, assembly) thunks of a candidate whose `assemble` takes
+    the partition, checked here. Bisected levels (no closed form) can raise in
+    a build, so those candidates are assembled here, in their old order."""
     if econ.tech.weighted_argmax is None:
         sol = assemble(None)
-        return math.inf, lambda: sol
+        return lambda: math.inf, lambda: sol
     partition = partition_types(econ, g_star)
-    return _payoff_bound(econ, g_star, payers, dips), lambda: assemble(partition)
+    return lambda: _payoff_bound(econ, g_star, payers, dips), lambda: assemble(partition)
 
 
 def _better_of(econ: Economy, candidates: list) -> MechanismSolution | None:
     """What the in-order rule (replace on a payoff gain above 1e-12) picks from
-    (bound, assembly) pairs assembled by decreasing bound, skipping any more
+    (bound, assembly) thunk pairs assembled by decreasing bound, skipping any more
     than `slack` below the best payoff so far. Every payoff within `slack` of
     the top is assembled; fewer than len(candidates) steps of 1e-12 cannot span
     that window, so a gap above 1e-12 cuts it and above it the rule runs as over all."""
     slack, built, top = 1e-12 * len(candidates), {}, -math.inf
-    for pos in sorted(range(len(candidates)), key=lambda i: -candidates[i][0]):
-        if not candidates[pos][0] < top - slack:
+    bounds = [bound() for bound, _ in candidates]
+    for pos in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
+        if not bounds[pos] < top - slack:
             sol = candidates[pos][1]()
             built[pos] = agenda_setter_payoff(econ, sol), sol
             top = max(top, built[pos][0])  # a NaN payoff leaves top as it is

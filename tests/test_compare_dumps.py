@@ -78,6 +78,14 @@ def test_schedule_array_reads_are_their_own_class():
     assert compare_dumps.compare([flat], [flat.replace("'flat'", "'foc'")])[1]
 
 
+def test_configured_gammas_are_their_own_class():
+    line = "gamma fixture convex_tail 1.0 tail 1,0: 0.74307369070067741"
+    stats, failures, _ = compare_dumps.compare([line], [line.replace("741", "752")])
+    row = stats["configured gamma"]
+    assert not failures and (row.lines, row.moved) == (1, 1)
+    assert compare_dumps.compare([line], [line.replace("0.74307369070067741", "BracketFailure")])[1]
+
+
 @pytest.mark.parametrize("index, old, new", [
     (1, "MIXED_INTERIOR: 'mixed_interior'", "UNDERSTATE_INTERIOR: 'understate_interior'"),
     (1, "[0, 1, 2]", "[0, 2]"),  # coalition

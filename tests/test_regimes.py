@@ -991,7 +991,7 @@ def test_candidates_that_cannot_win_build_no_schedules(concave_window_economy, m
     assert len(built) == pruned
     if g_circ == 1.3:
         bound, _ = regimes._curved_unanimity(econ.with_quota(econ.n))
-        assert bound == pytest.approx(-1.0334, abs=1e-4)
+        assert bound() == pytest.approx(-1.0334, abs=1e-4)
         assert am.agenda_setter_payoff(econ, sol) == pytest.approx(-1.0225, abs=1e-4)
     built.clear()
     monkeypatch.setattr(regimes, "_payoff_bound", lambda *args: math.inf)

@@ -1,6 +1,10 @@
+import dataclasses
 import json
 import math
+import random
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import agendamech as am
 from agendamech import cli, regimes, solver_core, transfers
-from agendamech.solver_core import (BISECT_LEVELS, GUESS_ROUNDS, GammaRepresentation, bisect,
-                                    invert_phi, rent_gap)
+from agendamech.solver_core import (BISECT_LEVELS, GUESS_ROUNDS, GammaRepresentation, RentGap,
+                                    bisect, invert_phi, rent_gap)
+from conftest import random_economy
 from oracles import foc_level, simpson
 
 
@@ -233,6 +238,164 @@ def test_gamma_star_constant_bracket_failure_guard(convex_economy):
     with pytest.raises(am.BracketFailure):
         solver_core.gamma_root(rent_gap(convex_economy, (0.0, 1.0)), level, (0.0, 1.0),
                                (level(1.0), level(0.0)))
+
+
+def _summed_gamma_root(gap, level, gamma_bounds, end_levels):
+    """The shadow-weight solve that sums the gap at every decision."""
+    lo_b, hi_b = gamma_bounds
+    r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])
+    if r_lo < r_hi - 1e-12:
+        raise am.BracketFailure("rent gap is not decreasing in the shadow weight")
+    if r_hi >= 0.0:
+        return hi_b
+    if r_lo <= 0.0:
+        return lo_b
+    return bisect(lambda gam: gap(level(gam)) > 0.0, lo_b, hi_b, 200, 1e-12)
+
+
+def _root_outcome(root, *args):
+    try:
+        return root(*args).hex()
+    except am.BracketFailure:
+        return "BracketFailure"
+
+
+def _stripped(econ):
+    return dataclasses.replace(econ, tech=dataclasses.replace(
+        econ.tech, weighted_argmax=None, phi_inverse=None))
+
+
+def _drawn_gaps(seed: int, count: int):
+    """(economy, gap, level of the gap's zero or None, the draws' rng): the
+    test corpus's draws over all four shapes, every third with its
+    technology's closed forms stripped, each gap on a random window of the
+    support."""
+    rng = random.Random(seed)
+    for k in range(count):
+        econ = random_economy(rng, curvatures=("linear", "concave", "convex", "negative"))
+        econ = _stripped(econ) if k % 3 == 0 else econ
+        window = tuple(sorted(rng.uniform(econ.theta_lo, econ.theta_hi) for _ in range(2)))
+        gap = rent_gap(econ, window)
+        gap.estimate(0.0)
+        a1, c0 = gap._affine[:2]
+        zero = invert_phi(econ.tech, c0 / a1) if c0 > 0.0 else None
+        yield econ, gap, zero, rng
+
+
+def test_rent_gap_estimate_bounds_the_sum_and_decides_its_sign():
+    """On drawn windows, at levels packed within 1e-14 relative of the gap's
+    zero (where the sum's rounding decides its sign), at offsets doubling out
+    from there across the bound's edge, and at far levels, the affine
+    estimate lies within its bound of the summed float, and `positive` is
+    that float's sign."""
+    checked, summed = 0, 0
+    for _, gap, zero, rng in _drawn_gaps(27, 150):
+        levels = [0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 1e-3)]
+        if zero is not None:
+            levels += [zero * (1.0 + k * 5e-16) for k in range(-20, 21)]
+            levels += [zero * (1.0 + sign * 2.0**j * 1e-14) for j in range(16) for sign in (-1, 1)]
+            levels += [zero * 0.5, zero * 2.0]
+        for g in levels:
+            est, bound = gap.estimate(g)
+            value = gap(g)
+            assert abs(est - value) <= bound, (g, est, value, bound)
+            assert gap.positive(g) == (value > 0.0), (g, est, value, bound)
+            checked += 1
+            summed += abs(est) <= bound
+    assert checked > 8000 and 0.2 * checked < summed < 0.8 * checked, (checked, summed)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rent_gap_sums_where_phi_is_not_finite(convex_economy, monkeypatch, value):
+    """Where phi is NaN or infinite the estimate cannot decide: `positive`
+    sums there, and only there."""
+    phi = convex_economy.tech.phi
+    econ = dataclasses.replace(convex_economy, tech=dataclasses.replace(
+        convex_economy.tech, phi=lambda g: value if g == 7.0 else phi(g)))
+    gap, sums = rent_gap(econ, (0.0, 1.0)), []
+    call = RentGap.__call__
+    monkeypatch.setattr(RentGap, "__call__", lambda self, g: sums.append(g) or call(self, g))
+    assert gap.positive(7.0) == (value > 0.0)
+    assert sums == [7.0]
+    assert gap.positive(0.5) == (call(gap, 0.5) > 0.0) and sums == [7.0]
+
+
+def test_gamma_root_matches_the_summed_solve_on_fixtures(request, monkeypatch):
+    """Every shadow-weight solve of the six fixtures' solves over the sweep
+    grid 0:3:31 at every quota, and of the convex fixtures' threshold tables,
+    returns the float (or the BracketFailure) that summing the gap at every
+    decision gives."""
+    outcomes = []
+    root = solver_core.gamma_root
+
+    def both(*args):
+        expected = _root_outcome(_summed_gamma_root, *args)
+        outcomes.append(_root_outcome(root, *args))
+        assert outcomes[-1] == expected
+        return root(*args)
+
+    monkeypatch.setattr(regimes, "gamma_root", both)
+    for name in ("golden_economy", "majority_economy", "concave_economy", "convex_economy",
+                 "concave_window_economy", "convex_tail_economy"):
+        econ = request.getfixturevalue(name)
+        for g_circ in cli._parse_grid("0:3:31"):
+            for quota in range(1, econ.n + 1):
+                try:
+                    am.solve(econ.with_quota(quota).with_outside_g(g_circ))
+                except am.SolverError:
+                    pass
+        if econ.reservation.curvature is am.Curvature.CONVEX:
+            am.threshold_table(econ)
+    interior = [o for o in outcomes if o not in ("BracketFailure", (0.0).hex(), (1.0).hex())]
+    assert len(outcomes) > 500 and len(interior) > 100, (len(outcomes), len(interior))
+
+
+def test_gamma_root_matches_the_summed_solve_on_drawn_windows():
+    """Drawn windows with an FOC weight affine in gamma through the gap's
+    zero, falling (a root or a bound) or rising (BracketFailure) in gamma,
+    half of them so slowly that every level stays where the sum's rounding
+    decides the gap's sign."""
+    outcomes = []
+    for econ, gap, zero, rng in _drawn_gaps(28, 150):
+        if zero is None or zero == 0.0:
+            continue
+        w_zero, gam_zero = 1.0 / float(econ.tech.phi_prime(zero)), rng.uniform(-0.3, 1.3)
+        slope = rng.choice([-1.0, 1.0]) * w_zero * rng.choice([rng.uniform(0.01, 3.0), 1e-15])
+        level = lambda gam: solver_core.solve_weighted_foc(
+            econ.tech, w_zero + slope * (gam - gam_zero))
+        bounds = tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(2)))
+        args = (gap, level, bounds, (level(bounds[1]), level(bounds[0])))
+        outcomes.append(_root_outcome(solver_core.gamma_root, *args))
+        assert outcomes[-1] == _root_outcome(_summed_gamma_root, *args)
+    kinds = {"BracketFailure" if o == "BracketFailure" else "interior" for o in outcomes}
+    assert len(outcomes) > 60 and kinds == {"BracketFailure", "interior"}
+
+
+def test_shadow_weight_solves_rarely_sum_the_gap(convex_economy, monkeypatch):
+    """threshold_table on the ladder pool's first eight economies sums the
+    gap on fewer than a fifth of its configuration probes, and the convex
+    fixture's interior solve on at most 8 of its bisection steps."""
+    sums, probes, steps = [], [], []
+    call, configuration = RentGap.__call__, regimes._convex_configuration
+    monkeypatch.setattr(RentGap, "__call__", lambda self, g: sums.append(g) or call(self, g))
+    monkeypatch.setattr(regimes, "_convex_configuration",
+                        lambda *args: probes.append(1) or configuration(*args))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import ladder_economy
+    finally:
+        sys.path.pop(0)
+    for index in range(8):
+        am.threshold_table(ladder_economy(am, index))
+    assert len(sums) < 0.2 * len(probes), (len(sums), len(probes))
+
+    sums.clear()
+    level = lambda gam: steps.append(gam) or am.xi_argmax(
+        convex_economy, GammaRepresentation.constant(gam))
+    gamma = solver_core.gamma_root(rent_gap(convex_economy, (0.0, 1.0)), level, (0.0, 1.0),
+                                   regimes._convex_ends(convex_economy)[0])
+    assert 0.0 < gamma < 1.0 and len(steps) > 30
+    assert len(sums) <= 8, (len(sums), len(steps))
 
 
 # ---------------------------------------------------------------------------
