@@ -10,13 +10,14 @@ schedule (one report at a time), schedule array (the same reads as one
 array), anchor (each schedule's anchor type), oracle, threshold table,
 sweep CSV, sweep segments, solve record (the JSON ``solve`` writes), verify
 (``verify``'s stderr on that record), configured gamma (each candidate's
-constant shadow weight), error and header. For each class the
+constant shadow weight), vcg stderr and vcg record (``agendamech vcg``'s
+stderr and the JSON it writes), error and header. For each class the
 script prints how many lines moved and the largest absolute and relative
 change of a number (relative to the old value; ``inf`` when a zero moved)
 and the largest change scaled by ``max(1, |old|)``.
 
-Float literals, numeric CSV cells and JSON numbers (of sweep segments and
-solve records) are numeric. Everything else (integers in a ``repr`` such
+Float literals, numeric CSV cells and JSON numbers (of sweep segments,
+solve records and vcg records) are numeric. Everything else (integers in a ``repr`` such
 as agent indices, coalitions and grid sizes, regimes, booleans, notes'
 words, CSV text cells, line counts) must match exactly. The exit code is
 1 when anything but a number differs, which includes a flipped oracle
@@ -48,10 +49,10 @@ DEVIATION = re.compile(r"worst_deviation=DeviationRecord\(agent=(\d+), true_type
                        r"misreport=([^,]+), gain=([^)]+)\)")
 VERDICT = re.compile(r"(\w+_ok)=(\w+)")
 GAMMA_TEXT = ("constant ", "mass at ", "point mass", "piecewise ")
-# the lines that follow a "sweep|solve|verify NAME exit N" header, in order
+# the lines that follow a "sweep|solve|verify|vcg NAME exit N" header, in order
 FOLLOWERS = {"sweep": ("sweep CSV", "sweep segments"), "solve": ("solve record",),
-             "verify": ("verify",)}
-SECTION = re.compile(r"(sweep|solve|verify) \S+ exit -?\d+$")
+             "verify": ("verify",), "vcg": ("vcg stderr", "vcg record")}
+SECTION = re.compile(r"(sweep|solve|verify|vcg) \S+ exit -?\d+$")
 
 
 class Stats:
@@ -157,7 +158,7 @@ def _pairs(kind: str, old: str, new: str):
     in anything but numbers. A schedule's first float is its anchor."""
     if kind == "sweep CSV":
         pairs = _csv_pairs(ast.literal_eval(old), ast.literal_eval(new))
-    elif kind in ("sweep segments", "solve record"):
+    elif kind in ("sweep segments", "solve record", "vcg record"):
         pairs = []
         if not _json_pairs(json.loads(ast.literal_eval(old)), json.loads(ast.literal_eval(new)),
                            pairs):

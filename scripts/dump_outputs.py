@@ -30,7 +30,10 @@ quota and three outside levels, and every candidate's configured constant
 shadow weight (each concave window, each convex tail and the convex
 unanimity configuration) on the six fixtures over ``0:3:121`` and on the
 ladder economies over ``0:1:31``, so the shadow-weight solve is compared
-directly, not only through the candidates that win.
+directly, not only through the candidates that win. Last come the exit
+code, stderr and JSON bytes of ``agendamech vcg`` on each fixture, with the
+default epsilon ladder and with ``--epsilon 0``, and on one model whose
+lowest type is 0, which the perturbation refuses.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ REPORTS = 17
 SEEDED_MODEL = {"economy": {**SWEEP_MODELS["golden"]["economy"], "agent_types": [0.2, 0.45, 0.8],
                             "quota": 3, "outside_g": 0.5},
                 "solver": {"seed": 3, "tau_bar": 0.05}}
+# An agent of type 0, which ``vcg``'s perturbation cannot compensate.
+ZERO_TYPE_MODEL = {"economy": {**SWEEP_MODELS["golden"]["economy"], "agent_types": [0.0, 0.8],
+                               "quota": 2}}
 
 
 def _solution_lines(econ, sol, agents=None) -> list:
@@ -158,6 +164,17 @@ def _solve_verify(name: str, model: Path) -> list:
         verified = cli_main(["verify", "--model", str(model), "--solution", str(record)])
     return [f"solve {name} exit {code}", repr(record.read_bytes()),
             f"verify {name} exit {verified}", repr(err.getvalue())]
+
+
+def _vcg(label: str, model: Path, *flags) -> list:
+    """``agendamech vcg``'s exit code, stderr and JSON bytes (``None`` when
+    it writes none)."""
+    out = model.with_name(f"{label}.vcg.json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["vcg", "--model", str(model), *flags, "--out", str(out)])
+    return [f"vcg {label} exit {code}", repr(err.getvalue()),
+            repr(out.read_bytes() if out.exists() else None)]
 
 
 def _tied(window) -> list:
@@ -274,9 +291,13 @@ def main(argv) -> int:
             lines += _sweep(name, path)
             lines += _solve_verify(name, path)
             lines += _configured_gammas(f"fixture {name}", fixtures[name], "0:3:121")
+            lines += _vcg(name, path) + _vcg(f"{name}@epsilon0", path, "--epsilon", "0")
         seeded = Path(tmp) / "seeded.json"
         seeded.write_text(json.dumps(SEEDED_MODEL))
         lines += _solve_verify("seeded", seeded)
+        zero = Path(tmp) / "zero_type.json"
+        zero.write_text(json.dumps(ZERO_TYPE_MODEL))
+        lines += _vcg("zero_type", zero)
     lines += _tied(fixtures["concave_window"])
     Path(argv[1]).write_text("\n".join(lines) + "\n")
     return 0

@@ -332,7 +332,6 @@ def _segments(rows):
             if abs(dg) > 2.0 * span + 1e-9:
                 jumps.append({"g_circ": g0, "from": prev["g_star"], "to": gs,
                               "direction": "down" if dg < 0 else "up"})
-                current = None
         if current is not None and current["regime"] == row["regime"] and (
                 abs(gs - current["stop_level"]) <= 2.0 * (g0 - current["stop"]) + 1e-9):
             current.update(stop=g0, stop_level=gs)
@@ -373,7 +372,7 @@ def cmd_sweep(args) -> int:
                               indent=2, sort_keys=True) + "\n"
     if plot_path:
         _write_text(plot_path, plot_payload)
-    elif not args.out:
+    else:
         sys.stdout.write(plot_payload)
 
     return EXIT_ORACLE if any(row["status"] != "ok" for row in rows) else EXIT_OK

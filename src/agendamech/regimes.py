@@ -99,12 +99,6 @@ class MechanismSolution:
     schedules: tuple
     notes: tuple = ()
 
-    def schedule_for(self, agent: int):
-        for s in self.schedules:
-            if s.agent == agent:
-                return s
-        raise KeyError(f"no schedule for agent {agent}")
-
 
 # ---------------------------------------------------------------------------
 # Shared construction helpers

@@ -58,22 +58,23 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
     leaves the bracket as it is or collapses it onto that endpoint, so every
     further step returns the same float and is skipped.
 
-    The vectorized mode calls ``below`` once per ``BISECT_LEVELS`` steps, on
-    an array of every midpoint they can reach, and walks those with the same
-    arithmetic and stops: both modes return the same float, monotone or not,
-    if ``below`` flags each array element as it flags that float alone. A
-    power technology's level does not: numpy's scalar power is an ulp off its
+    The vectorized mode reads ``below`` in rounds, one array call each, and
+    walks the same loop, stepping only on a midpoint whose flag the round
+    read at that float; when the next midpoint is not one, it reads the next
+    round. Both modes return the same float, monotone or not, if ``below``
+    flags each array element as it flags that float alone. A power
+    technology's level does not: numpy's scalar power is an ulp off its
     array ufunc for some weights (164 of 20001 near the benchmark corpus draw
     222's concave blend), where a guessed-path bisection moved gamma from
     0.5981989664667204 to 0.5981989664667198.
 
-    ``guess`` (vectorized mode only) maps the bracket to a report x. The
-    midpoints the loop would visit if ``below(mid)`` were ``mid < x``, less
-    the last ``BISECT_LEVELS``, are read with one call and replayed with the
-    real flags up to the first that differs from the guessed one; from that
-    bracket it guesses again, ``GUESS_ROUNDS`` times at most, and batches
-    finish. Every step still reads ``below`` at its own midpoint, so the
-    guess changes the number of calls, never the result.
+    A round reads every midpoint of the next ``BISECT_LEVELS`` steps, or,
+    while ``guess`` (vectorized mode only) maps the bracket to a report x,
+    the path the loop would take if ``below(mid)`` were ``mid < x``, less its
+    last ``BISECT_LEVELS`` steps. The walk leaves a path at its first flag
+    that differs from the guessed one. At most ``GUESS_ROUNDS`` paths are
+    read, and none once a path is empty or walked to its end. The guess
+    changes the number of calls, never the result.
     """
     if not vectorized:
         for _ in range(max_iter):
@@ -87,47 +88,40 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
             if tol is not None and hi - lo <= tol:
                 break
         return 0.5 * (lo + hi)
-    steps = 0
-    for _ in range(GUESS_ROUNDS if guess is not None else 0):
-        x, path, a, b = guess(lo, hi), [], lo, hi
-        while steps + len(path) < max_iter:
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            path.append(mid)
-            a, b = (mid, b) if mid < x else (a, mid)
-            if tol is not None and b - a <= tol:
-                break
-        path = path[:-BISECT_LEVELS]  # near the root the predicate's rounding decides, not x
-        if not path:
-            break
-        for mid, flag in zip(path, np.asarray(below(np.array(path))).tolist()):
-            steps += 1
-            lo, hi = (mid, hi) if flag else (lo, mid)
-            if tol is not None and hi - lo <= tol:
-                return 0.5 * (lo + hi)
-            if flag != (mid < x):
-                break
-        else:
-            break
-    for first in range(steps, max_iter, BISECT_LEVELS):
+    flags, guesses, path = {}, GUESS_ROUNDS if guess is not None else 0, []
+    for steps in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        halves = [2**d for d in reversed(range(min(BISECT_LEVELS, max_iter - first)))]
-        ends = np.empty(2 * halves[0] + 1)  # every bracket end of the batch, in order
-        ends[0], ends[-1] = lo, hi
-        for half in halves:
-            ends[half::2 * half] = 0.5 * (ends[:-1:2 * half] + ends[2 * half::2 * half])
-        flags = [False, *np.asarray(below(ends[1:-1])).tolist()]
-        ends, at = ends.tolist(), 0
-        for half in halves:
-            mid = ends[at + half]
-            if mid == lo or mid == hi:
-                return 0.5 * (lo + hi)
-            lo, hi, at = (mid, hi, at + half) if flags[at + half] else (lo, mid, at)
-            if tol is not None and hi - lo <= tol:
-                return 0.5 * (lo + hi)
+        flag = flags.get(mid)
+        if flag is None:  # the walk has left the last round's midpoints: read the next
+            if path and (lo if path[-1] < x else hi) == path[-1]:
+                guesses = 0  # the walk took that path to its end, each step as x guessed
+            x, path, a, b = guess(lo, hi) if guesses else None, [], lo, hi
+            for _ in range(max_iter - steps if guesses else 0):
+                m = 0.5 * (a + b)
+                if m == a or m == b:
+                    break
+                path.append(m)
+                a, b = (m, b) if m < x else (a, m)
+                if tol is not None and b - a <= tol:
+                    break
+            del path[-BISECT_LEVELS:]  # near the root the predicate's rounding decides, not x
+            if path:
+                guesses -= 1
+                flags = dict(zip(path, np.asarray(below(np.array(path))).tolist()))
+            else:
+                guesses, depth = 0, min(BISECT_LEVELS, max_iter - steps)
+                ends = np.empty(2**depth + 1)  # every bracket end of the next steps, in order
+                ends[0], ends[-1] = lo, hi
+                for half in (2**d for d in reversed(range(depth))):
+                    ends[half::2 * half] = 0.5 * (ends[:-1:2 * half] + ends[2 * half::2 * half])
+                mids = ends[1:-1]
+                flags = dict(zip(mids.tolist(), np.asarray(below(mids)).tolist()))
+            flag = flags[mid]
+        lo, hi = (mid, hi) if flag else (lo, mid)
+        if tol is not None and hi - lo <= tol:
+            break
     return 0.5 * (lo + hi)
 
 
@@ -255,38 +249,25 @@ def partition_types(econ: Economy, g: float) -> Partition:
     declared curvature (rising slopes for concave profiles, falling for
     convex, constant for linear).
     """
-    phi_g = float(econ.tech.phi(g))  # envelope slope phi(g) - v_bar'(theta), phi read once
-    slopes = {i: phi_g - float(econ.reservation.slope(econ.type_of(i), econ.outside_g))
-              for i in econ.agents}
-    K, L, M = set(), set(), set()
-    for i, s in slopes.items():
-        if s < -SLOPE_TOL:
-            K.add(i)
-        elif s > SLOPE_TOL:
-            M.add(i)
-        else:
-            L.add(i)
-
-    order = econ.sorted_agents()
-    labels = ["K" if i in K else ("L" if i in L else "M") for i in order]
+    phi_g, labels, sides = float(econ.tech.phi(g)), [], {"K": [], "L": [], "M": []}
+    for i in econ.sorted_agents():  # the envelope slope phi(g) - v_bar'(theta) gives the sign
+        s = phi_g - float(econ.reservation.slope(econ.type_of(i), econ.outside_g))
+        labels.append("K" if s < -SLOPE_TOL else ("M" if s > SLOPE_TOL else "L"))
+        sides[labels[-1]].append(i)
     curv = econ.reservation.curvature
     if curv is Curvature.NEGATIVE_SLOPE:
         # zero slopes occur only in the degenerate g_circ = 0 profile
-        if not set(labels) <= {"M", "L"}:
+        if "K" in labels:
             raise ContiguityViolation(
                 f"slope signs {labels} not uniformly positive under a decreasing profile")
     elif curv is Curvature.LINEAR:
         if len(set(labels)) > 1:  # slope is type-independent for linear
             raise ContiguityViolation(
                 f"slope signs {labels} vary across types under a linear profile")
-    else:
-        expected = ("K", "L", "M") if curv is Curvature.CONCAVE else ("M", "L", "K")
-        rank = {lab: k for k, lab in enumerate(expected)}
-        ranks = [rank[lab] for lab in labels]
-        if any(b < a for a, b in zip(ranks, ranks[1:])):
-            raise ContiguityViolation(
-                f"slope signs {labels} in type order contradict {curv.value} ordering")
-    return Partition(frozenset(K), frozenset(L), frozenset(M))
+    elif labels != sorted(labels, reverse=curv is Curvature.CONVEX):  # K < L < M
+        raise ContiguityViolation(
+            f"slope signs {labels} in type order contradict {curv.value} ordering")
+    return Partition(*map(frozenset, sides.values()))
 
 
 # ---------------------------------------------------------------------------

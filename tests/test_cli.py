@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,33 @@ def test_model_file_families_match_library(tmp_path, block, spec, parts):
         assert list(a.transfer(reports)) == list(b.transfer(reports))
 
 
+@pytest.mark.parametrize("edit, code, message", [
+    ({"distributions": {"family": "uniform", "lo": 1, "hi": 0.5}}, 2,
+     "economy.distributions: type support requires theta_hi > theta_lo"),
+    ({"distributions": {"family": "truncated_exponential", "rate": 0}}, 2,
+     "rate must be positive"),
+    ({"distributions": [{"family": "uniform"}, {"family": "uniform"}]}, 3,
+     "one distribution per non-agenda agent required"),
+], ids=["support-reversed", "rate-zero", "two-specs-one-agent"])
+def test_model_errors_no_other_test_reaches(tmp_path, capsys, edit, code, message):
+    model = _write(tmp_path, "bad.json", {"economy": {**GOLDEN_MODEL["economy"], **edit}})
+    assert main(["solve", "--model", model]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_module_entry_point_writes_the_solve_record(tmp_path):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    direct, entry = tmp_path / "direct.json", tmp_path / "entry.json"
+    assert main(["solve", "--model", model, "--out", str(direct)]) == 0
+    src = str(Path(am.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "agendamech", "solve", "--model", model,
+                           "--out", str(entry)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert entry.read_bytes() == direct.read_bytes()
+
+
 def test_solve_validation_failure_exit_3(tmp_path, capsys):
     # a mislabelled curvature fails validation before solving
     payload = {"economy": dict(GOLDEN_MODEL["economy"])}
@@ -345,6 +376,12 @@ def test_vcg_single_agent_economy_exit_3(tmp_path):
     payload["economy"]["quota"] = 1
     model = _write(tmp_path, "model.json", payload)
     assert main(["vcg", "--model", model]) == 3
+
+
+def test_vcg_epsilon_outside_its_range_exit_3(tmp_path, capsys):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    assert main(["vcg", "--model", model, "--epsilon", "0.5"]) == 3
+    assert "epsilon must lie in [0, 0.1]" in capsys.readouterr().err
 
 
 def test_per_agent_distribution_list(tmp_path):

@@ -86,6 +86,21 @@ def test_configured_gammas_are_their_own_class():
     assert compare_dumps.compare([line], [line.replace("0.74307369070067741", "BracketFailure")])[1]
 
 
+def test_vcg_records_are_compared_as_json():
+    record = repr(b'{\n  "rows": [\n    {\n      "deficit": 0.04107354380773831\n    }\n  ]\n}\n')
+    dump = ["vcg golden exit 0", repr(""), record,
+            "vcg zero_type exit 3", repr("precondition failed: perturbation needs a strictly "
+                                         "positive lowest type\n"), "None"]
+    moved = list(dump)
+    moved[2] = record.replace("831", "832")
+    stats, failures, _ = compare_dumps.compare(dump, moved)
+    assert not failures
+    assert (stats["vcg record"].lines, stats["vcg record"].moved) == (1, 1)
+    assert stats["vcg stderr"].lines == 2 and stats["header"].lines == 3
+    moved[5] = record
+    assert compare_dumps.compare(dump, moved)[1]  # an exit that now writes a record
+
+
 @pytest.mark.parametrize("index, old, new", [
     (1, "MIXED_INTERIOR: 'mixed_interior'", "UNDERSTATE_INTERIOR: 'understate_interior'"),
     (1, "[0, 1, 2]", "[0, 2]"),  # coalition

@@ -127,7 +127,7 @@ def test_bunched_pool_identical_across_agents(log_tech):
     assert len(sol.bunched) == 3
     bundles = set()
     for i in sol.bunched:
-        sched = sol.schedule_for(i)
+        sched = sol.schedules[i - 1]
         bundles.add((round(float(sched.allocation(0.5)), 12),
                      round(float(sched.transfer(0.5)), 12)))
     assert len(bundles) == 1
@@ -679,7 +679,7 @@ def test_stochastic_coalition_schedules_keep_their_distribution(log_tech):
         members = sorted(sol.coalition - {0})
         inner = am.solve(econ.restricted_to(members))
         for pos, i in enumerate(members):
-            sched, want = sol.schedule_for(i), inner.schedules[pos]
+            sched, want = sol.schedules[i - 1], inner.schedules[pos]
             assert sched.agent == i and want.agent == pos + 1
             assert sched.kind == want.kind == "foc"
             for method in ("allocation", "transfer", "rent"):

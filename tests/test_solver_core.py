@@ -154,6 +154,99 @@ def test_partition_groups_tied_types(log_tech):
     assert part.M == frozenset({1, 2, 3})
 
 
+def three_pass_partition(econ, g):
+    """``partition_types`` as it was written before its one pass: a slope
+    dict, label sets, a second label pass in type order and a rank check."""
+    phi_g = float(econ.tech.phi(g))
+    slopes = {i: phi_g - float(econ.reservation.slope(econ.type_of(i), econ.outside_g))
+              for i in econ.agents}
+    K, L, M = set(), set(), set()
+    for i, s in slopes.items():
+        if s < -solver_core.SLOPE_TOL:
+            K.add(i)
+        elif s > solver_core.SLOPE_TOL:
+            M.add(i)
+        else:
+            L.add(i)
+    labels = ["K" if i in K else ("L" if i in L else "M") for i in econ.sorted_agents()]
+    curv = econ.reservation.curvature
+    if curv is am.Curvature.NEGATIVE_SLOPE:
+        if not set(labels) <= {"M", "L"}:
+            raise am.ContiguityViolation(
+                f"slope signs {labels} not uniformly positive under a decreasing profile")
+    elif curv is am.Curvature.LINEAR:
+        if len(set(labels)) > 1:
+            raise am.ContiguityViolation(
+                f"slope signs {labels} vary across types under a linear profile")
+    else:
+        expected = ("K", "L", "M") if curv is am.Curvature.CONCAVE else ("M", "L", "K")
+        rank = {lab: k for k, lab in enumerate(expected)}
+        ranks = [rank[lab] for lab in labels]
+        if any(b < a for a, b in zip(ranks, ranks[1:])):
+            raise am.ContiguityViolation(
+                f"slope signs {labels} in type order contradict {curv.value} ordering")
+    return am.Partition(frozenset(K), frozenset(L), frozenset(M))
+
+
+def _partition_or_error(partition, econ, g):
+    try:
+        return partition(econ, g)
+    except am.SolverError as exc:
+        return type(exc), str(exc)
+
+
+def _partition_levels(econ):
+    """0, a spread of levels, the outside level and each agent's binding
+    level, where its envelope slope is zero."""
+    levels = [0.0, 0.05, 0.3, 1.0, 2.5, 6.0, econ.outside_g]
+    for i in econ.agents:
+        levels.append(invert_phi(econ.tech, float(econ.reservation.slope(econ.type_of(i),
+                                                                          econ.outside_g))))
+    return levels
+
+
+def test_partition_equals_three_pass_partition_on_drawn_economies():
+    rng, shapes = random.Random(2028), set()
+    for _ in range(240):
+        econ = random_economy(rng, ("linear", "concave", "convex", "negative"))
+        shapes.add(econ.reservation.curvature)
+        tied = dataclasses.replace(econ, agent_types=tuple(round(t, 1) for t in econ.agent_types))
+        for at in (econ, tied):
+            for g in _partition_levels(at):
+                assert (_partition_or_error(am.partition_types, at, g)
+                        == _partition_or_error(three_pass_partition, at, g))
+    assert shapes == set(am.Curvature)
+
+
+def _profile(slope, curvature):
+    return am.ReservationProfile(v_bar=lambda t, gc: np.zeros_like(np.asarray(t, float)),
+                                 v_bar_dtheta=slope, curvature=curvature, name="hand-made")
+
+
+@pytest.mark.parametrize("slope, curvature, message", [
+    (lambda t, gc: np.full_like(np.asarray(t, float), 5.0), am.Curvature.NEGATIVE_SLOPE,
+     "not uniformly positive under a decreasing profile"),
+    (lambda t, gc: 1.4 - np.asarray(t, float), am.Curvature.LINEAR,
+     "vary across types under a linear profile"),
+    (lambda t, gc: 0.3 + np.asarray(t, float), am.Curvature.CONCAVE,
+     "in type order contradict concave ordering"),
+    (lambda t, gc: 1.4 - np.asarray(t, float), am.Curvature.CONVEX,
+     "in type order contradict convex ordering"),
+    (lambda t, gc: np.full_like(np.asarray(t, float), 0.85), am.Curvature.NEGATIVE_SLOPE, None),
+], ids=["decreasing", "linear", "concave", "convex", "decreasing-all-zero"])
+def test_partition_hand_made_profiles_equal_three_pass_partition(log_tech, slope, curvature,
+                                                                   message):
+    econ = am.Economy(0.6, (0.9, 0.2, 0.2, 0.55), am.uniform(0.0, 1.0), log_tech,
+                      _profile(slope, curvature), 5, 1.0)
+    g = math.exp(0.85) - 1.0  # phi(g) = 0.85 sits between the agents' slopes
+    got = _partition_or_error(am.partition_types, econ, g)
+    assert got == _partition_or_error(three_pass_partition, econ, g)
+    if message is None:
+        assert got.L == frozenset(econ.agents)
+    else:
+        assert got[0] is am.ContiguityViolation and message in got[1]
+
+
 # ---------------------------------------------------------------------------
 # gamma machinery
 # ---------------------------------------------------------------------------
@@ -537,6 +630,104 @@ def test_bisect_checks_a_guessed_path_in_few_calls(guessed, most):
     got = bisect(below, 0.0, 1.0, 200, vectorized=True, guess=lambda a, b: guessed)
     assert got == reference_bisect(lambda x: x < 0.3, 0.0, 1.0, 200)
     assert len(calls) <= most
+
+
+def two_loop_bisect(below, lo, hi, max_iter, tol=None, guess=None):
+    """The vectorized ``bisect`` as it was written before its one walk: a
+    replay of each guessed path, then a walk of each batch's bracket tree."""
+    steps = 0
+    for _ in range(GUESS_ROUNDS if guess is not None else 0):
+        x, path, a, b = guess(lo, hi), [], lo, hi
+        while steps + len(path) < max_iter:
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            path.append(mid)
+            a, b = (mid, b) if mid < x else (a, mid)
+            if tol is not None and b - a <= tol:
+                break
+        path = path[:-BISECT_LEVELS]
+        if not path:
+            break
+        for mid, flag in zip(path, np.asarray(below(np.array(path))).tolist()):
+            steps += 1
+            lo, hi = (mid, hi) if flag else (lo, mid)
+            if tol is not None and hi - lo <= tol:
+                return 0.5 * (lo + hi)
+            if flag != (mid < x):
+                break
+        else:
+            break
+    for first in range(steps, max_iter, BISECT_LEVELS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        halves = [2**d for d in reversed(range(min(BISECT_LEVELS, max_iter - first)))]
+        ends = np.empty(2 * halves[0] + 1)
+        ends[0], ends[-1] = lo, hi
+        for half in halves:
+            ends[half::2 * half] = 0.5 * (ends[:-1:2 * half] + ends[2 * half::2 * half])
+        flags = [False, *np.asarray(below(ends[1:-1])).tolist()]
+        ends, at = ends.tolist(), 0
+        for half in halves:
+            mid = ends[at + half]
+            if mid == lo or mid == hi:
+                return 0.5 * (lo + hi)
+            lo, hi, at = (mid, hi, at + half) if flags[at + half] else (lo, mid, at)
+            if tol is not None and hi - lo <= tol:
+                return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _recorded(below, calls):
+    def recording(xs):
+        calls.append(np.array(xs, copy=True))
+        return below(xs)
+    return recording
+
+
+def _parity(x):
+    return np.floor(np.asarray(x) * 1e6) % 2 == 0
+
+
+def _with_bisection_examples(test):
+    x, lo, hi = map(float.fromhex, ["0x1.0000000000004p-2", "0x1.39a4adca590c6p-3",
+                                    "0x1.68d655335dbd7p-2"])
+    root, x_off, lo_off, hi_off = map(float.fromhex, [
+        "0x1.0000000000018p-2", "0x1.0000000000024p-2", "0x1.b58206be06786p-3",
+        "0x1.268d354f7f7e4p-1"])
+    for case in [(STEP_PREDICATES["<"](0.3), 0.0, 1.0, BISECT_LEVELS + 1, None, None),
+                 (STEP_PREDICATES[">="](0.7), 0.0, 1.0, 4 * BISECT_LEVELS + 3, 1e-15, None),
+                 (STEP_PREDICATES["<="](2e-300), 1e-300, 3e-300, 80, 1e-300, None),
+                 (STEP_PREDICATES["<"](0.3), 0.3, math.nextafter(0.3, 1.0), 80, None, None),
+                 (STEP_PREDICATES[">"](0.3), 0.3, 0.3, BISECT_LEVELS - 1, 0.0, None),
+                 (STEP_PREDICATES["<"](0.3), 0.0, 1.0, 80, None, lambda a, b: 0.3),
+                 (STEP_PREDICATES["<="](0.3), 0.0, 1.0, 40, 1e-9, lambda a, b: 0.7),
+                 # the flags leave a path at its last step, across 0.25: a second
+                 # guess there reads a two-midpoint path
+                 (STEP_PREDICATES["<"](root), lo_off, hi_off, 200, None,
+                  lambda a, b: x_off if a == lo_off else a),
+                 # a path walked to its end leaves a bracket across 0.25, finer below it:
+                 # a second guess there would read a one-midpoint path
+                 (STEP_PREDICATES["<"](x), lo, hi, 200, None, lambda a, b: x if a == lo else a),
+                 (_parity, -3.0, 7.0, 200, None, lambda a, b: 0.7 * a + 0.3 * b)]:
+        test = example(case=case)(test)
+    return test
+
+
+@given(case=bisection_cases())
+@_with_bisection_examples
+@settings(max_examples=400, deadline=None)
+def test_bisect_vectorized_reads_the_two_loop_call_schedule(case):
+    """One walk over rounds makes the calls the guessed-path replay and the
+    batch walk made: the same arrays, bit for bit, in the same order, and
+    returns the same float."""
+    below, lo, hi, max_iter, tol, guess = case
+    calls, want_calls = [], []
+    got = bisect(_recorded(below, calls), lo, hi, max_iter, tol, vectorized=True, guess=guess)
+    want = two_loop_bisect(_recorded(below, want_calls), lo, hi, max_iter, tol, guess)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert [c.tobytes() for c in calls] == [c.tobytes() for c in want_calls]
 
 
 CONCAVE_WINDOW_MODEL = {

@@ -22,7 +22,7 @@ GOLDEN_PAYOFF = 0.0214826348532566
 
 def test_understate_transfer_matches_quadrature_oracle(golden_economy):
     sol = am.solve(golden_economy)
-    sched = sol.schedule_for(1)
+    sched = sol.schedules[0]
     got = float(sched.transfer(0.8))
 
     def allocation(x):
@@ -104,8 +104,8 @@ def test_bunched_agents_pool_at_cutoff_bundle(majority_economy):
     assert sol.excluded == frozenset({1})
     assert sol.bunched == frozenset({1})
     cutoff_agent = 2  # lowest type still in the coalition
-    sched_cut = sol.schedule_for(cutoff_agent)
-    sched_exc = sol.schedule_for(1)
+    sched_cut = sol.schedules[cutoff_agent - 1]
+    sched_exc = sol.schedules[0]
     t_cut = float(sched_cut.transfer(majority_economy.type_of(cutoff_agent)))
     assert sol.transfers[1] == pytest.approx(t_cut, abs=1e-12)
     grid = np.linspace(0.0, 1.0, 11)
@@ -125,7 +125,7 @@ def test_overstate_transfer_anchors_at_top(golden_economy):
     econ = golden_economy.with_outside_g(2.0)
     sol = am.solve(econ)
     assert sol.regime is am.Regime.OVERSTATE_INTERIOR
-    sched = sol.schedule_for(1)
+    sched = sol.schedules[0]
     assert sched.anchor == pytest.approx(1.0, abs=1e-9)
     assert float(sched.rent(1.0)) == pytest.approx(0.0, abs=1e-9)
     # rents decrease in type when everyone overstates

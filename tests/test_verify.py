@@ -54,6 +54,11 @@ class _BrokenSchedule:
         return float(out) if out.ndim == 0 else out
 
 
+def test_oracle_grid_below_five_points_raises(golden_economy):
+    with pytest.raises(ValueError, match="grid_size must be at least 5"):
+        am.check_dsic(golden_economy, am.solve(golden_economy).schedules, grid_size=4)
+
+
 def test_oracle_detects_non_monotone_allocation(golden_economy):
     dsic_ok, worst, mono_ok, viol = am.check_dsic(golden_economy, [_BrokenSchedule()])
     assert not mono_ok
@@ -65,7 +70,7 @@ def test_oracle_detects_non_monotone_allocation(golden_economy):
 
 def test_oracle_detects_tampered_transfer(golden_economy):
     sol = am.solve(golden_economy)
-    base = sol.schedule_for(1)
+    base = sol.schedules[0]
 
     class Tampered:
         kind = "tampered"
