@@ -58,54 +58,39 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
     leaves the bracket as it is or collapses it onto that endpoint, so every
     further step returns the same float and is skipped.
 
-    The vectorized mode reads ``below`` in rounds, one array call each, and
-    walks the same loop, stepping only on a midpoint whose flag the round
-    read at that float; when the next midpoint is not one, it reads the next
-    round. Both modes return the same float, monotone or not, if ``below``
-    flags each array element as it flags that float alone. A power
-    technology's level does not: numpy's scalar power is an ulp off its
-    array ufunc for some weights (164 of 20001 near the benchmark corpus draw
-    222's concave blend), where a guessed-path bisection moved gamma from
-    0.5981989664667204 to 0.5981989664667198.
+    Both modes step through one loop. The scalar mode reads ``below(mid)``
+    at each step; the vectorized mode reads it in rounds, one array call
+    each, stepping only on a midpoint whose flag the round read at that
+    float, and reads the next round when the next midpoint is not one. Both
+    return the same float, monotone or not, if ``below`` flags each array
+    element as it flags that float alone. A power technology's level does
+    not: numpy's scalar power is an ulp off its array ufunc for some weights
+    (164 of 20001 near the benchmark corpus draw 222's concave blend), where
+    a guessed-path bisection moved gamma from 0.5981989664667204 to
+    0.5981989664667198.
 
     A round reads every midpoint of the next ``BISECT_LEVELS`` steps, or,
     while ``guess`` (vectorized mode only) maps the bracket to a report x,
-    the path the loop would take if ``below(mid)`` were ``mid < x``, less its
-    last ``BISECT_LEVELS`` steps. The walk leaves a path at its first flag
-    that differs from the guessed one. At most ``GUESS_ROUNDS`` paths are
-    read, and none once a path is empty or walked to its end. The guess
-    changes the number of calls, never the result.
+    the guessed path less its last ``BISECT_LEVELS`` steps: the midpoints of
+    this function run in scalar mode with ``mid < x`` for ``below``. The
+    walk leaves a path at its first flag that differs from the guessed one.
+    At most ``GUESS_ROUNDS`` paths are read, and none once a path is empty
+    or walked to its end. The guess changes the number of calls, never the
+    result.
     """
-    if not vectorized:
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-            if tol is not None and hi - lo <= tol:
-                break
-        return 0.5 * (lo + hi)
     flags, guesses, path = {}, GUESS_ROUNDS if guess is not None else 0, []
     for steps in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        flag = flags.get(mid)
-        if flag is None:  # the walk has left the last round's midpoints: read the next
+        if not vectorized:
+            flag = below(mid)
+        elif (flag := flags.get(mid)) is None:  # the walk has left the last round's midpoints
             if path and (lo if path[-1] < x else hi) == path[-1]:
                 guesses = 0  # the walk took that path to its end, each step as x guessed
-            x, path, a, b = guess(lo, hi) if guesses else None, [], lo, hi
-            for _ in range(max_iter - steps if guesses else 0):
-                m = 0.5 * (a + b)
-                if m == a or m == b:
-                    break
-                path.append(m)
-                a, b = (m, b) if m < x else (a, m)
-                if tol is not None and b - a <= tol:
-                    break
+            x, path = guess(lo, hi) if guesses else None, []
+            if guesses:
+                bisect(lambda m: path.append(m) or m < x, lo, hi, max_iter - steps, tol)
             del path[-BISECT_LEVELS:]  # near the root the predicate's rounding decides, not x
             if path:
                 guesses -= 1
@@ -119,7 +104,10 @@ def bisect(below: Callable, lo: float, hi: float, max_iter: int,
                 mids = ends[1:-1]
                 flags = dict(zip(mids.tolist(), np.asarray(below(mids)).tolist()))
             flag = flags[mid]
-        lo, hi = (mid, hi) if flag else (lo, mid)
+        if flag:
+            lo = mid
+        else:
+            hi = mid
         if tol is not None and hi - lo <= tol:
             break
     return 0.5 * (lo + hi)

@@ -33,13 +33,15 @@ class FlatSchedule:
         self.anchor = econ.type_of(agent)
 
     def allocation(self, x):
-        x = np.asarray(x, float)
-        out = np.full_like(x, self.g_value)
-        return float(out) if out.ndim == 0 else out
+        return self._flat(x, self.g_value)
 
     def transfer(self, x):
-        x = np.asarray(x, float)
-        out = np.full_like(x, self.t_value)
+        return self._flat(x, self.t_value)
+
+    @staticmethod
+    def _flat(x, value):
+        """``value`` at each report in x; a float for a scalar x."""
+        out = np.full_like(np.asarray(x, float), value)
         return float(out) if out.ndim == 0 else out
 
 

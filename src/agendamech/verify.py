@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AGENDA_SETTER, Economy, InvalidEconomy, ModelError
-from .solver_core import solve_weighted_foc
 
 ORACLE_GRID = 41
 ORACLE_TOL = 1e-8
@@ -192,7 +191,7 @@ class VcgReport:
 
 def _require_log_tech(econ: Economy):
     probe = float(econ.tech.phi(math.e - 1.0))
-    if econ.tech.name != "log" or abs(probe - 1.0) > 1e-9:
+    if econ.tech.name != "log" or abs(probe - 1.0) > 1e-9 or econ.tech.weighted_argmax is None:
         raise InvalidEconomy("log benefit technology required for the efficiency demo")
 
 
@@ -212,7 +211,7 @@ def vcg_demo(econ: Economy, epsilon: float) -> VcgReport:
         raise ModelError("epsilon must lie in [0, 0.1]")
     thetas = np.array([econ.agenda_setter_type, *econ.agent_types], float)
     total = float(thetas.sum())
-    g_eff = solve_weighted_foc(econ.tech, total)
+    g_eff = float(econ.tech.weighted_argmax(total))
     phi_g = float(econ.tech.phi(g_eff))
     transfers = tuple(g_eff - (total - th) * phi_g for th in thetas)
     deficit = g_eff - float(sum(transfers))

@@ -740,3 +740,21 @@ def test_usage_errors_exit_2_on_the_kept_parser(tmp_path, capsys, argv):
         assert exit_info.value.code == 2
         assert main(["solve", "--model", model, "--out", str(tmp_path / "solution.json")]) == 0
     assert "usage: agendamech" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_solver_failure_exit_4(tmp_path, capsys, monkeypatch, command):
+    model = _write(tmp_path, "model.json", GOLDEN_MODEL)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--model", model, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def failing(econ):
+        raise am.BracketFailure("rent gap keeps its sign on [0, 1]")
+
+    monkeypatch.setattr(cli, "solve", failing)
+    written = out.read_bytes()
+    argv = {"solve": ["--out", str(out)], "verify": ["--solution", str(out)]}[command]
+    assert main([command, "--model", model, *argv]) == 4
+    assert capsys.readouterr() == ("", "solver failure: rent gap keeps its sign on [0, 1]\n")
+    assert out.read_bytes() == written

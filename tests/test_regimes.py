@@ -1023,3 +1023,83 @@ def test_bisected_levels_build_every_candidate_where_configured(request, monkeyp
         econ.tech, weighted_argmax=None, phi_inverse=None))
     am.solve(bisected)
     assert events == ["build"] * every + ["compete"]
+
+
+# ---------------------------------------------------------------------------
+# Fallbacks when a configuration cannot be found
+# ---------------------------------------------------------------------------
+
+
+def _posted_at_outside(econ, sol, note):
+    """`sol` is the posted status quo: level g_circ, every agent in the
+    reservation-tax schedule, and `note` as its only note."""
+    phi_g = math.log1p(econ.outside_g)
+    types = [econ.type_of(i) for i in range(econ.n)]
+    taxes = [t * phi_g - float(econ.reservation.value(t, econ.outside_g)) for t in types]
+    assert sol.regime is am.Regime.OUTSIDE_OPTION and sol.g_star == econ.outside_g
+    assert sol.notes == (note,)
+    assert sol.transfers == pytest.approx(taxes, abs=1e-12)
+    assert not sol.excluded and not sol.bunched
+
+
+def test_concave_unanimity_without_a_cutoff_posts_the_status_quo(concave_economy, monkeypatch):
+    def diverge(econ):
+        raise am.FixedPointDivergence("cutoff iteration left its bracket")
+
+    monkeypatch.setattr(regimes, "_concave_unanimity", diverge)
+    sol = am.solve(concave_economy)
+    _posted_at_outside(concave_economy, sol, "no consistent cutoff; status quo implemented")
+    assert sol.coalition == frozenset(range(concave_economy.n))
+    # no thresholds were computed: both sit at g_circ
+    assert sol.thresholds == sol.thresholds_raw == am.Thresholds(1.0, 1.0)
+
+
+@pytest.mark.parametrize("error", [am.SolverError, am.InvalidEconomy])
+def test_quota_solve_drops_a_unanimity_copy_that_raises(concave_window_economy, monkeypatch,
+                                                        error):
+    want = _record(am.solve(concave_window_economy))
+    copies = []
+
+    def failing(econ):
+        copies.append(econ.quota)
+        raise error("unanimity copy failed")
+
+    monkeypatch.setattr(regimes, "_curved_unanimity", failing)
+    assert _record(am.solve(concave_window_economy)) == want
+    assert copies == [concave_window_economy.n]
+    assert want[-1] == ("excluded interior window of 2 agent(s)",)
+
+
+def test_quota_solve_without_a_candidate_posts_the_status_quo(concave_window_economy,
+                                                             monkeypatch):
+    econ = concave_window_economy
+    want = am.solve(econ)
+
+    def failing(econ):
+        raise am.SolverError("unanimity copy failed")
+
+    monkeypatch.setattr(regimes, "_curved_unanimity", failing)
+    monkeypatch.setattr(regimes, "_concave_window_candidate", lambda econ, start, width: None)
+    sol = am.solve(econ)
+    _posted_at_outside(econ, sol, "no consistent configuration; status quo implemented")
+    assert (sol.thresholds, sol.thresholds_raw) == (want.thresholds, want.thresholds_raw)
+    assert (sol.thresholds.g_low, sol.thresholds.g_high) == pytest.approx((1.5, 1.7), abs=1e-12)
+    assert len(sol.coalition) == econ.quota
+
+
+def test_window_without_a_shadow_weight_bracket_is_no_candidate(concave_window_economy,
+                                                                monkeypatch):
+    """A window whose shadow-weight search finds no bracket drops out, and the
+    unanimity copy, which needs no such search, wins the quota solve."""
+    econ = concave_window_economy
+
+    def no_bracket(*args):
+        raise am.BracketFailure("rent gap keeps its sign")
+
+    unanimity = am.solve(econ.with_quota(econ.n))
+    monkeypatch.setattr(regimes, "gamma_root", no_bracket)
+    assert regimes._concave_window_candidate(econ, 1, 2) is None
+    sol = am.solve(econ)
+    assert sol.regime is am.Regime.MIXED_INTERIOR and not sol.excluded and sol.notes == ()
+    assert sol.g_star == unanimity.g_star and sol.transfers == unanimity.transfers
+    assert (sol.thresholds.g_low, sol.thresholds.g_high) == pytest.approx((1.5, 1.7), abs=1e-12)

@@ -730,6 +730,24 @@ def test_bisect_vectorized_reads_the_two_loop_call_schedule(case):
     assert [c.tobytes() for c in calls] == [c.tobytes() for c in want_calls]
 
 
+@given(case=bisection_cases())
+@_with_bisection_examples
+@settings(max_examples=400, deadline=None)
+def test_bisect_scalar_reads_the_reference_call_schedule(case):
+    """Scalar mode asks ``below`` at the floats the fixed-count loop asks,
+    bit for bit, once each and in the same order, up to its early stop; a
+    stop ahead of the loop's is where the next midpoint is a bracket end."""
+    below, lo, hi, max_iter, tol, _ = case
+    calls, want_calls = [], []
+    got = bisect(lambda x: calls.append(x) or below(x), lo, hi, max_iter, tol)
+    want = reference_bisect(lambda x: want_calls.append(x) or below(x), lo, hi, max_iter, tol)
+    bits = lambda xs: [np.float64(x).tobytes() for x in xs]
+    assert bits(calls) == bits(want_calls[:len(calls)])
+    if len(calls) < len(want_calls):
+        assert want_calls[len(calls)] in {*calls, lo, hi}
+    assert got == want
+
+
 CONCAVE_WINDOW_MODEL = {
     "economy": {
         "agenda_setter_type": 0.5,

@@ -79,6 +79,18 @@ def test_constant_allocation_transfer_hand_integral(log_tech):
             0.0 * math.log(1.0 + level), abs=1e-10)
 
 
+@pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3), 1, [0.1, 0.9],
+                               np.zeros((2, 3), np.float32)])
+def test_flat_schedule_reads_its_values_at_every_report(golden_economy, x):
+    sched = transfers.FlatSchedule(golden_economy, 1, 0.4, -0.25)
+    for got, value in ((sched.allocation(x), 0.4), (sched.transfer(x), -0.25)):
+        if np.ndim(x) == 0:
+            assert type(got) is float and got == value
+        else:
+            assert got.dtype == np.float64 and got.shape == np.shape(x)
+            assert got.tobytes() == np.full(np.shape(x), value).tobytes()
+
+
 def test_schedule_build_evaluates_slopes_in_one_pass(log_tech, monkeypatch):
     """One allocation pass over the nodes and panel midpoints builds a
     schedule without kinks; a kinked one reads its merged nodes once more."""

@@ -161,6 +161,32 @@ def test_vcg_requires_log_technology():
         am.vcg_demo(econ, 1e-3)
 
 
+def test_vcg_requires_the_closed_form_level():
+    tech = am.log_technology()
+    bare = am.Technology(phi=tech.phi, phi_prime=tech.phi_prime, name="log")
+    econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), bare,
+                      am.linear_reservation(bare, 2), 2, 0.0)
+    with pytest.raises(am.InvalidEconomy, match="log benefit technology required"):
+        am.vcg_demo(econ, 1e-3)
+
+
+@pytest.mark.parametrize("types", [(0.0, 0.0), (0.3, 0.2), (0.5, 0.5), (0.5, 0.5 + 2**-53),
+                                   (1e-300, 0.0), (0.9, 0.7, 0.4)])
+def test_vcg_efficient_level_is_the_weighted_foc_level(log_tech, types):
+    econ = am.Economy(types[0], types[1:], am.uniform(0.0, 1.0), log_tech,
+                      am.linear_reservation(log_tech, len(types)), len(types), 0.0)
+    total = float(np.array(types, float).sum())
+    want = am.solve_weighted_foc(log_tech, total)
+    assert repr(am.vcg_demo(econ, 0.0).g_efficient) == repr(want)
+
+
+def test_verify_module_holds_no_solver_object():
+    from agendamech import solver_core, verify
+    held = [name for name, value in vars(verify).items()
+            if value is solver_core or getattr(value, "__module__", None) == solver_core.__name__]
+    assert held == []
+
+
 def test_vcg_groves_transfers_are_dsic(vcg_economy):
     # direct deviation scan of the aligned transfer rule on a grid
     thetas = [0.5, 0.8, 0.7]
