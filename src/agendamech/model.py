@@ -9,6 +9,7 @@ implementable reservation profile).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -21,6 +22,7 @@ LOG_CONCAVITY_TOL = 1e-7
 CURVATURE_TOL = 1e-7
 
 AGENDA_SETTER = 0  # agent index reserved for the proposer
+_bits = struct.Struct("<d").pack  # a float's bits
 
 
 class ModelError(ValueError):
@@ -249,11 +251,25 @@ class ReservationProfile:
         return _as_array(lambda t: self.v_bar_dtheta(t, g_circ), theta)
 
 
+def _phi_once(tech: Technology, levels=()) -> Callable:
+    """float(tech.phi(g)) by the bits of g, read once at each of `levels` and once
+    per other g in a row; the last pair is replaced whole, so threads agree."""
+    kept = {key: float(tech.phi(g)) for key, g in {_bits(g): g for g in levels}.items()}
+    last = [(None, 0.0)]
+
+    def phi(g):
+        if (pair := last[0])[0] != (key := _bits(g)):
+            pair = last[0] = key, kept[key] if key in kept else float(tech.phi(g))
+        return pair[1]
+    return phi
+
+
 def linear_reservation(tech: Technology, n: int) -> ReservationProfile:
     """v_bar = theta * phi(g_circ) - g_circ / n; slope is type-independent."""
+    phi = _phi_once(tech)
     return ReservationProfile(
-        v_bar=lambda t, gc: np.asarray(t, float) * float(tech.phi(gc)) - gc / n,
-        v_bar_dtheta=lambda t, gc: np.full_like(t, float(tech.phi(gc))),
+        v_bar=lambda t, gc: np.asarray(t, float) * phi(gc) - gc / n,
+        v_bar_dtheta=lambda t, gc: np.full_like(t, phi(gc)),
         curvature=Curvature.LINEAR,
         name=f"linear(n={n})",
     )
@@ -268,9 +284,10 @@ def zero_reservation() -> ReservationProfile:
 def share_reservation(tech: Technology, share: Callable, share_prime: Callable,
                       curvature: Curvature, name: str = "share") -> ReservationProfile:
     """v_bar = phi(g_circ) * share(theta); curvature inherited from share."""
+    phi = _phi_once(tech)
     return ReservationProfile(
-        v_bar=lambda t, gc: float(tech.phi(gc)) * share(t),
-        v_bar_dtheta=lambda t, gc: float(tech.phi(gc)) * share_prime(t),
+        v_bar=lambda t, gc: phi(gc) * share(t),
+        v_bar_dtheta=lambda t, gc: phi(gc) * share_prime(t),
         curvature=curvature,
         name=name,
     )

@@ -23,6 +23,7 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
+    _phi_once,
 )
 from .solver_core import (
     BracketFailure,
@@ -31,16 +32,15 @@ from .solver_core import (
     Partition,
     RentGap,
     SolverError,
+    _partition_at,
     _simpson_grid,
     bisect,
     efficient_level,
     gamma_root,
-    gamma_weight_sum,
     invert_phi,
     partition_types,
     rent_gap,
     solve_weighted_foc,
-    xi_argmax,
 )
 from .transfers import FlatSchedule, FocSchedule, agenda_setter_payoff, realized_transfers
 
@@ -128,19 +128,11 @@ def _pick_coalition(econ: Economy, required, eligible) -> frozenset:
 
 def _middle_gamma(econ: Economy) -> GammaRepresentation:
     """Constant shadow weight rationalizing the status-quo level, if any."""
-    dphi = econ.tech.marginal(econ.outside_g)
-    if not (math.isfinite(dphi) and dphi > 0):
-        return GammaRepresentation.constant(0.5)
-    target = 1.0 / dphi
-
-    def w(gam):
-        return gamma_weight_sum(econ, GammaRepresentation.constant(gam))
-
-    w1, w0 = w(1.0), w(0.0)
-    if not w1 - 1e-9 <= target <= w0 + 1e-9:
-        return GammaRepresentation.constant(0.5)
-    # w is decreasing in gamma
-    return GammaRepresentation.constant(bisect(lambda gam: w(gam) > target, 0.0, 1.0, 100))
+    dphi, w = econ.tech.marginal(econ.outside_g), _constant_weight(econ)
+    # w falls as gamma rises; 0.5 where no gamma puts w at 1/phi' of the status quo
+    if math.isfinite(dphi) and dphi > 0 and w(1.0) - 1e-9 <= 1.0 / dphi <= w(0.0) + 1e-9:
+        return GammaRepresentation.constant(bisect(lambda gam: w(gam) > 1.0 / dphi, 0.0, 1.0, 100))
+    return GammaRepresentation.constant(0.5)
 
 
 def _solution(econ: Economy, g_star: float, regime: Regime, schedules: dict,
@@ -419,27 +411,43 @@ def _concave_unanimity(econ: Economy):
 # ---------------------------------------------------------------------------
 
 
+def _constant_weight(econ: Economy):
+    """`gamma_weight_sum` at a constant shadow weight, as a function of it:
+    the same float, from each agent's type, F, f and at-top flag read once."""
+    terms = [(theta, theta >= econ.theta_hi - 1e-12, cdf, pdf)
+             for theta, (cdf, pdf) in zip(econ.agent_types, econ._cdf_pdf)]
+
+    def weight(gam):
+        total = econ.agenda_setter_type
+        for theta, at_top, cdf, pdf in terms:
+            total += theta - ((1.0 if at_top else gam) - cdf) / pdf
+        return total
+    return weight
+
+
 def _convex_ends(econ: Economy):
-    """What the outside level leaves fixed in `_convex_configuration`: the
-    levels of `gamma_weight_sum` at shadow weights 1 and 0, both sides'
-    `_one_sided` tuples (kept apart: the sums weigh an agent at theta_hi
-    differently, so their levels can differ) and the support's Simpson grid."""
-    return (tuple(xi_argmax(econ, GammaRepresentation.constant(gam)) for gam in (1.0, 0.0)),
-            {side: _one_sided(econ, side, 0) for side in ("low", "high")},
-            _simpson_grid((econ.theta_lo, econ.theta_hi)))
+    """What the outside level leaves fixed in `_convex_configuration`: the levels
+    at constant shadow weights 1 and 0, both sides' `_one_sided` tuples (kept
+    apart: the sums weigh an agent at theta_hi differently, so their levels can
+    differ), the Simpson grid, `_constant_weight` and phi kept at those levels."""
+    weight = _constant_weight(econ)
+    levels = tuple(solve_weighted_foc(econ.tech, weight(gam)) for gam in (1.0, 0.0))
+    sides = {side: _one_sided(econ, side, 0) for side in ("low", "high")}
+    phi = _phi_once(econ.tech, (*levels, sides["low"][5], sides["high"][5]))
+    return levels, sides, _simpson_grid((econ.theta_lo, econ.theta_hi)), weight, phi
 
 
 def _convex_configuration(econ: Economy, ends):
     """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
     weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
-    gamma_const = gamma_root(RentGap(econ, ends[2]),
-                             lambda gam: xi_argmax(econ, GammaRepresentation.constant(gam)),
+    gamma_const = gamma_root(RentGap(econ, ends[2], ends[4]),
+                             lambda gam: solve_weighted_foc(econ.tech, ends[3](gam)),
                              (0.0, 1.0), ends[0])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
     if side is not None:
         config = ends[1][side]
         return gamma_const, side, config, config[5]
-    w_star = gamma_weight_sum(econ, GammaRepresentation.constant(gamma_const))
+    w_star = ends[3](gamma_const)
     return gamma_const, side, w_star, solve_weighted_foc(econ.tech, w_star)
 
 
@@ -748,9 +756,9 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     reaches the next realized agent (indices rise with the outside option);
     for convex profiles rungs are where a realized agent's envelope slope
     flips sign at the solution (positional indices fall), found by bisecting
-    on the outside level. A convex unanimity table, its bracket cap included,
-    reads only levels, off `_convex_ends` solved once per table; the rest
-    solve in full. Linear profiles have only the two outer thresholds.
+    on the outside level. A convex unanimity table reads only levels, cap
+    included, off `_convex_ends` kept per table and phi once per probe level;
+    the rest solve in full. Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
     if curv is Curvature.LINEAR:
@@ -780,12 +788,12 @@ def threshold_table(econ: Economy) -> ThresholdTable:
 
             def flip(gc):
                 at = econ.with_outside_g(gc)
-                if ends is not None:  # no schedules
-                    g = _convex_configuration(at, ends)[3]
-                    partition_types(at, g)  # raises wherever solve would
+                if ends is not None:  # no schedules; phi read once at the level
+                    phi_g = ends[4](_convex_configuration(at, ends)[3])
+                    _partition_at(at, phi_g)  # raises wherever solve would
                 else:
-                    g = solve(at).g_star
-                return float(econ.reservation.slope(theta, gc)) - float(econ.tech.phi(g))
+                    phi_g = float(econ.tech.phi(solve(at).g_star))
+                return float(econ.reservation.slope(theta, gc)) - phi_g
 
             g_circ = _bisect_increasing(flip, 0.0, hi_cap)
             if g_circ is not None:

@@ -237,7 +237,12 @@ def partition_types(econ: Economy, g: float) -> Partition:
     declared curvature (rising slopes for concave profiles, falling for
     convex, constant for linear).
     """
-    phi_g, labels, sides = float(econ.tech.phi(g)), [], {"K": [], "L": [], "M": []}
+    return _partition_at(econ, float(econ.tech.phi(g)))
+
+
+def _partition_at(econ: Economy, phi_g: float) -> Partition:
+    """`partition_types` at a level whose phi the caller has read: phi_g."""
+    labels, sides = [], {"K": [], "L": [], "M": []}
     for i in econ.sorted_agents():  # the envelope slope phi(g) - v_bar'(theta) gives the sign
         s = phi_g - float(econ.reservation.slope(econ.type_of(i), econ.outside_g))
         labels.append("K" if s < -SLOPE_TOL else ("M" if s > SLOPE_TOL else "L"))
@@ -364,8 +369,8 @@ class RentGap:
     the scalar steps can err, 2(n + 4) u (a1 |phi| + sigma) (Higham 2002, 4.2);
     `positive` is the float's sign, summed only where the bound cannot tell."""
 
-    def __init__(self, econ: Economy, x: np.ndarray):
-        self.phi = econ.tech.phi
+    def __init__(self, econ: Economy, x: np.ndarray, phi: Callable | None = None):
+        self.phi = phi or econ.tech.phi
         self.slope = np.asarray(econ.reservation.slope(x, econ.outside_g), float)
         self.h3 = float(x[-1] - x[0]) / (2 * SIMPSON_PANELS) / 3.0
         self._affine = None

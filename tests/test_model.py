@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -349,6 +352,73 @@ def test_reservation_profiles_vanish_at_zero_level(log_tech):
     for res in profiles:
         for theta in (0.0, 0.3, 1.0):
             assert float(res.value(theta, 0.0)) == pytest.approx(0.0, abs=1e-12)
+
+
+PROFILES = {
+    "share": lambda tech: am.quadratic_share_reservation(tech, 0.3, 0.5),
+    "linear": lambda tech: am.linear_reservation(tech, 3),
+}
+PHI_LEVELS = (0.7, 1.9, 0.7, 0.0, -0.0, 0.7)  # a, b, a, 0, -0, a
+THETAS = (0.0, 0.45, np.linspace(0.0, 1.0, 9))
+
+
+def _readings(profile, g_circ) -> list:
+    """The bits of each value and slope at THETAS and the outside level."""
+    return [np.asarray(read(theta, g_circ), float).tobytes()
+            for read in (profile.value, profile.slope) for theta in THETAS]
+
+
+@pytest.mark.parametrize("family", sorted(PROFILES))
+def test_reservation_phi_reading_is_pure(family):
+    """A share and a linear profile read phi(g_circ) once per outside level
+    in a row, and return the bits fresh profiles do at every level of
+    a, b, a, 0.0, -0.0, a: 0.0 and -0.0 are told apart (log1p keeps the sign
+    of zero), and a repeated level reads phi again after another."""
+    calls = []
+    tech = am.log_technology()
+    counted = dataclasses.replace(tech, phi=lambda g: calls.append(g) or tech.phi(g))
+    profile = PROFILES[family](counted)
+    for g_circ in PHI_LEVELS:
+        assert _readings(profile, g_circ) == _readings(PROFILES[family](tech), g_circ)
+        assert _readings(profile, g_circ) == _readings(PROFILES[family](tech), g_circ)
+    assert [float(g).hex() for g in calls] == [g.hex() for g in PHI_LEVELS]
+
+
+@pytest.mark.parametrize("family", sorted(PROFILES))
+def test_reservation_phi_reading_is_safe_across_threads(family):
+    """Four threads (more than the two cores this was written on) cycling
+    through outside levels on one profile each read the bits fresh profiles
+    give. The profile's phi sleeps at every call, which hands another thread
+    the interpreter, and the cycles' lengths differ, so one thread often
+    reads the level another is storing: a pair stored in two steps failed
+    this in each of six runs."""
+    tech = am.log_technology()
+    profile = PROFILES[family](dataclasses.replace(
+        tech, phi=lambda g: time.sleep(1e-6) or tech.phi(g)))
+    want = {g.hex(): _readings(PROFILES[family](tech), g) for g in (0.7, 1.9, 0.0, -0.0)}
+    cycles = ((0.7, 1.9, 0.0, -0.0), (0.7, 0.7, 1.9, 0.0, 0.0, -0.0), (-0.0, 1.9), (0.0, 0.7, -0.0))
+    bad, done, start = [], [], threading.Barrier(len(cycles))
+
+    def run(levels):
+        start.wait(timeout=30)
+        for _ in range(150):
+            for g_circ in levels:
+                if _readings(profile, g_circ) != want[g_circ.hex()]:
+                    bad.append(g_circ)
+        done.append(levels)
+
+    threads = [threading.Thread(target=run, args=(levels,)) for levels in cycles]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(done) == len(cycles)
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------

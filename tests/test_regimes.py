@@ -586,6 +586,46 @@ def test_threshold_table_reads_the_level_solve_finds(monkeypatch):
             assert _outcome(lambda: level(at)) == _outcome(lambda: am.solve(at).g_star)
 
 
+def test_ladder_reads_phi_once_per_level(monkeypatch):
+    """On the ladder pool's first eight economies, built on technologies that
+    count their scalar phi calls, a convex table makes at most 3.5 of them
+    per `_convex_configuration` probe (8.91 when every probe read phi at the
+    table's end levels, its own level twice and the outside level at each
+    reservation call) and reads phi once per table at each level its
+    `_convex_ends` keeps, besides the reservation's one read per probe of an
+    outside level that equals it (a level 0 and the probes at 0)."""
+    calls, probes, ends = [], [], []
+
+    def counting(make):
+        def build(*args):
+            tech = make(*args)
+            phi = tech.phi
+            return dataclasses.replace(
+                tech, phi=lambda g: (np.ndim(g) == 0 and calls.append(float(g))) or phi(g))
+        return build
+
+    pool = SimpleNamespace(**vars(am))
+    pool.log_technology = counting(am.log_technology)
+    pool.power_technology = counting(am.power_technology)
+    configuration, convex_ends = regimes._convex_configuration, regimes._convex_ends
+    monkeypatch.setattr(regimes, "_convex_configuration",
+                        lambda at, e: probes.append(at.outside_g) or configuration(at, e))
+    monkeypatch.setattr(regimes, "_convex_ends",
+                        lambda econ: ends.append(convex_ends(econ)) or ends[-1])
+    read = 0
+    for index in range(8):
+        start, first = len(calls), len(probes)
+        am.threshold_table(_workloads().ladder_economy(pool, index))
+        kept = {g.hex() for g in (*ends[-1][0], *(c[5] for c in ends[-1][1].values()))}
+        table = [g.hex() for g in calls[start:]]
+        outside = [float(g).hex() for g in probes[first:]]
+        for g in kept:
+            assert table.count(g) == 1 + outside.count(g), (index, g, outside.count(g))
+        read += len(kept)
+    assert len(ends) == 8 and read >= 16 and len(probes) > 500
+    assert len(calls) <= 3.5 * len(probes), (len(calls), len(probes))
+
+
 def test_uniform_sign_coalition_is_agenda_setter_and_members(log_tech, monkeypatch):
     """Below unanimity, a uniform-sign solution's coalition is the agenda
     setter plus every agent it does not exclude, on linear, negative-slope

@@ -491,6 +491,37 @@ def test_shadow_weight_solves_rarely_sum_the_gap(convex_economy, monkeypatch):
     assert len(sums) <= 8, (len(sums), len(steps))
 
 
+def _edge_variants(econ):
+    """The economy, then with its first agent at the top of the support, its
+    last at the bottom, its last tied with its first, and its first and last
+    both at the top."""
+    t, hi = econ.agent_types, econ.theta_hi
+    for types in (t, (hi, *t[1:]), (*t[:-1], econ.theta_lo), (*t[:-1], t[0]),
+                  (hi, *t[1:-1], hi)[:len(t)]):
+        yield dataclasses.replace(econ, agent_types=types)
+
+
+def test_constant_weight_is_the_summed_weight_bit_for_bit():
+    """`regimes._constant_weight` gives the float `gamma_weight_sum` sums at a
+    constant shadow weight, and its level is `xi_argmax`'s, on the test
+    corpus's draws over all four shapes (log and power technology, every
+    third with its closed forms stripped) with agents moved to both ends of
+    the support and onto tied types."""
+    rng, checked, top_seen = random.Random(29), 0, 0
+    for k in range(60):
+        econ = random_economy(rng, curvatures=("linear", "concave", "convex", "negative"))
+        for econ in _edge_variants(_stripped(econ) if k % 3 == 0 else econ):
+            weight = regimes._constant_weight(econ)
+            top_seen += econ.theta_hi in econ.agent_types
+            for gam in (0.0, 1.0, 0.5, rng.random()):
+                want = GammaRepresentation.constant(gam)
+                assert weight(gam).hex() == solver_core.gamma_weight_sum(econ, want).hex()
+                level = solver_core.solve_weighted_foc(econ.tech, weight(gam))
+                assert level.hex() == am.xi_argmax(econ, want).hex(), (econ, gam)
+                checked += 1
+    assert checked == 1200 and top_seen >= 120, (checked, top_seen)
+
+
 # ---------------------------------------------------------------------------
 # bisection helper
 # ---------------------------------------------------------------------------
