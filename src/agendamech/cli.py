@@ -58,10 +58,10 @@ from .model import (
     validate_economy,
     zero_reservation,
 )
-from .regimes import Regime, solve, solve_stochastic_coalition
+from .regimes import solve, solve_stochastic_coalition
 from .solver_core import SolverError
 from .transfers import agenda_setter_payoff
-from .verify import ORACLE_TOL, vcg_demo, verify_solution
+from .verify import ORACLE_TOL, check_budget, vcg_demo, verify_solution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -370,10 +370,7 @@ def cmd_sweep(args) -> int:
     plot_path = args.plot_data or (args.out + ".segments.json" if args.out else None)
     plot_payload = json.dumps({"segments": segments, "jumps": jumps},
                               indent=2, sort_keys=True) + "\n"
-    if plot_path:
-        _write_text(plot_path, plot_payload)
-    else:
-        sys.stdout.write(plot_payload)
+    _write_text(plot_path, plot_payload)
 
     return EXIT_ORACLE if any(row["status"] != "ok" for row in rows) else EXIT_OK
 
@@ -424,9 +421,9 @@ def cmd_verify(args) -> int:
         print(f"solution does not match the model economy: {'; '.join(foreign)}", file=sys.stderr)
         return EXIT_VALIDATION
     transfers = stored["transfers"]
-    shortfall = stored["g_star"] - sum(transfers) if len(transfers) == econ.n else 0.0
-    if solution.regime is not Regime.OUTSIDE_OPTION and shortfall > ORACLE_TOL:
-        problems.append(f"budget violation: transfers fall short by {shortfall:.3g}")
+    slack = sum(transfers) - stored["g_star"] if len(transfers) == econ.n else 0.0
+    if not check_budget(solution.regime, slack)[0]:
+        problems.append(f"budget violation: transfers fall short by {-slack:.3g}")
     if not oracle.passed:
         problems.append(oracle.summary())
 

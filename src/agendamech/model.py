@@ -498,7 +498,7 @@ def _check_distribution(dist: TypeDistribution) -> list:
     cdf = dist.F(grid)
     checks = []
 
-    bad = pdf <= 0
+    bad = ~(pdf > 0)
     checks.append(CheckResult(
         f"positive density ({dist.name})", not bad.any(),
         first_violation=_first_bad(grid, bad)))
@@ -516,7 +516,7 @@ def _check_distribution(dist: TypeDistribution) -> list:
         logf = np.log(np.maximum(pdf, 1e-300))
     h = grid[1] - grid[0]
     second = (logf[2:] - 2.0 * logf[1:-1] + logf[:-2]) / h**2
-    bad = second > LOG_CONCAVITY_TOL
+    bad = ~(second <= LOG_CONCAVITY_TOL)
     checks.append(CheckResult(
         f"log-concave density ({dist.name})", not bad.any(),
         detail=f"max (log f)'' = {second.max():.3g}" if second.size else "",
@@ -528,12 +528,13 @@ def _check_technology(tech: Technology, g_max: float) -> list:
     grid = np.linspace(0.0, g_max, VALIDATION_GRID)
     phi = np.asarray(_as_array(tech.phi, grid), float)
     checks = [CheckResult("phi(0) = 0", abs(phi[0]) <= 1e-12, detail=f"phi(0)={phi[0]:.3g}")]
+    rising = np.diff(phi) >= -1e-12
     checks.append(CheckResult(
-        "phi nondecreasing", bool((np.diff(phi) >= -1e-12).all()),
-        first_violation=_first_bad(grid[1:], np.diff(phi) < -1e-12)))
+        "phi nondecreasing", bool(rising.all()),
+        first_violation=_first_bad(grid[1:], ~rising)))
     interior = grid[1:]  # phi' may blow up at 0 for power benefits
     dphi = np.asarray(_as_array(tech.phi_prime, interior), float)
-    bad = np.diff(dphi) > 1e-10
+    bad = ~(np.diff(dphi) <= 1e-10)
     checks.append(CheckResult(
         "phi concave (phi' nonincreasing)", not bad.any(),
         first_violation=_first_bad(interior[1:], bad)))
@@ -550,13 +551,13 @@ def _check_reservation(res: ReservationProfile, lo: float, hi: float,
     # marginal cost alone (the head-tax profile falls at rate 1/n).
     probes = [0.0] + sorted({0.5, 1.0, max(2.0 * g_circ, 2.0)})
     vals = np.array([res.value(grid, gc) for gc in probes])
-    bad = np.abs(vals[0]) > 1e-9
+    bad = ~(np.abs(vals[0]) <= 1e-9)
     checks.append(CheckResult(
         "v_bar(theta, 0) = 0", not bad.any(), first_violation=_first_bad(grid, bad)))
 
     steps = np.diff(np.asarray(probes, float))
     drops = np.diff(vals, axis=0) + steps[:, None]
-    bad_cols = (drops < -1e-9).any(axis=0)
+    bad_cols = ~(drops >= -1e-9).all(axis=0)
     checks.append(CheckResult(
         "v_bar responds to outside level (net of cost share)", not bad_cols.any(),
         first_violation=_first_bad(grid, bad_cols)))
@@ -564,12 +565,12 @@ def _check_reservation(res: ReservationProfile, lo: float, hi: float,
     gc = g_circ if g_circ > 0 else 1.0
     slope = res.slope(grid, gc)
     if res.curvature is Curvature.NEGATIVE_SLOPE:
-        bad = slope >= 0
+        bad = ~(slope < 0)
         checks.append(CheckResult(
             "v_bar decreasing in type", not bad.any(),
             first_violation=_first_bad(grid, bad)))
     else:
-        bad = slope < -1e-9
+        bad = ~(slope >= -1e-9)
         checks.append(CheckResult(
             "v_bar nondecreasing in type", not bad.any(),
             first_violation=_first_bad(grid, bad)))
@@ -579,11 +580,11 @@ def _check_reservation(res: ReservationProfile, lo: float, hi: float,
     second = (vv[2:] - 2.0 * vv[1:-1] + vv[:-2]) / h**2
     scale = max(1.0, np.abs(second).max()) * CURVATURE_TOL * 10 + CURVATURE_TOL
     if res.curvature is Curvature.CONCAVE:
-        bad = second > scale
+        bad = ~(second <= scale)
     elif res.curvature is Curvature.CONVEX:
-        bad = second < -scale
+        bad = ~(second >= -scale)
     elif res.curvature is Curvature.LINEAR:
-        bad = np.abs(second) > scale
+        bad = ~(np.abs(second) <= scale)
     else:
         bad = np.zeros_like(second, bool)
     checks.append(CheckResult(

@@ -80,12 +80,11 @@ def _schedules_of(mechanism):
     return getattr(mechanism, "schedules", mechanism)
 
 
-def check_dsic(econ: Economy, mechanism, grid_size: int = ORACLE_GRID,
-               tol: float = ORACLE_TOL, agents=None):
+def check_dsic(econ: Economy, mechanism, grid_size: int = ORACLE_GRID, agents=None):
     """Own-report deviation scan plus allocation monotonicity per agent.
 
     For every agent, every grid true type and every grid misreport, truthful
-    utility must weakly beat the deviation within tol. Returns
+    utility must weakly beat the deviation. Returns
     (dsic_ok, worst_deviation, monotone_ok, first_monotonicity_violation).
     """
     if grid_size < 5:
@@ -102,7 +101,7 @@ def check_dsic(econ: Economy, mechanism, grid_size: int = ORACLE_GRID,
         t_vec = np.asarray(sched.transfer(grid), float)
 
         steps = np.diff(g_vec)
-        bad = np.flatnonzero(steps < -tol)
+        bad = np.flatnonzero(~(steps >= -ORACLE_TOL))
         if bad.size and monotone_violation is None:
             b = int(bad[0])
             monotone_violation = MonotonicityRecord(
@@ -114,21 +113,20 @@ def check_dsic(econ: Economy, mechanism, grid_size: int = ORACLE_GRID,
         truthful = np.diag(utility)
         gains = utility - truthful[:, None]
         idx = np.unravel_index(int(np.argmax(gains)), gains.shape)
-        gain = float(gains[idx])
-        if worst is None or gain > worst.gain:
+        gain = float(gains[idx])  # argmax ranks a NaN highest; so does this scan
+        if worst is None or not (gain <= worst.gain or math.isnan(worst.gain)):
             worst = DeviationRecord(sched.agent, float(grid[idx[0]]),
                                     float(grid[idx[1]]), gain)
-    dsic_ok = worst is None or worst.gain <= tol
+    dsic_ok = worst is None or worst.gain <= ORACLE_TOL
     return dsic_ok, worst, monotone_violation is None, monotone_violation
 
 
-def check_participation(econ: Economy, g_star: float, transfers, coalition,
-                        tol: float = ORACLE_TOL):
+def check_participation(econ: Economy, g_star: float, transfers, coalition):
     """Per-agent participation slack from the realized bundle.
 
     Coalition members other than the agenda setter must clear their
-    reservation utility within tol; excluded agents' shortfalls are reported
-    but do not fail the check. Returns (ok, ((agent, slack), ...)).
+    reservation utility; excluded agents' shortfalls are reported but do
+    not fail the check. Returns (ok, ((agent, slack), ...)).
     """
     phi_g = float(econ.tech.phi(g_star))
     slacks = []
@@ -138,26 +136,28 @@ def check_participation(econ: Economy, g_star: float, transfers, coalition,
         reserve = float(econ.reservation.value(theta, econ.outside_g))
         slack = theta * phi_g - transfers[i] - reserve
         slacks.append((i, slack))
-        if i != AGENDA_SETTER and i in coalition and slack < -tol:
+        if i != AGENDA_SETTER and i in coalition and not slack >= -ORACLE_TOL:
             ok = False
     return ok, tuple(slacks)
 
 
+def check_budget(regime, slack: float):
+    """The resource constraint on a budget slack sum(transfers) - g_star:
+    the status quo carries its own exogenous financing, and every other
+    regime's transfers must cover the level. Returns (ok, notes)."""
+    if getattr(regime, "value", "") == "outside_option":
+        return True, ("status-quo outcome: budget financed outside the mechanism",)
+    return slack >= -ORACLE_TOL, ()
+
+
 def verify_solution(econ: Economy, solution, grid_size: int = ORACLE_GRID,
-                    tol: float = ORACLE_TOL, agents=None) -> OracleReport:
+                    agents=None) -> OracleReport:
     """Full oracle: deviation scan, monotonicity, participation and budget."""
-    dsic_ok, worst, monotone_ok, mono_viol = check_dsic(
-        econ, solution, grid_size, tol, agents=agents)
+    dsic_ok, worst, monotone_ok, mono_viol = check_dsic(econ, solution, grid_size, agents=agents)
     part_ok, slacks = check_participation(
-        econ, solution.g_star, solution.transfers, solution.coalition, tol)
+        econ, solution.g_star, solution.transfers, solution.coalition)
     budget_slack = float(sum(solution.transfers)) - solution.g_star
-    notes = ()
-    regime_name = getattr(getattr(solution, "regime", None), "value", "")
-    if regime_name == "outside_option":
-        budget_ok = True  # status quo carries its own exogenous financing
-        notes = ("status-quo outcome: budget financed outside the mechanism",)
-    else:
-        budget_ok = budget_slack >= -tol
+    budget_ok, notes = check_budget(getattr(solution, "regime", None), budget_slack)
     return OracleReport(
         dsic_ok=dsic_ok,
         worst_deviation=worst,
@@ -167,7 +167,7 @@ def verify_solution(econ: Economy, solution, grid_size: int = ORACLE_GRID,
         participation_slack=slacks,
         budget_slack=budget_slack,
         budget_ok=budget_ok,
-        tolerance=tol,
+        tolerance=ORACLE_TOL,
         grid_size=grid_size,
         notes=notes,
     )

@@ -57,7 +57,7 @@ def test_criterion_2_oracle_suite_randomized_corpus():
     for idx in range(200):
         econ = random_economy(rng)
         sol = am.solve(econ)
-        rep = am.verify_solution(econ, sol, grid_size=41, tol=1e-8)
+        rep = am.verify_solution(econ, sol, grid_size=41)
         if not rep.passed:
             failures.append((idx, rep.summary()))
     elapsed = time.perf_counter() - t0

@@ -525,3 +525,51 @@ def test_economy_is_immutable(golden_economy):
         golden_economy.outside_g = 1.0
     assert golden_economy.with_outside_g(1.0).outside_g == 1.0
     assert golden_economy.outside_g == 0.0
+
+
+def _nan(t, gc):
+    return np.full_like(np.asarray(t, float), np.nan)
+
+
+def test_nan_reservation_fails_its_named_checks(golden_economy, monkeypatch, capsys):
+    # every mask reads "not within bound", so a NaN fails the check it reaches
+    econ = dataclasses.replace(golden_economy,
+                               reservation=am.ReservationProfile(_nan, _nan, am.Curvature.LINEAR))
+    failed = [c.name for c in am.validate_economy(econ).failures()]
+    assert failed == ["v_bar(theta, 0) = 0", "v_bar responds to outside level (net of cost share)",
+                      "v_bar nondecreasing in type", "declared curvature matches (linear)"]
+    from agendamech import cli
+    monkeypatch.setattr(cli, "load_model", lambda path: (econ, {}))
+    assert cli.main(["solve", "--model", "unused.json"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation failed: {', '.join(failed)}\n"
+
+
+def test_nan_density_and_technology_fail_their_checks(log_tech):
+    flat = am.uniform(0.0, 1.0)
+    dist = dataclasses.replace(flat, pdf=lambda x: np.full_like(np.asarray(x, float), np.nan))
+    tech = dataclasses.replace(log_tech, phi_prime=lambda g: np.full_like(np.asarray(g, float),
+                                                                          np.nan))
+    econ = am.Economy(0.5, (0.8,), dist, tech, am.zero_reservation(), 2, 0.0)
+    failures = {c.name: c.first_violation for c in am.validate_economy(econ).failures()}
+    assert failures == {f"positive density ({flat.name})": 0.0,
+                        f"log-concave density ({flat.name})": 0.005,
+                        "phi concave (phi' nonincreasing)": pytest.approx(0.04)}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: am.uniform(-0.5, 1.0), "type support must be nonnegative"),
+    (lambda: am.truncated_normal(0.5, 0.0), "sigma must be positive"),
+], ids=["negative-support", "zero-sigma"])
+def test_distribution_refuses_bad_parameters(make, message):
+    with pytest.raises(am.ModelError, match=message):
+        make()
+
+
+def test_marginal_is_infinite_where_a_scalar_phi_prime_divides_by_zero():
+    root = am.Technology(phi=math.sqrt, phi_prime=lambda g: 0.5 / math.sqrt(g))
+    assert root.marginal(0.0) == math.inf
+    assert root.marginal(0.25) == 1.0
+
+
+def test_quadratic_share_without_curve_is_linear(log_tech):
+    assert am.quadratic_share_reservation(log_tech, 1.0, 0.0).curvature is am.Curvature.LINEAR

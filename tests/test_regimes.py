@@ -1143,3 +1143,14 @@ def test_window_without_a_shadow_weight_bracket_is_no_candidate(concave_window_e
     assert sol.regime is am.Regime.MIXED_INTERIOR and not sol.excluded and sol.notes == ()
     assert sol.g_star == unanimity.g_star and sol.transfers == unanimity.transfers
     assert (sol.thresholds.g_low, sol.thresholds.g_high) == pytest.approx((1.5, 1.7), abs=1e-12)
+
+
+def test_concave_unanimity_with_a_nan_slope_posts_the_status_quo(concave_economy):
+    nan = lambda t, gc: np.full_like(np.asarray(t, float), np.nan)
+    econ = dataclasses.replace(concave_economy, reservation=dataclasses.replace(
+        concave_economy.reservation, v_bar_dtheta=nan))
+    with pytest.raises(am.FixedPointDivergence, match="no consistent cutoff configuration found"):
+        regimes._concave_unanimity(econ)
+    sol = am.solve(econ)
+    _posted_at_outside(econ, sol, "no consistent cutoff; status quo implemented")
+    assert sol.thresholds == am.Thresholds(1.0, 1.0)

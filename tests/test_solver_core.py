@@ -855,3 +855,8 @@ def test_invert_phi_unreachable_target_raises():
     assert invert_phi(saturating, 0.5) == pytest.approx(math.log(2.0), rel=1e-12)
     with pytest.raises(am.UnboundedObjective):
         invert_phi(saturating, 1.5)
+
+
+def test_rent_gap_on_a_degenerate_window_is_zero(convex_economy):
+    gap = rent_gap(convex_economy, (0.5, 0.5))
+    assert gap(0.0) == gap(1.0) == 0.0

@@ -19,7 +19,7 @@ def test_oracle_passes_posted_mechanism(golden_economy):
 
 def test_oracle_passes_understate_solution_41_grid(golden_economy):
     sol = am.solve(golden_economy)
-    rep = am.verify_solution(golden_economy, sol, grid_size=41, tol=1e-8)
+    rep = am.verify_solution(golden_economy, sol, grid_size=41)
     assert rep.passed, rep.summary()
     assert rep.worst_deviation is None or rep.worst_deviation.gain <= 1e-8
 
@@ -223,3 +223,54 @@ def test_oracle_flags_a_coalition_member_below_its_reservation(golden_economy):
     rep = am.verify_solution(golden_economy, raised)
     assert not rep.participation_ok
     assert not rep.passed
+
+
+def test_oracle_certifies_at_oracle_tol_only(golden_economy):
+    from agendamech.verify import ORACLE_TOL
+    sol = am.solve(golden_economy)
+    assert am.verify_solution(golden_economy, sol).tolerance == ORACLE_TOL
+    with pytest.raises(TypeError):
+        am.verify_solution(golden_economy, sol, tol=1e-3)
+    with pytest.raises(TypeError):
+        am.check_dsic(golden_economy, sol, tol=1e-3)
+    with pytest.raises(TypeError):
+        am.check_participation(golden_economy, sol.g_star, sol.transfers, sol.coalition, 1e-3)
+
+
+def test_budget_rule_exempts_only_the_status_quo():
+    from agendamech.verify import ORACLE_TOL, check_budget
+    note = ("status-quo outcome: budget financed outside the mechanism",)
+    assert check_budget(am.Regime.OUTSIDE_OPTION, -1.0) == (True, note)
+    assert check_budget(am.Regime.UNDERSTATE_INTERIOR, -ORACLE_TOL) == (True, ())
+    assert check_budget(am.Regime.UNDERSTATE_INTERIOR, -2 * ORACLE_TOL) == (False, ())
+    assert check_budget(None, math.nan) == (False, ())
+
+
+def test_nan_mechanism_fails_monotonicity_and_participation(golden_economy):
+    nan = lambda t, gc: np.full_like(np.asarray(t, float), np.nan)
+    econ = dataclasses.replace(golden_economy,
+                               reservation=am.ReservationProfile(nan, nan, am.Curvature.LINEAR))
+    sol = am.solve(econ)
+    assert math.isnan(sol.g_star)
+    rep = am.verify_solution(econ, sol)
+    assert not rep.dsic_ok and not rep.monotone_ok and not rep.participation_ok
+    assert not rep.passed
+
+
+def test_worst_deviation_keeps_a_nan_gain(golden_economy):
+    class Nan(_BrokenSchedule):
+        def transfer(self, x):
+            return np.full_like(np.asarray(x, float), np.nan)
+
+    sched = am.solve(golden_economy).schedules[0]
+    for mechanism in ([sched, Nan()], [Nan(), sched]):
+        dsic_ok, worst, _, _ = am.check_dsic(golden_economy, mechanism)
+        assert not dsic_ok and math.isnan(worst.gain)
+
+
+def test_vcg_perturbation_refuses_a_zero_lowest_type(log_tech):
+    econ = am.Economy(0.0, (0.8,), am.uniform(0.0, 1.0), log_tech,
+                      am.linear_reservation(log_tech, 2), 2, 0.0)
+    with pytest.raises(am.ModelError, match="strictly positive lowest type"):
+        am.vcg_demo(econ, 1e-3)
+    assert am.vcg_demo(econ, 0.0).perturbation_gain == 0.0
