@@ -100,7 +100,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
 
 
 def truncated_exponential(rate: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
-    if rate <= 0:
+    if not rate > 0:
         raise ModelError("rate must be positive")
     z = 1.0 - math.exp(-rate * (hi - lo))
     return TypeDistribution(
@@ -116,7 +116,7 @@ _erf = np.vectorize(math.erf, otypes=[float])
 
 
 def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
-    if sigma <= 0:
+    if not sigma > 0:
         raise ModelError("sigma must be positive")
 
     def std_cdf(z):
@@ -136,13 +136,13 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
 
 
 def _virtual(theta, cdf, pdf, gamma_at):
-    """theta - (gamma - F) / f for a shadow weight gamma in [0, 1]; NaN passes."""
+    """theta - (gamma - F) / f for a shadow weight gamma in [0, 1]; NaN raises."""
     if np.isscalar(gamma_at) or np.ndim(gamma_at) == 0:
-        if (g := float(gamma_at)) < -1e-12 or g > 1 + 1e-12:
+        if not -1e-12 <= (g := float(gamma_at)) <= 1 + 1e-12:
             raise ModelError("gamma_at must lie in [0, 1]")
     else:
         g = np.asarray(gamma_at, float)
-        if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
+        if not (np.all(g >= -1e-12) and np.all(g <= 1 + 1e-12)):
             raise ModelError("gamma_at must lie in [0, 1]")
     return theta - (g - cdf) / pdf
 
@@ -317,7 +317,7 @@ def quadratic_share_reservation(tech: Technology, slope: float, curve: float) ->
 
 def negative_slope_reservation(tech: Technology, level: float, slope: float) -> ReservationProfile:
     """v_bar = phi(g_circ) * (level - slope * theta), decreasing in type."""
-    if slope <= 0:
+    if not slope > 0:
         raise ModelError("slope must be positive for a decreasing profile")
     return share_reservation(
         tech,
@@ -407,7 +407,7 @@ class Economy:
         """``virtual_value_gamma`` at a non-agenda agent's realized type."""
         if agent == AGENDA_SETTER:
             raise ModelError("the agenda setter has no type distribution")
-        if (g := float(gamma_at)) < -1e-12 or g > 1 + 1e-12:
+        if not -1e-12 <= (g := float(gamma_at)) <= 1 + 1e-12:
             raise ModelError("gamma_at must lie in [0, 1]")
         cdf, pdf = self._cdf_pdf[agent - 1]
         return self.agent_types[agent - 1] - (g - cdf) / pdf

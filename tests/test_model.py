@@ -122,9 +122,11 @@ def test_virtual_value_gamma_range_check():
         am.virtual_value_gamma(d, 0.4, np.array(-0.1))
     with pytest.raises(am.ModelError):
         am.virtual_value_gamma(d, 0.4, -1e-9)
-    # the tolerance admits rounding just outside [0, 1]; NaN is not rejected
+    # the tolerance admits rounding just outside [0, 1]; NaN is rejected
     assert am.virtual_value_gamma(d, 0.4, 1.0 + 1e-13) == pytest.approx(-0.2)
-    assert math.isnan(am.virtual_value_gamma(d, 0.4, math.nan))
+    for gamma in (math.nan, np.array(math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(am.ModelError):
+            am.virtual_value_gamma(d, 0.4, gamma)
 
 
 def scalar_only_truncexp(rate: float, calls: list | None = None):
@@ -185,7 +187,8 @@ def test_virtual_type_range_check(golden_economy):
         with pytest.raises(am.ModelError, match=r"gamma_at must lie in \[0, 1\]"):
             golden_economy.virtual_type(1, gamma)
     assert golden_economy.virtual_type(1, 1.0 + 1e-13) == pytest.approx(0.6)
-    assert math.isnan(golden_economy.virtual_type(1, math.nan))
+    with pytest.raises(am.ModelError, match=r"gamma_at must lie in \[0, 1\]"):
+        golden_economy.virtual_type(1, math.nan)
     with pytest.raises(am.ModelError):
         golden_economy.virtual_type(am.AGENDA_SETTER, 0.5)
 
@@ -559,10 +562,18 @@ def test_nan_density_and_technology_fail_their_checks(log_tech):
 @pytest.mark.parametrize("make, message", [
     (lambda: am.uniform(-0.5, 1.0), "type support must be nonnegative"),
     (lambda: am.truncated_normal(0.5, 0.0), "sigma must be positive"),
-], ids=["negative-support", "zero-sigma"])
+    (lambda: am.truncated_normal(0.5, math.nan), "sigma must be positive"),
+    (lambda: am.truncated_exponential(math.nan), "rate must be positive"),
+], ids=["negative-support", "zero-sigma", "nan-sigma", "nan-rate"])
 def test_distribution_refuses_bad_parameters(make, message):
     with pytest.raises(am.ModelError, match=message):
         make()
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.5, math.nan])
+def test_negative_slope_reservation_refuses_a_slope_that_is_not_positive(log_tech, slope):
+    with pytest.raises(am.ModelError, match="slope must be positive"):
+        am.negative_slope_reservation(log_tech, 1.0, slope)
 
 
 def test_marginal_is_infinite_where_a_scalar_phi_prime_divides_by_zero():
