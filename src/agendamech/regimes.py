@@ -241,11 +241,10 @@ def _outer_thresholds(econ: Economy, k: int):
 
 
 def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
-                            enforce_slope_sign: bool,
                             thresholds: Thresholds | None = None,
                             thresholds_raw: Thresholds | None = None,
                             eff: float | None = None,
-                            partition: Partition | None = None) -> MechanismSolution | None:
+                            partition: Partition | None = None) -> MechanismSolution:
     """One-sided solution: every type mis-reports in the same direction.
 
     `config` is the `_one_sided` configuration of `side`. side "low": all
@@ -253,8 +252,7 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
     excluded lowest agents are forced in, bunched at the cutoff agent's
     bundle, and provision is capped at the efficient level `eff` (None: no
     cap), which applies only when agents are excluded. side "high" is the
-    mirror image. Returns None when the envelope-slope sign check fails (the
-    candidate is infeasible at this outside option).
+    mirror image.
     """
     members, excluded, cutoff, shadow, weight, g_raw = config
     k = len(excluded)
@@ -262,14 +260,6 @@ def _uniform_sign_candidate(econ: Economy, side: str, config: tuple,
     capped = k > 0 and eff is not None and (g_raw > eff if low else g_raw < eff)
     g_star = eff if capped else g_raw
     clip = {"clip_hi" if low else "clip_lo": eff if capped else None}
-
-    if enforce_slope_sign:
-        grid = np.linspace(econ.theta_lo, econ.theta_hi, 41)
-        slopes = float(econ.tech.phi(g_star)) - np.asarray(
-            econ.reservation.slope(grid, econ.outside_g), float)
-        if (slopes.min() < -CONSISTENCY_TOL) if low else (slopes.max() > CONSISTENCY_TOL):
-            return None
-
     schedules = _foc_schedules(econ, members, weight, shadow, **clip)
     _pool(econ, schedules, excluded, members[0] if low else members[-1], cutoff, g_star)
     required = members if econ.quota > 1 else ()
@@ -299,8 +289,8 @@ def _linear_solve(econ: Economy, exclusions: int) -> MechanismSolution:
     phi = lambda g: float(econ.tech.phi(g))
 
     def candidate(side, thresholds, cap=eff):
-        return _uniform_sign_candidate(econ, side, sides[side], enforce_slope_sign=False,
-                                       thresholds=thresholds, thresholds_raw=raw, eff=cap)
+        return _uniform_sign_candidate(econ, side, sides[side], thresholds=thresholds,
+                                       thresholds_raw=raw, eff=cap)
 
     if raw_low <= raw_high + BRANCH_TOL:
         if d < phi(g_low) - BRANCH_TOL:
@@ -458,8 +448,8 @@ def _convex_unanimity(econ: Economy):
 
     def assemble(partition):
         if side is not None:
-            return _uniform_sign_candidate(econ, side, config, enforce_slope_sign=False,
-                                           thresholds=thr, thresholds_raw=thr, partition=partition)
+            return _uniform_sign_candidate(econ, side, config, thresholds=thr,
+                                           thresholds_raw=thr, partition=partition)
         return _solution(econ, g_star, Regime.MIXED_INTERIOR,
                          _foc_schedules(econ, econ.agents, config, gamma_const),
                          _pick_coalition(econ, econ.agents, econ.agents),
@@ -666,20 +656,23 @@ def solve(econ: Economy) -> MechanismSolution:
         return _linear_solve(econ, k)
     if curv is Curvature.NEGATIVE_SLOPE:
         return _uniform_sign_candidate(econ, "low", _one_sided(econ, "low", k),
-                                       enforce_slope_sign=False,
                                        eff=efficient_level(econ) if k else None)
     if not k:
         return _curved_unanimity(econ)[1]()
 
     thresholds, thresholds_raw, eff, sides = _outer_thresholds(econ, k)
-    # uniform-sign regimes apply mechanically: force the cheapest tail in,
-    # bunch it at the cutoff bundle, cap at the efficient level
-    for side in ("low", "high"):
-        sol = _uniform_sign_candidate(econ, side, sides[side], enforce_slope_sign=True,
-                                      thresholds=thresholds, thresholds_raw=thresholds_raw,
-                                      eff=eff)
-        if sol is not None:
-            return sol
+    # uniform-sign regimes apply mechanically (force the cheapest tail in,
+    # bunch it at the cutoff bundle, cap at the efficient level) where every
+    # envelope slope on a 41-point type grid keeps the side's sign at the
+    # side's capped level, its threshold
+    slopes = np.asarray(econ.reservation.slope(np.linspace(econ.theta_lo, econ.theta_hi, 41),
+                                               econ.outside_g), float)
+    for side, g in (("low", thresholds.g_low), ("high", thresholds.g_high)):
+        envelope = float(econ.tech.phi(g)) - slopes
+        if not ((envelope.min() < -CONSISTENCY_TOL) if side == "low"
+                else (envelope.max() > CONSISTENCY_TOL)):
+            return _uniform_sign_candidate(econ, side, sides[side], thresholds=thresholds,
+                                           thresholds_raw=thresholds_raw, eff=eff)
 
     # countervailing region: curvature-specific exclusion candidates compete
     # on the proposer's realized payoff (the no-exclusion configuration is
