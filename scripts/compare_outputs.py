@@ -8,10 +8,12 @@ The script extracts ``REV``'s committed files with ``git archive`` into a
 temporary directory and copies this checkout's ``scripts/dump_outputs.py``
 into it, so both sides run the same dump code. It then runs the two dumps,
 ``REV``'s program and this working tree's (uncommitted edits included), as
-two concurrent processes and compares them with ``cmp``. Exit codes: 0 when
-the dumps are identical; 1 when they differ, after printing
-``scripts/compare_dumps.py OLD NEW``'s report of what moved; 2 on a usage
-error, an unknown revision or a failed dump. The extracted tree and both
+two concurrent processes and compares them with ``cmp``. When they differ
+it prints ``scripts/compare_dumps.py OLD NEW``'s report of what moved and
+passes on its verdict. Exit codes: 0 when the dumps are identical; 1 when
+only numbers moved; 3 when anything else moved, such as a flipped oracle
+verdict or a changed regime or coalition; 2 on a usage error, an unknown
+revision, a failed dump or a failed report. The extracted tree and both
 dumps are removed in every case, and the repository's worktree list is
 never touched. Each dump takes about 100 s on one core.
 """
@@ -28,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = Path("scripts", "dump_outputs.py")
+# compare_dumps.py's exit code -> this script's: numbers only moved, or more
+VERDICTS = {0: 1, 1: 3}
 
 
 def main(argv) -> int:
@@ -53,9 +57,9 @@ def main(argv) -> int:
             if subprocess.run(["cmp", str(old), str(new)]).returncode == 0:
                 print(f"outputs identical to {argv[1]} ({new.stat().st_size} bytes)")
                 return 0
-            subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_dumps.py"),
-                            str(old), str(new)])
-            return 1
+            report = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_dumps.py"),
+                                     str(old), str(new)])
+            return VERDICTS.get(report.returncode, 2)
         finally:
             for proc in dumps:
                 proc.kill()

@@ -237,7 +237,9 @@ class Curvature(Enum):
 
 @dataclass(frozen=True)
 class ReservationProfile:
-    """Outside-option utility v_bar(theta, g_circ) and its type derivative."""
+    """Outside-option utility v_bar(theta, g_circ) and its type derivative
+    ``v_bar_dtheta``; `solver_core.rent_gap` relies on it, reading the slope's
+    integral over a type window as v_bar's rise."""
 
     v_bar: Callable
     v_bar_dtheta: Callable

@@ -30,10 +30,8 @@ from .solver_core import (
     FixedPointDivergence,
     GammaRepresentation,
     Partition,
-    RentGap,
     SolverError,
     _partition_at,
-    _simpson_grid,
     bisect,
     efficient_level,
     gamma_root,
@@ -419,25 +417,25 @@ def _convex_ends(econ: Economy):
     """What the outside level leaves fixed in `_convex_configuration`: the levels
     at constant shadow weights 1 and 0, both sides' `_one_sided` tuples (kept
     apart: the sums weigh an agent at theta_hi differently, so their levels can
-    differ), the Simpson grid, `_constant_weight` and phi kept at those levels."""
+    differ), `_constant_weight` and phi kept at those levels."""
     weight = _constant_weight(econ)
     levels = tuple(solve_weighted_foc(econ.tech, weight(gam)) for gam in (1.0, 0.0))
     sides = {side: _one_sided(econ, side, 0) for side in ("low", "high")}
     phi = _phi_once(econ.tech, (*levels, sides["low"][5], sides["high"][5]))
-    return levels, sides, _simpson_grid((econ.theta_lo, econ.theta_hi)), weight, phi
+    return levels, sides, weight, phi
 
 
 def _convex_configuration(econ: Economy, ends):
     """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
     weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
-    gamma_const = gamma_root(RentGap(econ, ends[2], ends[4]),
-                             lambda gam: solve_weighted_foc(econ.tech, ends[3](gam)),
+    gamma_const = gamma_root(rent_gap(econ, (econ.theta_lo, econ.theta_hi), ends[3]),
+                             lambda gam: solve_weighted_foc(econ.tech, ends[2](gam)),
                              (0.0, 1.0), ends[0])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
     if side is not None:
         config = ends[1][side]
         return gamma_const, side, config, config[5]
-    w_star = ends[3](gamma_const)
+    w_star = ends[2](gamma_const)
     return gamma_const, side, w_star, solve_weighted_foc(econ.tech, w_star)
 
 
@@ -782,7 +780,7 @@ def threshold_table(econ: Economy) -> ThresholdTable:
             def flip(gc):
                 at = econ.with_outside_g(gc)
                 if ends is not None:  # no schedules; phi read once at the level
-                    phi_g = ends[4](_convex_configuration(at, ends)[3])
+                    phi_g = ends[3](_convex_configuration(at, ends)[3])
                     _partition_at(at, phi_g)  # raises wherever solve would
                 else:
                     phi_g = float(econ.tech.phi(solve(at).g_star))

@@ -16,7 +16,6 @@ from .model import Curvature, Economy, Technology
 FOC_TOL = 1e-10
 FOC_MAX_ITER = 200
 SLOPE_TOL = 1e-7  # membership tolerance for the zero-slope set
-SIMPSON_PANELS = 400
 
 
 class SolverError(RuntimeError):
@@ -339,83 +338,41 @@ def efficient_level(econ: Economy) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rent_gap(econ: Economy, window: tuple) -> Callable:
-    """The integral of the envelope slope over the window at a flat level g,
-    by composite Simpson quadrature, as a `RentGap` of g; the window's slope is
-    built once per call, its grid too (a convex ladder keeps one per table).
+def rent_gap(econ: Economy, window: tuple, phi: Callable | None = None) -> Callable:
+    """The rent difference between the window's top and bottom types when the
+    allocation is held at a flat level g, as a function of g.
 
-    It equals the rent difference between the window's top and bottom types
-    when the allocation is held at g.
+    It is the integral of the envelope slope phi(g) - v_bar'(theta) over the
+    window [a, b], phi(g) (b - a) - (v_bar(b) - v_bar(a)) at the economy's
+    outside level, since `ReservationProfile.v_bar_dtheta` is v_bar's type
+    derivative; 0 on a degenerate window. ``phi`` reads the technology's phi
+    (default ``econ.tech.phi``), such as a convex ladder's kept reader.
     """
-    if window[1] <= window[0]:
+    a, b = window
+    if b <= a:
         return lambda g: 0.0
-    return RentGap(econ, _simpson_grid(window))
+    phi = phi or econ.tech.phi
+    rise = (float(econ.reservation.value(b, econ.outside_g))
+            - float(econ.reservation.value(a, econ.outside_g)))
+    return lambda g: float(phi(g)) * (b - a) - rise
 
 
-def _simpson_grid(window: tuple) -> np.ndarray:
-    """`rent_gap`'s nodes on a nondegenerate window, kept across outside levels."""
-    return np.linspace(window[0], window[1], 2 * SIMPSON_PANELS + 1)
-
-
-_SIMPSON_WEIGHTS = np.r_[1.0, np.tile([4.0, 2.0], SIMPSON_PANELS)[:-1], 1.0]
-
-
-class RentGap:
-    """`rent_gap` on the window whose `_simpson_grid` is x. Called at g, it is
-    the quadrature float, affine in phi(g) as h/3 (W phi(g) - w.slope) with
-    W = 6 SIMPSON_PANELS. `estimate` reads that form, a1 phi(g) - c0, with the
-    bound k (a1 |phi| + sigma) + 1e-300, k = 4(n + 16) u, sigma = h/3 w.|slope|:
-    twice what any-order sums of the n rounded terms, the dot products and
-    the scalar steps can err, 2(n + 4) u (a1 |phi| + sigma) (Higham 2002, 4.2);
-    `positive` is the float's sign, summed only where the bound cannot tell."""
-
-    def __init__(self, econ: Economy, x: np.ndarray, phi: Callable | None = None):
-        self.phi = phi or econ.tech.phi
-        self.slope = np.asarray(econ.reservation.slope(x, econ.outside_g), float)
-        self.h3 = float(x[-1] - x[0]) / (2 * SIMPSON_PANELS) / 3.0
-        self._affine = None
-
-    def __call__(self, g) -> float:
-        y = float(self.phi(g)) - self.slope
-        return float(self.h3 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
-
-    def estimate(self, g) -> tuple:
-        if self._affine is None:  # a1, c0 and the bound's terms k a1 and k sigma, read once
-            h3, k = self.h3, 4 * (self.slope.size + 16) * 2.0**-53
-            a1, sigma = h3 * (6 * SIMPSON_PANELS), h3 * float(_SIMPSON_WEIGHTS @ np.abs(self.slope))
-            self._affine = a1, h3 * float(_SIMPSON_WEIGHTS @ self.slope), k * a1, k * sigma + 1e-300
-        a1, c0, k_a1, k_sigma = self._affine
-        phi = float(self.phi(g))
-        return a1 * phi - c0, k_a1 * abs(phi) + k_sigma
-
-    def positive(self, g) -> bool:
-        est, bound = self.estimate(g)
-        return est > 0.0 if math.isfinite(est) and abs(est) > bound else self(g) > 0.0
-
-
-def gamma_root(gap: RentGap, level: Callable, gamma_bounds: tuple, end_levels: tuple) -> float:
+def gamma_root(gap: Callable, level: Callable, gamma_bounds: tuple, end_levels: tuple) -> float:
     """Constant shadow weight gamma equalizing rents at a window's two ends.
 
     Solves gap(level(gamma)) = 0 on ``gamma_bounds``, where ``gap`` is the
-    window's ``rent_gap`` (a `RentGap`, offering ``estimate`` and
-    ``positive``) and ``level`` the FOC level as a function of gamma;
+    window's ``rent_gap`` and ``level`` the FOC level as a function of gamma;
     ``end_levels`` are the levels at the (high, low) bounds, which callers
     may keep. Returns the nearest bound when the gap keeps one sign there
     (participation then binds at a single end). The gap must be
     nonincreasing in gamma; a rising gap raises BracketFailure.
-
-    Every decision is the summed gap's: the end tests, monotone in each gap,
-    are read off the corners of the estimates' bound box where they agree,
-    and each bisection step asks ``positive`` at its own level.
     """
     lo_b, hi_b = gamma_bounds
-    end_tests = lambda r_hi, r_lo: (r_lo < r_hi - 1e-12, r_hi >= 0.0, r_lo <= 0.0)
-    (e_hi, b_hi), (e_lo, b_lo) = gap.estimate(end_levels[0]), gap.estimate(end_levels[1])
-    tests = end_tests(e_hi + b_hi, e_lo - b_lo)  # high weight: low level, small gap
-    if not math.isfinite(e_hi + e_lo + b_hi + b_lo) or tests != end_tests(e_hi - b_hi, e_lo + b_lo):
-        tests = end_tests(gap(end_levels[0]), gap(end_levels[1]))
-    if tests[0]:
+    r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])  # high weight: low level, small gap
+    if r_lo < r_hi - 1e-12:
         raise BracketFailure("rent gap is not decreasing in the shadow weight")
-    if tests[1] or tests[2]:
-        return hi_b if tests[1] else lo_b
-    return bisect(lambda gam: gap.positive(level(gam)), lo_b, hi_b, 200, 1e-12)
+    if r_hi >= 0.0:
+        return hi_b
+    if r_lo <= 0.0:
+        return lo_b
+    return bisect(lambda gam: gap(level(gam)) > 0.0, lo_b, hi_b, 200, 1e-12)

@@ -2,18 +2,17 @@ import dataclasses
 import json
 import math
 import random
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
 import agendamech as am
 from agendamech import cli, regimes, solver_core, transfers
-from agendamech.solver_core import (BISECT_LEVELS, GUESS_ROUNDS, GammaRepresentation, RentGap,
-                                    bisect, invert_phi, rent_gap)
+from agendamech.solver_core import (BISECT_LEVELS, GUESS_ROUNDS, GammaRepresentation, bisect,
+                                    invert_phi, rent_gap)
 from conftest import random_economy
 from oracles import foc_level, simpson
 
@@ -334,7 +333,7 @@ def test_gamma_star_constant_bracket_failure_guard(convex_economy):
 
 
 def _summed_gamma_root(gap, level, gamma_bounds, end_levels):
-    """The shadow-weight solve that sums the gap at every decision."""
+    """The shadow-weight solve that reads the gap at every decision."""
     lo_b, hi_b = gamma_bounds
     r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])
     if r_lo < r_hi - 1e-12:
@@ -359,64 +358,47 @@ def _stripped(econ):
 
 
 def _drawn_gaps(seed: int, count: int):
-    """(economy, gap, level of the gap's zero or None, the draws' rng): the
-    test corpus's draws over all four shapes, every third with its
+    """(economy, window, gap, level of the gap's zero or None, the draws'
+    rng): the test corpus's draws over all four shapes, every third with its
     technology's closed forms stripped, each gap on a random window of the
-    support."""
+    support. The zero is where phi meets the chord slope of v_bar."""
     rng = random.Random(seed)
     for k in range(count):
         econ = random_economy(rng, curvatures=("linear", "concave", "convex", "negative"))
         econ = _stripped(econ) if k % 3 == 0 else econ
-        window = tuple(sorted(rng.uniform(econ.theta_lo, econ.theta_hi) for _ in range(2)))
-        gap = rent_gap(econ, window)
-        gap.estimate(0.0)
-        a1, c0 = gap._affine[:2]
-        zero = invert_phi(econ.tech, c0 / a1) if c0 > 0.0 else None
-        yield econ, gap, zero, rng
+        a, b = window = tuple(sorted(rng.uniform(econ.theta_lo, econ.theta_hi) for _ in range(2)))
+        rise = (float(econ.reservation.value(b, econ.outside_g))
+                - float(econ.reservation.value(a, econ.outside_g)))
+        zero = invert_phi(econ.tech, rise / (b - a)) if rise > 0.0 else None
+        yield econ, window, rent_gap(econ, window), zero, rng
 
 
-def test_rent_gap_estimate_bounds_the_sum_and_decides_its_sign():
-    """On drawn windows, at levels packed within 1e-14 relative of the gap's
-    zero (where the sum's rounding decides its sign), at offsets doubling out
-    from there across the bound's edge, and at far levels, the affine
-    estimate lies within its bound of the summed float, and `positive` is
-    that float's sign."""
-    checked, summed = 0, 0
-    for _, gap, zero, rng in _drawn_gaps(27, 150):
-        levels = [0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 1e-3)]
-        if zero is not None:
-            levels += [zero * (1.0 + k * 5e-16) for k in range(-20, 21)]
-            levels += [zero * (1.0 + sign * 2.0**j * 1e-14) for j in range(16) for sign in (-1, 1)]
-            levels += [zero * 0.5, zero * 2.0]
-        for g in levels:
-            est, bound = gap.estimate(g)
-            value = gap(g)
-            assert abs(est - value) <= bound, (g, est, value, bound)
-            assert gap.positive(g) == (value > 0.0), (g, est, value, bound)
-            checked += 1
-            summed += abs(est) <= bound
-    assert checked > 8000 and 0.2 * checked < summed < 0.8 * checked, (checked, summed)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_rent_gap_sums_where_phi_is_not_finite(convex_economy, monkeypatch, value):
-    """Where phi is NaN or infinite the estimate cannot decide: `positive`
-    sums there, and only there."""
-    phi = convex_economy.tech.phi
-    econ = dataclasses.replace(convex_economy, tech=dataclasses.replace(
-        convex_economy.tech, phi=lambda g: value if g == 7.0 else phi(g)))
-    gap, sums = rent_gap(econ, (0.0, 1.0)), []
-    call = RentGap.__call__
-    monkeypatch.setattr(RentGap, "__call__", lambda self, g: sums.append(g) or call(self, g))
-    assert gap.positive(7.0) == (value > 0.0)
-    assert sums == [7.0]
-    assert gap.positive(0.5) == (call(gap, 0.5) > 0.0) and sums == [7.0]
+def test_rent_gap_is_the_quadrature_of_the_envelope_slope():
+    """On drawn windows, at several levels and outside levels, the closed-form
+    gap equals an adaptive quadrature of phi(g) - v_bar'(theta) over the
+    window within 1e-12 of its scale: each built-in profile's `v_bar_dtheta`
+    is its `v_bar`'s type derivative."""
+    checked, shapes = 0, set()
+    for econ, window, _, zero, rng in _drawn_gaps(29, 160):
+        shapes.add(econ.reservation.curvature)
+        levels = [0.0, rng.uniform(0.0, 1e-3), rng.uniform(0.0, 5.0)] + ([zero] if zero else [])
+        for g_circ in (econ.outside_g, 0.0, rng.uniform(0.0, 5.0)):
+            at = econ.with_outside_g(g_circ)
+            gap = rent_gap(at, window)
+            for g in levels:
+                phi_g = float(at.tech.phi(g))
+                envelope = lambda x: phi_g - float(at.reservation.slope(x, g_circ))
+                expected = quad(envelope, *window)[0]
+                scale = 1.0 + quad(lambda x: abs(envelope(x)), *window)[0]
+                assert gap(g) == pytest.approx(expected, rel=0.0, abs=1e-12 * scale), (g, g_circ)
+                checked += 1
+    assert shapes == set(am.Curvature) and checked > 1500, (shapes, checked)
 
 
 def test_gamma_root_matches_the_summed_solve_on_fixtures(request, monkeypatch):
     """Every shadow-weight solve of the six fixtures' solves over the sweep
     grid 0:3:31 at every quota, and of the convex fixtures' threshold tables,
-    returns the float (or the BracketFailure) that summing the gap at every
+    returns the float (or the BracketFailure) that reading the gap at every
     decision gives."""
     outcomes = []
     root = solver_core.gamma_root
@@ -446,10 +428,10 @@ def test_gamma_root_matches_the_summed_solve_on_fixtures(request, monkeypatch):
 def test_gamma_root_matches_the_summed_solve_on_drawn_windows():
     """Drawn windows with an FOC weight affine in gamma through the gap's
     zero, falling (a root or a bound) or rising (BracketFailure) in gamma,
-    half of them so slowly that every level stays where the sum's rounding
-    decides the gap's sign."""
+    half of them so slowly that every level stays within rounding of the
+    gap's zero."""
     outcomes = []
-    for econ, gap, zero, rng in _drawn_gaps(28, 150):
+    for econ, _, gap, zero, rng in _drawn_gaps(28, 150):
         if zero is None or zero == 0.0:
             continue
         w_zero, gam_zero = 1.0 / float(econ.tech.phi_prime(zero)), rng.uniform(-0.3, 1.3)
@@ -462,33 +444,6 @@ def test_gamma_root_matches_the_summed_solve_on_drawn_windows():
         assert outcomes[-1] == _root_outcome(_summed_gamma_root, *args)
     kinds = {"BracketFailure" if o == "BracketFailure" else "interior" for o in outcomes}
     assert len(outcomes) > 60 and kinds == {"BracketFailure", "interior"}
-
-
-def test_shadow_weight_solves_rarely_sum_the_gap(convex_economy, monkeypatch):
-    """threshold_table on the ladder pool's first eight economies sums the
-    gap on fewer than a fifth of its configuration probes, and the convex
-    fixture's interior solve on at most 8 of its bisection steps."""
-    sums, probes, steps = [], [], []
-    call, configuration = RentGap.__call__, regimes._convex_configuration
-    monkeypatch.setattr(RentGap, "__call__", lambda self, g: sums.append(g) or call(self, g))
-    monkeypatch.setattr(regimes, "_convex_configuration",
-                        lambda *args: probes.append(1) or configuration(*args))
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        from workloads import ladder_economy
-    finally:
-        sys.path.pop(0)
-    for index in range(8):
-        am.threshold_table(ladder_economy(am, index))
-    assert len(sums) < 0.2 * len(probes), (len(sums), len(probes))
-
-    sums.clear()
-    level = lambda gam: steps.append(gam) or am.xi_argmax(
-        convex_economy, GammaRepresentation.constant(gam))
-    gamma = solver_core.gamma_root(rent_gap(convex_economy, (0.0, 1.0)), level, (0.0, 1.0),
-                                   regimes._convex_ends(convex_economy)[0])
-    assert 0.0 < gamma < 1.0 and len(steps) > 30
-    assert len(sums) <= 8, (len(sums), len(steps))
 
 
 def _edge_variants(econ):
