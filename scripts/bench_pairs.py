@@ -11,8 +11,9 @@ writes into the repository. Each pair runs ``perfbench/run.py`` once on
 each side, one after the other; odd pairs run the parent first, even pairs
 the change. It prints one line per pair, then, for each end-to-end metric
 of ``BENCHMARK.json``, the median and quartiles of each side, the change of
-the medians and the change's wins out of the pairs (a win is a better value
-in the metric's own direction). ``--seconds`` defaults to the benchmark's
+the medians, the change's wins out of the pairs (a win is a better value
+in the metric's own direction) and a verdict against the metric's bound
+(see ``verdict``). ``--seconds`` defaults to the benchmark's
 ``run_seconds``. Exit codes: 0 when every run is correct, 1 when a run is
 not, 2 on a usage error, an unknown revision or a failed run. Both trees
 are removed in every case.
@@ -49,10 +50,37 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
+def verdict(old: list, new: list, higher: bool, bound: float) -> str:
+    """The change's verdict on one metric from paired runs ``old`` (parent)
+    and ``new`` (change), better when ``higher`` or lower, against its
+    relative ``bound``, first rule that holds:
+
+    - ``gain``: the change wins at least 9 of 10 pairs and its median is
+      better than the parent's by more than the parent's interquartile range;
+    - ``worse than bound``: its median is worse than the parent's by more
+      than ``bound`` of the parent's;
+    - ``unresolved``: the parent's interquartile range is wider than
+      ``bound`` of its median, and some change run does not beat every
+      parent run;
+    - ``within bound``: every other case.
+    """
+    sign = 1.0 if higher else -1.0
+    (o1, om, o3), nm = quartiles(old), quartiles(new)[1]
+    wins = sum(sign * b > sign * a for a, b in zip(old, new))
+    if wins >= 0.9 * len(old) and sign * (nm - om) > o3 - o1:
+        return "gain"
+    if sign * (om - nm) > bound * abs(om):
+        return "worse than bound"
+    if o3 - o1 > bound * abs(om) and min(sign * b for b in new) <= max(sign * a for a in old):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list, spec: dict) -> list:
     """One line per end-to-end metric of ``spec`` from ``pairs``, a list of
     {side: {metric: value}}: each side's median [quartiles], the change of
-    the medians in percent and the change's wins in the metric's direction."""
+    the medians in percent, the change's wins in the metric's direction and
+    its `verdict` against the metric's bound."""
     lines = []
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -63,7 +91,8 @@ def summarize(pairs: list, spec: dict) -> list:
         change = 100.0 * (nm / om - 1.0) if om else float("nan")
         lines.append(f"{name}: parent {om:.6g} [{o1:.6g}, {o3:.6g}] -> change {nm:.6g} "
                      f"[{n1:.6g}, {n3:.6g}], {change:+.1f} %, wins {wins}/{len(pairs)} "
-                     f"({metric['better']} is better)")
+                     f"({metric['better']} is better): "
+                     f"{verdict(old, new, higher, metric['bound'])} ({100 * metric['bound']:g} %)")
     return lines
 
 

@@ -253,15 +253,14 @@ class ReservationProfile:
         return _as_array(lambda t: self.v_bar_dtheta(t, g_circ), theta)
 
 
-def _phi_once(tech: Technology, levels=()) -> Callable:
-    """float(tech.phi(g)) by the bits of g, read once at each of `levels` and once
-    per other g in a row; the last pair is replaced whole, so threads agree."""
-    kept = {key: float(tech.phi(g)) for key, g in {_bits(g): g for g in levels}.items()}
+def _phi_once(tech: Technology) -> Callable:
+    """float(tech.phi(g)) by the bits of g, read once per g in a row, for a share or
+    linear reservation's phi(g_circ); the last pair is replaced whole, so threads agree."""
     last = [(None, 0.0)]
 
     def phi(g):
         if (pair := last[0])[0] != (key := _bits(g)):
-            pair = last[0] = key, kept[key] if key in kept else float(tech.phi(g))
+            pair = last[0] = key, float(tech.phi(g))
         return pair[1]
     return phi
 

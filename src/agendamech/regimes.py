@@ -23,7 +23,6 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
-    _phi_once,
 )
 from .solver_core import (
     BracketFailure,
@@ -417,20 +416,19 @@ def _convex_ends(econ: Economy):
     """What the outside level leaves fixed in `_convex_configuration`: the levels
     at constant shadow weights 1 and 0, both sides' `_one_sided` tuples (kept
     apart: the sums weigh an agent at theta_hi differently, so their levels can
-    differ), `_constant_weight` and phi kept at those levels."""
+    differ), `_constant_weight` and phi at the two levels."""
     weight = _constant_weight(econ)
     levels = tuple(solve_weighted_foc(econ.tech, weight(gam)) for gam in (1.0, 0.0))
     sides = {side: _one_sided(econ, side, 0) for side in ("low", "high")}
-    phi = _phi_once(econ.tech, (*levels, sides["low"][5], sides["high"][5]))
-    return levels, sides, weight, phi
+    return levels, sides, weight, tuple(float(econ.tech.phi(g)) for g in levels)
 
 
 def _convex_configuration(econ: Economy, ends):
     """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
     weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
-    gamma_const = gamma_root(rent_gap(econ, (econ.theta_lo, econ.theta_hi), ends[3]),
-                             lambda gam: solve_weighted_foc(econ.tech, ends[2](gam)),
-                             (0.0, 1.0), ends[0])
+    phi_level = lambda gam: float(econ.tech.phi(solve_weighted_foc(econ.tech, ends[2](gam))))
+    gamma_const = gamma_root(rent_gap(econ, (econ.theta_lo, econ.theta_hi)), phi_level,
+                             (0.0, 1.0), ends[3])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
     if side is not None:
         config = ends[1][side]
@@ -522,10 +520,10 @@ def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn
     are degenerate or the search has no bracket."""
     if window[1] <= window[0] + 1e-12 or bounds[1] <= bounds[0] + 1e-12:
         return None
-    level = lambda gam: solve_weighted_foc(econ.tech, weight_fn(gam))
+    phi_level = lambda gam: float(econ.tech.phi(solve_weighted_foc(econ.tech, weight_fn(gam))))
     try:
-        gam = gamma_root(rent_gap(econ, window), level, bounds,
-                         (level(bounds[1]), level(bounds[0])))
+        gam = gamma_root(rent_gap(econ, window), phi_level, bounds,
+                         (phi_level(bounds[1]), phi_level(bounds[0])))
     except BracketFailure:
         return None
     w_star = weight_fn(gam)
@@ -562,7 +560,7 @@ def _concave_window_candidate(econ: Economy, start: int, width: int):
         return None
     if phi_g - float(econ.reservation.slope(theta_q, econ.outside_g)) < -CONSISTENCY_TOL:
         return None
-    dips = [rent_gap(econ, (theta_p, econ.type_of(i)))(g_star) for i in window]
+    dips = [rent_gap(econ, (theta_p, econ.type_of(i)))(phi_g) for i in window]
     if any(d > -1e-12 for d in dips):
         return None
 
@@ -748,7 +746,7 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     for convex profiles rungs are where a realized agent's envelope slope
     flips sign at the solution (positional indices fall), found by bisecting
     on the outside level. A convex unanimity table reads only levels, cap
-    included, off `_convex_ends` kept per table and phi once per probe level;
+    included, off `_convex_ends` kept per table and phi once at each probe's level;
     the rest solve in full. Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
@@ -780,7 +778,7 @@ def threshold_table(econ: Economy) -> ThresholdTable:
             def flip(gc):
                 at = econ.with_outside_g(gc)
                 if ends is not None:  # no schedules; phi read once at the level
-                    phi_g = ends[3](_convex_configuration(at, ends)[3])
+                    phi_g = float(econ.tech.phi(_convex_configuration(at, ends)[3]))
                     _partition_at(at, phi_g)  # raises wherever solve would
                 else:
                     phi_g = float(econ.tech.phi(solve(at).g_star))

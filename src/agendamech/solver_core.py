@@ -338,41 +338,40 @@ def efficient_level(econ: Economy) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rent_gap(econ: Economy, window: tuple, phi: Callable | None = None) -> Callable:
+def rent_gap(econ: Economy, window: tuple) -> Callable:
     """The rent difference between the window's top and bottom types when the
-    allocation is held at a flat level g, as a function of g.
+    allocation is held at a flat level g, as a function of phi(g).
 
     It is the integral of the envelope slope phi(g) - v_bar'(theta) over the
     window [a, b], phi(g) (b - a) - (v_bar(b) - v_bar(a)) at the economy's
     outside level, since `ReservationProfile.v_bar_dtheta` is v_bar's type
-    derivative; 0 on a degenerate window. ``phi`` reads the technology's phi
-    (default ``econ.tech.phi``), such as a convex ladder's kept reader.
+    derivative; 0 on a degenerate window. The level enters only through
+    phi(g), so callers read phi once at each level they test.
     """
     a, b = window
     if b <= a:
-        return lambda g: 0.0
-    phi = phi or econ.tech.phi
+        return lambda phi_g: 0.0
     rise = (float(econ.reservation.value(b, econ.outside_g))
             - float(econ.reservation.value(a, econ.outside_g)))
-    return lambda g: float(phi(g)) * (b - a) - rise
+    return lambda phi_g: phi_g * (b - a) - rise
 
 
-def gamma_root(gap: Callable, level: Callable, gamma_bounds: tuple, end_levels: tuple) -> float:
+def gamma_root(gap: Callable, phi_level: Callable, gamma_bounds: tuple, end_phis: tuple) -> float:
     """Constant shadow weight gamma equalizing rents at a window's two ends.
 
-    Solves gap(level(gamma)) = 0 on ``gamma_bounds``, where ``gap`` is the
-    window's ``rent_gap`` and ``level`` the FOC level as a function of gamma;
-    ``end_levels`` are the levels at the (high, low) bounds, which callers
-    may keep. Returns the nearest bound when the gap keeps one sign there
-    (participation then binds at a single end). The gap must be
+    Solves gap(phi_level(gamma)) = 0 on ``gamma_bounds``, where ``gap`` is the
+    window's ``rent_gap`` and ``phi_level`` phi at the FOC level as a function
+    of gamma; ``end_phis`` are its values at the (high, low) bounds, which
+    callers may keep. Returns the nearest bound when the gap keeps one sign
+    there (participation then binds at a single end). The gap must be
     nonincreasing in gamma; a rising gap raises BracketFailure.
     """
     lo_b, hi_b = gamma_bounds
-    r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])  # high weight: low level, small gap
+    r_hi, r_lo = gap(end_phis[0]), gap(end_phis[1])  # high weight: low level, small gap
     if r_lo < r_hi - 1e-12:
         raise BracketFailure("rent gap is not decreasing in the shadow weight")
     if r_hi >= 0.0:
         return hi_b
     if r_lo <= 0.0:
         return lo_b
-    return bisect(lambda gam: gap(level(gam)) > 0.0, lo_b, hi_b, 200, 1e-12)
+    return bisect(lambda gam: gap(phi_level(gam)) > 0.0, lo_b, hi_b, 200, 1e-12)

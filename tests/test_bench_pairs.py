@@ -49,14 +49,46 @@ def test_summary_counts_wins_in_each_metric_direction():
     lines = bench_pairs.summarize(pairs, SPEC)
     assert lines == [
         "ops_per_s: parent 380 [375, 385] -> change 455 [450, 460], +19.7 %, "
-        "wins 4/5 (higher is better)",
+        "wins 4/5 (higher is better): within bound (25 %)",
         "latency_ms.p50: parent 2.5 [2.45, 2.55] -> change 2.08 [2.05, 2.1], -16.8 %, "
-        "wins 4/5 (lower is better)",
+        "wins 4/5 (lower is better): within bound (25 %)",
         "setup_s: parent 0.029 [0.028, 0.03] -> change 0.03 [0.029, 0.03], +3.4 %, "
-        "wins 2/5 (lower is better)",
+        "wins 2/5 (lower is better): within bound (25 %)",
         "peak_rss_mb: parent 34 [34, 34.1] -> change 34.2 [34.1, 34.2], +0.6 %, "
-        "wins 1/5 (lower is better)",
+        "wins 1/5 (lower is better): within bound (10 %)",
     ]
+
+
+PARENT = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+WIDE = [10.0, 11.0, 100.0, 101.0, 102.0]  # quartiles 11, 100, 101: 90 % of the median
+WIDE_LOW = [98.0, 99.0, 100.0, 189.0, 190.0]  # quartiles 99, 100, 189, when lower is better
+
+
+@pytest.mark.parametrize("old, new, higher, bound, expected", [
+    # 10/10 wins and a median 10 above the parent's interquartile range of 1
+    (PARENT, [v + 10.0 for v in PARENT], True, 0.25, "gain"),
+    ([v / 50 for v in PARENT], [v / 50 - 0.2 for v in PARENT], False, 0.25, "gain"),
+    # 9 of 10 wins is enough; 8 of 10 is not, however large the medians' change
+    (PARENT, [v + 10.0 for v in PARENT[:9]] + [90.0], True, 0.25, "gain"),
+    (PARENT, [v + 10.0 for v in PARENT[:8]] + [90.0, 90.0], True, 0.25, "within bound"),
+    # every pair won, but the medians differ by less than the parent's spread
+    (PARENT, [v + 0.5 for v in PARENT], True, 0.25, "within bound"),
+    # a median 30 % below the parent's, and one 11.8 % above it when lower is better
+    (PARENT, [v - 30.0 for v in PARENT], True, 0.25, "worse than bound"),
+    ([34.0] * 5, [38.0] * 5, False, 0.1, "worse than bound"),
+    # the parent's spread is wider than the bound and the change does not beat all of it
+    (WIDE, [99.0, 100.0, 101.0, 100.0, 100.0], True, 0.25, "unresolved"),
+    (WIDE_LOW, [99.0, 100.0, 101.0, 100.0, 100.0], False, 0.25, "unresolved"),
+    # ... unless every change run beats every parent run
+    (WIDE, [103.0, 104.0, 105.0, 106.0, 107.0], True, 0.25, "within bound"),
+    (WIDE_LOW, [93.0, 94.0, 95.0, 96.0, 97.0], False, 0.25, "within bound"),
+    # a 20 % fall inside a 25 % bound
+    (PARENT, [v - 20.0 for v in PARENT], True, 0.25, "within bound"),
+], ids=["gain", "gain_lower", "gain_9_of_10", "8_of_10", "inside_spread", "worse",
+        "worse_lower", "unresolved", "unresolved_lower", "beats_every_run",
+        "beats_every_run_lower", "within"])
+def test_verdict_per_metric(old, new, higher, bound, expected):
+    assert bench_pairs.verdict(old, new, higher, bound) == expected
 
 
 def test_unknown_revision_is_a_usage_error(capsys):

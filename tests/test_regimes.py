@@ -589,12 +589,14 @@ def test_threshold_table_reads_the_level_solve_finds(monkeypatch):
 
 def test_ladder_reads_phi_once_per_level(monkeypatch):
     """On the ladder pool's first eight economies, built on technologies that
-    count their scalar phi calls, a convex table makes at most 3.5 of them
-    per `_convex_configuration` probe (8.91 when every probe read phi at the
-    table's end levels, its own level twice and the outside level at each
-    reservation call) and reads phi once per table at each level its
-    `_convex_ends` keeps, besides the reservation's one read per probe of an
-    outside level that equals it (a level 0 and the probes at 0)."""
+    count their scalar phi calls, a convex table's `_convex_ends` reads phi
+    once at each of its two levels, and each `_convex_configuration` probe
+    whose shadow weight lands on a bound makes exactly 2 calls: phi at its own
+    level and at its outside level, which the reservation reads once. An
+    interior probe adds one per shadow-weight step (40 from [0, 1] to 1e-12).
+    The tables make at most 3.5 calls per probe (8.91 when every probe read
+    phi at the table's end levels, its own level twice and the outside level
+    at each reservation call)."""
     calls, probes, ends = [], [], []
 
     def counting(make):
@@ -605,25 +607,33 @@ def test_ladder_reads_phi_once_per_level(monkeypatch):
                 tech, phi=lambda g: (np.ndim(g) == 0 and calls.append(float(g))) or phi(g))
         return build
 
+    def configuration_spy(at, e):
+        start = len(calls)
+        found = configuration(at, e)
+        probes.append((start, found[1]))
+        return found
+
+    def ends_spy(econ):
+        start = len(calls)
+        ends.append(convex_ends(econ))
+        assert calls[start:] == list(ends[-1][0]), (calls[start:], ends[-1][0])
+        return ends[-1]
+
     pool = SimpleNamespace(**vars(am))
     pool.log_technology = counting(am.log_technology)
     pool.power_technology = counting(am.power_technology)
     configuration, convex_ends = regimes._convex_configuration, regimes._convex_ends
-    monkeypatch.setattr(regimes, "_convex_configuration",
-                        lambda at, e: probes.append(at.outside_g) or configuration(at, e))
-    monkeypatch.setattr(regimes, "_convex_ends",
-                        lambda econ: ends.append(convex_ends(econ)) or ends[-1])
-    read = 0
+    monkeypatch.setattr(regimes, "_convex_configuration", configuration_spy)
+    monkeypatch.setattr(regimes, "_convex_ends", ends_spy)
+    bound, interior = [], []
     for index in range(8):
-        start, first = len(calls), len(probes)
+        first = len(probes)
         am.threshold_table(_workloads().ladder_economy(pool, index))
-        kept = {g.hex() for g in (*ends[-1][0], *(c[5] for c in ends[-1][1].values()))}
-        table = [g.hex() for g in calls[start:]]
-        outside = [float(g).hex() for g in probes[first:]]
-        for g in kept:
-            assert table.count(g) == 1 + outside.count(g), (index, g, outside.count(g))
-        read += len(kept)
-    assert len(ends) == 8 and read >= 16 and len(probes) > 500
+        table = probes[first:]
+        for (start, side), stop in zip(table, [s for s, _ in table[1:]] + [len(calls)]):
+            (bound if side is not None else interior).append(stop - start)
+    assert len(ends) == 8 and len(bound) > 500 and interior
+    assert set(bound) == {2} and set(interior) == {42}, (set(bound), set(interior))
     assert len(calls) <= 3.5 * len(probes), (len(calls), len(probes))
 
 

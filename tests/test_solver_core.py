@@ -314,10 +314,10 @@ def test_gamma_star_constant_interior_self_consistency(convex_economy):
     gamma = _constant_gamma(convex_economy)
     assert 0.0 < gamma < 1.0
     g = am.xi_argmax(convex_economy, GammaRepresentation.constant(gamma))
-    assert rent_gap(convex_economy, window)(g) == pytest.approx(0.0, abs=1e-8)
-    # independent quadrature of the same residual
-    tech, res = convex_economy.tech, convex_economy.reservation
     phi_g = math.log(1.0 + g)
+    assert rent_gap(convex_economy, window)(phi_g) == pytest.approx(0.0, abs=1e-8)
+    # independent quadrature of the same residual
+    res = convex_economy.reservation
     residual = simpson(lambda x: phi_g - float(res.slope(x, 1.0)), 0.0, 1.0)
     assert residual == pytest.approx(0.0, abs=1e-8)
     # frozen closed form for this economy: ln(3.8 - 3 gamma) = 0.8 ln 2
@@ -326,28 +326,57 @@ def test_gamma_star_constant_interior_self_consistency(convex_economy):
 
 def test_gamma_star_constant_bracket_failure_guard(convex_economy):
     # rising weight: the gap increases in the shadow weight
-    level = lambda gam: am.solve_weighted_foc(convex_economy.tech, 1.0 + gam)
+    tech = convex_economy.tech
+    phi_level = lambda gam: float(tech.phi(am.solve_weighted_foc(tech, 1.0 + gam)))
     with pytest.raises(am.BracketFailure):
-        solver_core.gamma_root(rent_gap(convex_economy, (0.0, 1.0)), level, (0.0, 1.0),
-                               (level(1.0), level(0.0)))
+        solver_core.gamma_root(rent_gap(convex_economy, (0.0, 1.0)), phi_level, (0.0, 1.0),
+                               (phi_level(1.0), phi_level(0.0)))
 
 
-def _summed_gamma_root(gap, level, gamma_bounds, end_levels):
-    """The shadow-weight solve that reads the gap at every decision."""
-    lo_b, hi_b = gamma_bounds
-    r_hi, r_lo = gap(end_levels[0]), gap(end_levels[1])
-    if r_lo < r_hi - 1e-12:
-        raise am.BracketFailure("rent gap is not decreasing in the shadow weight")
-    if r_hi >= 0.0:
-        return hi_b
-    if r_lo <= 0.0:
-        return lo_b
-    return bisect(lambda gam: gap(level(gam)) > 0.0, lo_b, hi_b, 200, 1e-12)
+def _reference_gamma(level, chord, bounds):
+    """The constant shadow weight a window's rents agree at, sharing no code
+    with `gamma_root`: the rent gap at a flat level g has the sign of
+    g - ``chord``, the level where phi meets the chord slope of v_bar, so this
+    bisects ``level`` (the FOC level as a function of gamma) against it on
+    ``bounds``. "BracketFailure" where the level rises in gamma, the high
+    bound where even its level reaches the chord's, the low bound where even
+    the low bound's level stays at or below it."""
+    lo, hi = bounds
+    if level(hi) > level(lo):
+        return "BracketFailure"
+    if level(hi) >= chord:
+        return hi
+    if level(lo) <= chord:
+        return lo
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if level(mid) > chord else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _check_gamma(found, tech, level, chord, bounds, width):
+    """`gamma_root`'s outcome ``found`` (a float or "BracketFailure") against
+    `_reference_gamma`'s on a window of ``width``; returns the reference's
+    kind. They may disagree on a BracketFailure only where the end gaps differ
+    by at most 1e-12, and a weight found may differ from the reference's by
+    more than 1e-10 only where its level is within 1e-10 of the chord level
+    (any weight is a root where the level is flat in gamma)."""
+    expected = _reference_gamma(level, chord, bounds)
+    if "BracketFailure" in (found, expected) and found != expected:
+        end_phis = [float(tech.phi(level(gam))) for gam in bounds]
+        assert abs(end_phis[1] - end_phis[0]) * width <= 1e-12, (found, expected, end_phis)
+    if found != "BracketFailure":
+        near = abs(level(found) - chord) <= 1e-10 * (1.0 + chord)
+        assert near or (expected != "BracketFailure" and abs(found - expected) <= 1e-10), \
+            (found, expected)
+    if expected == "BracketFailure" or expected not in bounds:
+        return "BracketFailure" if expected == "BracketFailure" else "interior"
+    return "high" if expected == bounds[1] else "low"
 
 
 def _root_outcome(root, *args):
     try:
-        return root(*args).hex()
+        return root(*args)
     except am.BracketFailure:
         return "BracketFailure"
 
@@ -390,26 +419,41 @@ def test_rent_gap_is_the_quadrature_of_the_envelope_slope():
                 envelope = lambda x: phi_g - float(at.reservation.slope(x, g_circ))
                 expected = quad(envelope, *window)[0]
                 scale = 1.0 + quad(lambda x: abs(envelope(x)), *window)[0]
-                assert gap(g) == pytest.approx(expected, rel=0.0, abs=1e-12 * scale), (g, g_circ)
+                assert gap(phi_g) == pytest.approx(expected, rel=0.0, abs=1e-12 * scale), \
+                    (g, g_circ)
                 checked += 1
     assert shapes == set(am.Curvature) and checked > 1500, (shapes, checked)
 
 
-def test_gamma_root_matches_the_summed_solve_on_fixtures(request, monkeypatch):
-    """Every shadow-weight solve of the six fixtures' solves over the sweep
-    grid 0:3:31 at every quota, and of the convex fixtures' threshold tables,
-    returns the float (or the BracketFailure) that reading the gap at every
-    decision gives."""
-    outcomes = []
-    root = solver_core.gamma_root
+def test_gamma_root_meets_the_chord_level_on_fixtures(request, monkeypatch):
+    """Every constant shadow weight the six fixtures' solves find over the
+    sweep grid 0:3:31 at every quota, and the convex fixtures' threshold
+    tables, is the weight `_reference_gamma` finds from the candidate's
+    window, bounds and FOC weight: interior roots and both bounds occur (no
+    fixture's weight rises in gamma, so none fails)."""
+    kinds = []
+    constant, configuration = regimes._constant_gamma_level, regimes._convex_configuration
 
-    def both(*args):
-        expected = _root_outcome(_summed_gamma_root, *args)
-        outcomes.append(_root_outcome(root, *args))
-        assert outcomes[-1] == expected
-        return root(*args)
+    def check(econ, window, bounds, weight, found):
+        (a, b), res, tech = window, econ.reservation, econ.tech
+        rise = float(res.value(b, econ.outside_g)) - float(res.value(a, econ.outside_g))
+        level = lambda gam: solver_core.solve_weighted_foc(tech, weight(gam))
+        chord = invert_phi(tech, rise / (b - a))
+        kinds.append(_check_gamma(found, tech, level, chord, bounds, b - a))
 
-    monkeypatch.setattr(regimes, "gamma_root", both)
+    def constant_spy(econ, window, bounds, weight_fn):
+        found = constant(econ, window, bounds, weight_fn)
+        if window[1] > window[0] + 1e-12 and bounds[1] > bounds[0] + 1e-12:
+            check(econ, window, bounds, weight_fn, "BracketFailure" if found is None else found[0])
+        return found
+
+    def configuration_spy(econ, ends):
+        found = configuration(econ, ends)
+        check(econ, (econ.theta_lo, econ.theta_hi), (0.0, 1.0), ends[2], found[0])
+        return found
+
+    monkeypatch.setattr(regimes, "_constant_gamma_level", constant_spy)
+    monkeypatch.setattr(regimes, "_convex_configuration", configuration_spy)
     for name in ("golden_economy", "majority_economy", "concave_economy", "convex_economy",
                  "concave_window_economy", "convex_tail_economy"):
         econ = request.getfixturevalue(name)
@@ -421,29 +465,30 @@ def test_gamma_root_matches_the_summed_solve_on_fixtures(request, monkeypatch):
                     pass
         if econ.reservation.curvature is am.Curvature.CONVEX:
             am.threshold_table(econ)
-    interior = [o for o in outcomes if o not in ("BracketFailure", (0.0).hex(), (1.0).hex())]
-    assert len(outcomes) > 500 and len(interior) > 100, (len(outcomes), len(interior))
+    counts = {kind: kinds.count(kind) for kind in set(kinds)}
+    assert len(kinds) > 500 and counts.get("interior", 0) > 100, counts
+    assert set(counts) == {"interior", "high", "low"}, counts
 
 
-def test_gamma_root_matches_the_summed_solve_on_drawn_windows():
-    """Drawn windows with an FOC weight affine in gamma through the gap's
-    zero, falling (a root or a bound) or rising (BracketFailure) in gamma,
+def test_gamma_root_meets_the_chord_level_on_drawn_windows():
+    """Drawn windows with an FOC weight affine in gamma through the chord
+    level, falling (a root or a bound) or rising (BracketFailure) in gamma,
     half of them so slowly that every level stays within rounding of the
-    gap's zero."""
-    outcomes = []
-    for econ, _, gap, zero, rng in _drawn_gaps(28, 150):
+    chord level: `gamma_root` finds `_reference_gamma`'s weight."""
+    kinds = []
+    for econ, (a, b), gap, zero, rng in _drawn_gaps(28, 150):
         if zero is None or zero == 0.0:
             continue
-        w_zero, gam_zero = 1.0 / float(econ.tech.phi_prime(zero)), rng.uniform(-0.3, 1.3)
+        tech = econ.tech
+        w_zero, gam_zero = 1.0 / float(tech.phi_prime(zero)), rng.uniform(-0.3, 1.3)
         slope = rng.choice([-1.0, 1.0]) * w_zero * rng.choice([rng.uniform(0.01, 3.0), 1e-15])
-        level = lambda gam: solver_core.solve_weighted_foc(
-            econ.tech, w_zero + slope * (gam - gam_zero))
+        level = lambda gam: solver_core.solve_weighted_foc(tech, w_zero + slope * (gam - gam_zero))
+        phi_level = lambda gam: float(tech.phi(level(gam)))
         bounds = tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(2)))
-        args = (gap, level, bounds, (level(bounds[1]), level(bounds[0])))
-        outcomes.append(_root_outcome(solver_core.gamma_root, *args))
-        assert outcomes[-1] == _root_outcome(_summed_gamma_root, *args)
-    kinds = {"BracketFailure" if o == "BracketFailure" else "interior" for o in outcomes}
-    assert len(outcomes) > 60 and kinds == {"BracketFailure", "interior"}
+        found = _root_outcome(solver_core.gamma_root, gap, phi_level, bounds,
+                              (phi_level(bounds[1]), phi_level(bounds[0])))
+        kinds.append(_check_gamma(found, tech, level, zero, bounds, b - a))
+    assert len(kinds) > 60 and set(kinds) == {"BracketFailure", "interior", "high", "low"}, kinds
 
 
 def _edge_variants(econ):
