@@ -13,7 +13,9 @@ The dump covers every second draw of the benchmark's 2048-economy corpus
 (validation, the reservation profile's value and slope at 17 types, every
 solution field, the shadow weight at a type grid and at the realized types,
 each schedule's allocation, transfer and rent at 17 reports, read one
-report at a time and again as one array, and the oracle report),
+report at a time and again as one array, each FOC schedule's anchor and
+kink nodes (its nodes off the evenly spaced base grid) in hex, so a moved
+node shows directly, and the oracle report),
 re-solves every 16th draw with its technology's closed forms stripped and
 every 32nd draw at every quota, with two drawn coalitions and with
 scalar-only type distributions, threshold tables (all 192
@@ -52,7 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import agendamech as am  # noqa: E402
-from agendamech import regimes  # noqa: E402
+from agendamech import regimes, transfers  # noqa: E402
 from agendamech.cli import _parse_grid, load_model, main as cli_main  # noqa: E402
 from workloads import (CORPUS_POOL, LADDER_CANDIDATES, SWEEP_MODELS,  # noqa: E402
                        corpus_economy, ladder_economy)
@@ -86,8 +88,18 @@ def _solution_lines(econ, sol, agents=None) -> list:
         lines.append(repr(("array", s.kind, s.agent, s.allocation(reports).tolist(),
                            s.transfer(reports).tolist(),
                            s.rent(reports).tolist() if foc else None)))
+        if foc:
+            lines.append(repr(("nodes", s.agent, s.anchor.hex(),
+                               [x.hex() for x in _kink_nodes(s)])))
     lines.append(repr(am.verify_solution(econ, sol, agents=agents)))
     return lines
+
+
+def _kink_nodes(sched) -> list:
+    """A FOC schedule's nodes off its evenly spaced base grid: its kinks."""
+    lo, hi = sched._econ.theta_lo, sched._econ.theta_hi
+    base = np.linspace(lo, hi, transfers.RENT_NODES if sched._batched else 257)
+    return np.setdiff1d(sched._xs, base).tolist()
 
 
 def _reservation_lines(econ) -> list:

@@ -112,7 +112,8 @@ def truncated_exponential(rate: float, lo: float = 0.0, hi: float = 1.0) -> Type
     )
 
 
-_erf = np.vectorize(math.erf, otypes=[float])
+def _erf(z):  # math.erf at each element of z, in z's shape
+    return np.fromiter(map(math.erf, np.ravel(z).tolist()), float, np.size(z)).reshape(np.shape(z))
 
 
 def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
@@ -135,11 +136,17 @@ def truncated_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) 
     )
 
 
+def _shadow_weight(gamma_at) -> float:
+    """gamma_at as a float in [0, 1] (1e-12 slack); NaN raises."""
+    if not -1e-12 <= (g := float(gamma_at)) <= 1 + 1e-12:
+        raise ModelError("gamma_at must lie in [0, 1]")
+    return g
+
+
 def _virtual(theta, cdf, pdf, gamma_at):
     """theta - (gamma - F) / f for a shadow weight gamma in [0, 1]; NaN raises."""
     if np.isscalar(gamma_at) or np.ndim(gamma_at) == 0:
-        if not -1e-12 <= (g := float(gamma_at)) <= 1 + 1e-12:
-            raise ModelError("gamma_at must lie in [0, 1]")
+        g = _shadow_weight(gamma_at)
     else:
         g = np.asarray(gamma_at, float)
         if not (np.all(g >= -1e-12) and np.all(g <= 1 + 1e-12)):
@@ -408,9 +415,7 @@ class Economy:
         """``virtual_value_gamma`` at a non-agenda agent's realized type."""
         if agent == AGENDA_SETTER:
             raise ModelError("the agenda setter has no type distribution")
-        if not -1e-12 <= (g := float(gamma_at)) <= 1 + 1e-12:
-            raise ModelError("gamma_at must lie in [0, 1]")
-        cdf, pdf = self._cdf_pdf[agent - 1]
+        g, (cdf, pdf) = _shadow_weight(gamma_at), self._cdf_pdf[agent - 1]
         return self.agent_types[agent - 1] - (g - cdf) / pdf
 
     def realized_cdf(self, agent: int) -> float:
@@ -435,6 +440,8 @@ class Economy:
         copy = object.__new__(type(self))  # no constructor: check only the changed field
         copy.__dict__.update(self.__dict__, _cdf_pdf=self._cdf_pdf, agents=self.agents,
                              **{name: value})
+        if name == "outside_g":  # a solve's grid readings hold the old level's slope
+            copy.__dict__.pop("_grid_table", None)
         copy._check(name)  # same agents: keep this reading of them
         return copy
 

@@ -23,6 +23,7 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
+    _shadow_weight,
 )
 from .solver_core import (
     BracketFailure,
@@ -521,9 +522,9 @@ def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn
     if window[1] <= window[0] + 1e-12 or bounds[1] <= bounds[0] + 1e-12:
         return None
     phi_level = lambda gam: float(econ.tech.phi(solve_weighted_foc(econ.tech, weight_fn(gam))))
+    gap, bounds = rent_gap(econ, window), tuple(map(_shadow_weight, bounds))
     try:
-        gam = gamma_root(rent_gap(econ, window), phi_level, bounds,
-                         (phi_level(bounds[1]), phi_level(bounds[0])))
+        gam = gamma_root(gap, phi_level, bounds, (phi_level(bounds[1]), phi_level(bounds[0])))
     except BracketFailure:
         return None
     w_star = weight_fn(gam)
@@ -543,9 +544,10 @@ def _concave_window_candidate(econ: Economy, start: int, width: int):
     theta_q = econ.type_of(order[end + 1])
     hh_below = sum(econ.virtual_type(i, 0.0) for i in below)
     hl_above = sum(econ.virtual_type(i, 1.0) for i in above)
+    terms = [(econ.type_of(i), *econ._cdf_pdf[i - 1]) for i in window]
 
-    def weight_fn(gam):
-        mid = sum(econ.virtual_type(i, gam) for i in window)
+    def weight_fn(gam):  # `virtual_type`'s floats; `_constant_gamma_level` checks gam
+        mid = sum(theta - (gam - cdf) / pdf for theta, cdf, pdf in terms)
         return econ.agenda_setter_type + hh_below + mid + hl_above
 
     bounds = (econ.realized_cdf(order[start - 1]), econ.realized_cdf(order[end + 1]))
@@ -596,9 +598,10 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int):
     theta_q = econ.type_of(members[-1]) if k_hi else econ.theta_hi
     lo_bound = econ.realized_cdf(members[0]) if k_lo else 0.0
     hi_bound = econ.realized_cdf(members[-1]) if k_hi else 1.0
+    terms = [(econ.type_of(i), *econ._cdf_pdf[i - 1]) for i in members]
 
-    def weight_fn(gam):
-        mid = sum(econ.virtual_type(i, gam) for i in members)
+    def weight_fn(gam):  # `virtual_type`'s floats; `_constant_gamma_level` checks gam
+        mid = sum(theta - (gam - cdf) / pdf for theta, cdf, pdf in terms)
         return econ.agenda_setter_type + k_lo * theta_p + k_hi * theta_q + mid
 
     found = _constant_gamma_level(econ, (theta_p, theta_q), (lo_bound, hi_bound), weight_fn)
@@ -646,6 +649,15 @@ def solve(econ: Economy) -> MechanismSolution:
     schedules, and `_better_of` assembles only those that can win, picking
     what full assembly would. Without a consistent one the status quo is posted.
     """
+    econ = econ.with_quota(econ.quota)  # a private copy, whose table of grid readings
+    econ.__dict__["_grid_table"] = {}  # (`transfers._reading`) goes on return
+    try:
+        return _solve(econ)
+    finally:
+        del econ.__dict__["_grid_table"]
+
+
+def _solve(econ: Economy) -> MechanismSolution:
     curv = econ.reservation.curvature
     k = econ.n - econ.quota
     if curv is Curvature.LINEAR:

@@ -18,7 +18,6 @@ from .model import Economy, _virtual
 from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
-GUESS_GRID = np.linspace(0.0, 1.0, 65)  # where in a bracket a kink's guess reads the weight
 
 
 class FlatSchedule:
@@ -66,6 +65,12 @@ def hermite_panel_root(u0: float, u1: float, s0: float, s1: float, h: float) -> 
     return min(num / den, 1.0) if den > 0.0 else 1.0
 
 
+def _reading(econ: Economy, key, read):
+    """``read()``, kept under ``key`` in a solve's table (a throwaway one without)."""
+    table = econ.__dict__.get("_grid_table", {})
+    return table[key] if key in table else table.setdefault(key, read())
+
+
 def _capped_slopes(h, u, s):
     """Node slopes for the Hermite panels, limited so no panel overshoots its
     end values (the Fritsch-Carlson box). On a panel whose end slopes both
@@ -111,8 +116,7 @@ class FocSchedule:
         self.agent = agent
         self.base_weight = float(base_weight)
         self.gamma = gamma
-        self.clip_lo = clip_lo
-        self.clip_hi = clip_hi
+        self.clip_lo, self.clip_hi = clip_lo, clip_hi
         self._batched = econ.tech.weighted_argmax is not None  # extra points are cheap
         self._build(RENT_NODES if self._batched else 257, pin)
 
@@ -122,10 +126,14 @@ class FocSchedule:
         """Level at each report. A scalar report reads F and f as floats; the
         level is then solved on a one-element array, as for an array of
         reports, so both give the same float."""
-        tech = self._econ.tech
         scalar = np.ndim(x) == 0
         x = float(x) if scalar else np.atleast_1d(np.asarray(x, float))
-        w = np.atleast_1d(self._weight(x))
+        g = self._level(np.atleast_1d(self._weight(x)))
+        return float(g[0]) if scalar else g
+
+    def _level(self, w):
+        """Level at each FOC weight of the array w, clipped."""
+        tech = self._econ.tech
         if tech.weighted_argmax is not None:
             g = np.maximum(np.asarray(tech.weighted_argmax(w), float), 0.0)
         else:
@@ -134,7 +142,7 @@ class FocSchedule:
             g = np.maximum(g, self.clip_lo)
         if self.clip_hi is not None:
             g = np.minimum(g, self.clip_hi)
-        return float(g[0]) if scalar else g
+        return g
 
     def _weight(self, x):
         """FOC weight base_weight + w(x) at each report, from F and f."""
@@ -148,15 +156,11 @@ class FocSchedule:
         zero corner; they become quadrature nodes so every panel is smooth.
         ``g_lo`` and ``g_hi`` are the levels at ``lo`` and ``hi``."""
         # (level, True) marks a floor the schedule leaves from; (level, False)
-        # a ceiling it enters. The schedule is nondecreasing in the report.
-        levels = [(0.0, True)]
-        if self.clip_lo is not None:
-            levels.append((self.clip_lo, True))
-        if self.clip_hi is not None:
-            levels.append((self.clip_hi, False))
+        # a ceiling it enters; a None level is an absent clip. The schedule is
+        # nondecreasing in the report.
         kinks = []
-        for level, is_floor in levels:
-            if not g_lo - 1e-14 <= level <= g_hi + 1e-14 or g_hi - g_lo <= 1e-14:
+        for level, is_floor in ((0.0, True), (self.clip_lo, True), (self.clip_hi, False)):
+            if level is None or not g_lo - 1e-14 <= level <= g_hi + 1e-14 or g_hi - g_lo <= 1e-14:
                 continue
 
             edge = level + 1e-14 if is_floor else level - 1e-14
@@ -166,38 +170,46 @@ class FocSchedule:
                 return g_m <= edge if is_floor else g_m < edge
 
             kinks.append(bisect(below, lo, hi, 80, vectorized=self._batched,
-                                guess=lambda a, b: self._weight_crossing(edge, a, b)))
+                                guess=lambda a, b: self._kink_guess(edge, a, b)))
         return kinks
 
-    def _weight_crossing(self, level: float, lo: float, hi: float) -> float:
-        """Report in [lo, hi] where the FOC weight reaches 1/phi'(level), by
-        inverse cubic interpolation on the reports of GUESS_GRID. It only
-        guesses a kink for ``bisect``, so a weight that is not increasing
-        costs calls, not accuracy."""
+    def _kink_guess(self, level: float, lo: float, hi: float) -> float:
+        """Report in [lo, hi] where the FOC weight reaches 1/phi'(level), from
+        the grid's node weights on the whole support, else the secant of the
+        bracket's end weights. It only guesses a kink for ``bisect``, so a
+        weight that is not increasing costs calls, not accuracy."""
         with np.errstate(all="ignore"):
             target = 1.0 / np.float64(self._econ.tech.marginal(level))
-            xs = lo + (hi - lo) * GUESS_GRID
-            ws = np.asarray(self._weight(xs), float)
-            k = min(max(int(np.searchsorted(ws, target)) - 2, 0), GUESS_GRID.size - 4)
-            x, w, eye = xs[k:k + 4], ws[k:k + 4], np.eye(4, dtype=bool)
-            # the Lagrange basis in the weight on the four reports around the crossing
-            basis = np.where(eye, 1.0, (target - w) / (w[:, None] - w + eye))
-            return float(basis.prod(axis=1) @ x)
+            if (lo, hi) == (self._econ.theta_lo, self._econ.theta_hi):
+                xs, _, virtual = self._grid(self._nodes)
+                return float(np.interp(target - self.base_weight, virtual[:xs.size], xs))
+            w_lo, w_hi = self._weight(np.array([lo, hi]))
+            return float(lo + (hi - lo) * (target - w_lo) / (w_hi - w_lo))
+
+    def _grid(self, nodes: int):
+        """(nodes, nodes and midpoints, this schedule's virtual values there) of the even grid."""
+        econ, dist, gamma = self._econ, self._dist, self.gamma
+        xs = _reading(econ, ("xs", nodes), lambda: np.linspace(econ.theta_lo, econ.theta_hi, nodes))
+        pts = _reading(econ, ("pts", nodes), lambda: np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])]))
+        cdf, pdf = _reading(econ, ("F f", nodes, id(dist)), lambda: (dist.F(pts), dist.f(pts)))
+        return xs, pts, _reading(econ, ("virtual", nodes, id(dist), gamma),
+                                 lambda: _virtual(pts, cdf, pdf, gamma))
 
     def _build(self, nodes: int, pin):
-        econ = self._econ
-        lo, hi = econ.theta_lo, econ.theta_hi
-        xs = np.linspace(lo, hi, nodes)
-        pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
-        g = self.allocation(pts)
+        econ, self._nodes = self._econ, nodes
+        xs, pts, virtual = self._grid(nodes)
+        g = self._level(self.base_weight + virtual)
         # linspace puts lo and hi exactly at the ends, so these are their levels
+        lo, hi = econ.theta_lo, econ.theta_hi
         kinks = self._allocation_kinks(lo, hi, float(g[0]), float(g[nodes - 1]))
-        if kinks:
+        if kinks:  # the merged grid is this schedule's own: read once, not kept
             xs = np.unique(np.concatenate([xs, np.asarray(kinks, float)]))
             pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
-            g = self.allocation(pts)
-        slopes = (np.asarray(econ.tech.phi_at(g), float)
-                  - np.asarray(econ.reservation.slope(pts, econ.outside_g), float))
+            g, res = self.allocation(pts), econ.reservation.slope(pts, econ.outside_g)
+        else:
+            res = _reading(econ, ("slope", nodes),
+                           lambda: econ.reservation.slope(pts, econ.outside_g))
+        slopes = np.asarray(econ.tech.phi_at(g), float) - np.asarray(res, float)
         s_nodes, s_mids = slopes[:xs.size], slopes[xs.size:]
         h = np.diff(xs)
         increments = h / 6.0 * (s_nodes[:-1] + 4.0 * s_mids + s_nodes[1:])
@@ -209,8 +221,7 @@ class FocSchedule:
             offset = self.rent(theta_pin) - target
             self.anchor = float(theta_pin)
         else:
-            anchor, offset = self._locate_minimum()
-            self.anchor = anchor
+            self.anchor, offset = self._locate_minimum()
         self._u = self._u - offset
 
     def rent(self, x):

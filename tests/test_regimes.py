@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import math
 import sys
@@ -965,6 +966,46 @@ def test_exclusion_candidates_read_no_distribution(request, monkeypatch, fixture
     sol = am.solve(econ)
     assert any(n.startswith(note) for n in sol.notes)
     assert callers and "agendamech.regimes" not in callers
+
+
+def test_grid_readings_are_scoped_to_one_solve(concave_window_economy, tmp_path, monkeypatch):
+    """A solve keeps its schedules' grid readings on a private copy of the
+    economy and drops them on return: after `solve`, `threshold_table` and a
+    sweep no economy of the caller's holds a table, and solves at two outside
+    levels from one economy equal fresh solves bit for bit. A `with_quota`
+    copy shares a table; a `with_outside_g` copy, whose reservation slope
+    differs, drops it."""
+    econ = concave_window_economy
+    seen = [econ]
+    solve, load_model = regimes.solve, cli.load_model
+
+    def loaded(path):
+        model = load_model(path)
+        seen.append(model[0])
+        return model
+
+    monkeypatch.setattr(cli, "solve", lambda e: seen.append(e) or solve(e))
+    monkeypatch.setattr(cli, "load_model", loaded)
+    sol = am.solve(econ)
+    assert "_grid_table" not in sol.schedules[0]._econ.__dict__
+    am.threshold_table(econ)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"economy": {
+        "agenda_setter_type": 0.5, "agent_types": [0.2, 0.45, 0.55, 0.9], "quota": 3,
+        "outside_g": 1.3, "distributions": {"family": "uniform"}, "technology": {"family": "log"},
+        "reservation": {"family": "quadratic_share", "slope": 1.4, "curve": -0.5}}}))
+    assert cli.main(["sweep", "--model", str(model), "--grid", "0:3:7",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(seen) == 9  # the fixture, the loaded model and 7 levels
+    assert all("_grid_table" not in e.__dict__ for e in seen)
+
+    pairs = [(econ.with_outside_g(g), dataclasses.replace(econ, outside_g=g)) for g in (1.3, 2.0)]
+    assert [_outputs(copy) for copy, _ in pairs] == [_outputs(fresh) for _, fresh in pairs]
+
+    tabled = econ.with_quota(econ.quota)
+    tabled.__dict__["_grid_table"] = {}  # as `solve` keeps its readings
+    assert tabled.with_quota(2).__dict__["_grid_table"] is tabled.__dict__["_grid_table"]
+    assert "_grid_table" not in tabled.with_outside_g(1.3).__dict__
 
 
 # ---------------------------------------------------------------------------

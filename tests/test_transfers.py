@@ -91,24 +91,54 @@ def test_flat_schedule_reads_its_values_at_every_report(golden_economy, x):
             assert got.tobytes() == np.full(np.shape(x), value).tobytes()
 
 
-def test_schedule_build_evaluates_slopes_in_one_pass(log_tech, monkeypatch):
-    """One allocation pass over the nodes and panel midpoints builds a
-    schedule without kinks; a kinked one reads its merged nodes once more."""
-    sizes = []
-    allocation = FocSchedule.allocation
-    monkeypatch.setattr(FocSchedule, "allocation",
-                        lambda self, x: sizes.append(np.size(x)) or allocation(self, x))
-    econ = am.Economy(0.5, (0.8,), am.uniform(0.0, 1.0), log_tech,
-                      am.linear_reservation(log_tech, 2), 2, 0.0)
-    full = 2 * transfers.RENT_NODES - 1
-    sched = FocSchedule(econ, 1, base_weight=3.0, gamma=1.0)  # level 2x + 1
-    assert sched._xs.size == transfers.RENT_NODES
-    assert sizes == [full]  # nodes and panel midpoints together, no kink to bisect
+def _counted(reads: list, name: str, fn):
+    """fn, appending (name, size of its first argument) to reads at each call."""
+    return lambda *args: reads.append((name, int(np.size(args[0])))) or fn(*args)
 
-    sizes.clear()
+
+def _counting_uniform(reads: list):
+    base = am.uniform(0.0, 1.0)
+    return dataclasses.replace(base, cdf=_counted(reads, "F", base.cdf),
+                               pdf=_counted(reads, "f", base.pdf))
+
+
+def test_schedule_build_evaluates_slopes_in_one_pass(log_tech):
+    """Within one solve, F, f and the reservation slope are read once on the
+    schedule grid (nodes and panel midpoints), however many schedules and
+    shadow weights share it; each kinked schedule reads its merged grid once."""
+    reads = []
+    res = am.quadratic_share_reservation(log_tech, 1.4, -0.5)
+    res = dataclasses.replace(res, v_bar_dtheta=_counted(reads, "slope", res.v_bar_dtheta))
+    econ = am.Economy(0.6, (0.3, 0.5, 0.8), _counting_uniform(reads), log_tech, res, 4, 0.9)
+    sol = am.solve(econ)
+    full = 2 * transfers.RENT_NODES - 1
+    # agent 1 overstates on the plain grid; agents 2 and 3 understate, each
+    # with one kink where its level leaves zero
+    assert [(s.gamma, s._xs.size) for s in sol.schedules] == \
+        [(0.0, transfers.RENT_NODES), (1.0, transfers.RENT_NODES + 1),
+         (1.0, transfers.RENT_NODES + 1)]
+    for name in ("F", "f", "slope"):
+        assert [n for read, n in reads if read == name and n >= transfers.RENT_NODES] == \
+            [full, full + 2, full + 2], name
+
+
+def test_kink_guess_reads_weights_only_on_a_narrowed_bracket(log_tech, monkeypatch):
+    """On the whole support the guess interpolates the grid weights the build
+    read; on a narrowed bracket it reads the weight at the bracket's two ends."""
+    reads = []
+    econ = am.Economy(0.5, (0.8,), _counting_uniform(reads), log_tech,
+                      am.linear_reservation(log_tech, 2), 2, 0.0)
+    econ.__dict__["_grid_table"] = {}  # as `solve` keeps its readings
     sched = FocSchedule(econ, 1, base_weight=0.5, gamma=1.0)  # level max(0, 2x - 1.5)
-    assert sched._xs.size == transfers.RENT_NODES + 1
-    assert [n for n in sizes if n >= transfers.RENT_NODES] == [full, full + 2]
+    weight, sizes = FocSchedule._weight, []
+    monkeypatch.setattr(FocSchedule, "_weight",
+                        lambda self, x: sizes.append(np.size(x)) or weight(self, x))
+    reads.clear()
+    # the FOC weight 2x - 0.5 reaches 1/phi'(1e-14) = 1 + 1e-14 at 0.75
+    assert sched._kink_guess(1e-14, 0.0, 1.0) == pytest.approx(0.75, abs=1e-12)
+    assert sizes == [] and reads == []
+    assert sched._kink_guess(1e-14, 0.5, 1.0) == pytest.approx(0.75, abs=1e-12)
+    assert sizes == [2] and reads == [("F", 2), ("f", 2)]
 
 
 def test_bunched_agents_pool_at_cutoff_bundle(majority_economy):
