@@ -93,7 +93,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
     return TypeDistribution(
         theta_lo=lo,
         theta_hi=hi,
-        cdf=lambda x: np.clip((np.asarray(x, float) - lo) / width, 0.0, 1.0),
+        cdf=lambda x: np.minimum(np.maximum((np.asarray(x, float) - lo) / width, 0.0), 1.0),
         pdf=lambda x: np.full_like(np.asarray(x, float), 1.0 / width),
         name=f"uniform[{lo},{hi}]",
     )
@@ -440,8 +440,6 @@ class Economy:
         copy = object.__new__(type(self))  # no constructor: check only the changed field
         copy.__dict__.update(self.__dict__, _cdf_pdf=self._cdf_pdf, agents=self.agents,
                              **{name: value})
-        if name == "outside_g":  # a solve's grid readings hold the old level's slope
-            copy.__dict__.pop("_grid_table", None)
         copy._check(name)  # same agents: keep this reading of them
         return copy
 

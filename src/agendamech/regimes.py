@@ -40,7 +40,7 @@ from .solver_core import (
     rent_gap,
     solve_weighted_foc,
 )
-from .transfers import FlatSchedule, FocSchedule, agenda_setter_payoff, realized_transfers
+from .transfers import FlatSchedule, FocSchedule, READINGS, agenda_setter_payoff, realized_transfers
 
 BRANCH_TOL = 1e-12
 CONSISTENCY_TOL = 1e-9
@@ -473,12 +473,12 @@ def _curved_unanimity(econ: Economy):
     return _convex_unanimity(econ)
 
 
-def _payoff_bound(econ: Economy, g_star: float, payers, dips=()) -> float:
+def _payoff_bound(econ: Economy, g_star: float, phi_g: float, payers, dips=()) -> float:
     """Bound on a candidate's payoff theta_a phi(g*) - g* + sum of transfers
     theta phi(g*) - v_bar(theta) - rent, read at each type in `payers` (a
     pooled tail's is its donor's): a rent is >= 0, or its pinned dip in `dips`.
-    A slack of 1e-9 times the size of the terms covers rounding."""
-    phi_g, theta = float(econ.tech.phi(g_star)), np.asarray(payers, float)
+    phi_g is phi(g*). A slack of 1e-9 times the size of the terms covers rounding."""
+    theta = np.asarray(payers, float)
     terms = [econ.agenda_setter_type * phi_g, -g_star, *(-d for d in dips),
              *(theta * phi_g - np.asarray(econ.reservation.value(theta, econ.outside_g), float))]
     return math.fsum(terms) + 1e-9 * (1.0 + math.fsum(map(abs, terms)))
@@ -491,8 +491,9 @@ def _candidate(econ: Economy, assemble, g_star: float, payers, dips=()):
     if econ.tech.weighted_argmax is None:
         sol = assemble(None)
         return lambda: math.inf, lambda: sol
-    partition = partition_types(econ, g_star)
-    return lambda: _payoff_bound(econ, g_star, payers, dips), lambda: assemble(partition)
+    phi_g = float(econ.tech.phi(g_star))  # read once for the partition and the bound
+    partition = _partition_at(econ, phi_g)
+    return lambda: _payoff_bound(econ, g_star, phi_g, payers, dips), lambda: assemble(partition)
 
 
 def _better_of(econ: Economy, candidates: list) -> MechanismSolution | None:
@@ -532,6 +533,13 @@ def _constant_gamma_level(econ: Economy, window: tuple, bounds: tuple, weight_fn
     return gam, w_star, g_star, float(econ.tech.phi(g_star))
 
 
+def _virtual_sum(econ: Economy, members):
+    """The members' `virtual_type` sum at a constant shadow weight, as a function of
+    it, from each one's θ, F and f read once (`_constant_gamma_level` checks the weight)."""
+    terms = [(econ.type_of(i), *econ._cdf_pdf[i - 1]) for i in members]
+    return lambda gam: sum(theta - (gam - cdf) / pdf for theta, cdf, pdf in terms)
+
+
 def _concave_window_candidate(econ: Economy, start: int, width: int):
     """Exclude a run of interior agents around the binding type; the window's
     neighbours keep binding participation and the coalition is the
@@ -544,12 +552,8 @@ def _concave_window_candidate(econ: Economy, start: int, width: int):
     theta_q = econ.type_of(order[end + 1])
     hh_below = sum(econ.virtual_type(i, 0.0) for i in below)
     hl_above = sum(econ.virtual_type(i, 1.0) for i in above)
-    terms = [(econ.type_of(i), *econ._cdf_pdf[i - 1]) for i in window]
-
-    def weight_fn(gam):  # `virtual_type`'s floats; `_constant_gamma_level` checks gam
-        mid = sum(theta - (gam - cdf) / pdf for theta, cdf, pdf in terms)
-        return econ.agenda_setter_type + hh_below + mid + hl_above
-
+    mid = _virtual_sum(econ, window)
+    weight_fn = lambda gam: econ.agenda_setter_type + hh_below + mid(gam) + hl_above
     bounds = (econ.realized_cdf(order[start - 1]), econ.realized_cdf(order[end + 1]))
     found = _constant_gamma_level(econ, (theta_p, theta_q), bounds, weight_fn)
     if found is None:
@@ -598,12 +602,8 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int):
     theta_q = econ.type_of(members[-1]) if k_hi else econ.theta_hi
     lo_bound = econ.realized_cdf(members[0]) if k_lo else 0.0
     hi_bound = econ.realized_cdf(members[-1]) if k_hi else 1.0
-    terms = [(econ.type_of(i), *econ._cdf_pdf[i - 1]) for i in members]
-
-    def weight_fn(gam):  # `virtual_type`'s floats; `_constant_gamma_level` checks gam
-        mid = sum(theta - (gam - cdf) / pdf for theta, cdf, pdf in terms)
-        return econ.agenda_setter_type + k_lo * theta_p + k_hi * theta_q + mid
-
+    mid = _virtual_sum(econ, members)
+    weight_fn = lambda gam: econ.agenda_setter_type + k_lo * theta_p + k_hi * theta_q + mid(gam)
     found = _constant_gamma_level(econ, (theta_p, theta_q), (lo_bound, hi_bound), weight_fn)
     if found is None:
         return None
@@ -639,7 +639,7 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int):
 
 
 def solve(econ: Economy) -> MechanismSolution:
-    """Solve at the economy's quota and curvature.
+    """Solve at the economy's quota and curvature; the schedules hold `econ` itself.
 
     Linear and decreasing profiles follow their closed branch rules. Curved
     profiles under unanimity solve directly. Under a quota a uniform-sign
@@ -649,12 +649,11 @@ def solve(econ: Economy) -> MechanismSolution:
     schedules, and `_better_of` assembles only those that can win, picking
     what full assembly would. Without a consistent one the status quo is posted.
     """
-    econ = econ.with_quota(econ.quota)  # a private copy, whose table of grid readings
-    econ.__dict__["_grid_table"] = {}  # (`transfers._reading`) goes on return
+    token = READINGS.set({})  # its schedules' one table of grid readings, gone on return
     try:
         return _solve(econ)
     finally:
-        del econ.__dict__["_grid_table"]
+        READINGS.reset(token)
 
 
 def _solve(econ: Economy) -> MechanismSolution:
@@ -753,13 +752,13 @@ def solve_stochastic_coalition(econ: Economy, seed: int, tau_bar: float) -> Mech
 def threshold_table(econ: Economy) -> ThresholdTable:
     """Outside-option levels at which the solution's split indices step.
 
-    For concave profiles each rung is the level where the binding type
-    reaches the next realized agent (indices rise with the outside option);
-    for convex profiles rungs are where a realized agent's envelope slope
-    flips sign at the solution (positional indices fall), found by bisecting
-    on the outside level. A convex unanimity table reads only levels, cap
-    included, off `_convex_ends` kept per table and phi once at each probe's level;
-    the rest solve in full. Linear profiles have only the two outer thresholds.
+    Concave rungs are where the binding type reaches the next realized agent
+    (indices rise with the outside option); other rungs are where a realized
+    agent's envelope slope flips sign at the solution (positional indices
+    fall), bisected on the outside level; a decreasing profile finds none: (0, 0, ()).
+    A convex unanimity table reads levels, cap included, off `_convex_ends`
+    kept per table and phi once per probe's level; the rest solve in full.
+    Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
     if curv is Curvature.LINEAR:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .model import Economy, _virtual
 from .solver_core import bisect, solve_weighted_foc
 
 RENT_NODES = 1025
+READINGS = ContextVar("grid_readings")  # the open solve's table; each thread sees its own
 
 
 class FlatSchedule:
@@ -65,9 +67,9 @@ def hermite_panel_root(u0: float, u1: float, s0: float, s1: float, h: float) -> 
     return min(num / den, 1.0) if den > 0.0 else 1.0
 
 
-def _reading(econ: Economy, key, read):
-    """``read()``, kept under ``key`` in a solve's table (a throwaway one without)."""
-    table = econ.__dict__.get("_grid_table", {})
+def _reading(key, read):
+    """``read()``, kept under ``key`` in the open table (a throwaway one without)."""
+    table = READINGS.get({})
     return table[key] if key in table else table.setdefault(key, read())
 
 
@@ -189,10 +191,10 @@ class FocSchedule:
     def _grid(self, nodes: int):
         """(nodes, nodes and midpoints, this schedule's virtual values there) of the even grid."""
         econ, dist, gamma = self._econ, self._dist, self.gamma
-        xs = _reading(econ, ("xs", nodes), lambda: np.linspace(econ.theta_lo, econ.theta_hi, nodes))
-        pts = _reading(econ, ("pts", nodes), lambda: np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])]))
-        cdf, pdf = _reading(econ, ("F f", nodes, id(dist)), lambda: (dist.F(pts), dist.f(pts)))
-        return xs, pts, _reading(econ, ("virtual", nodes, id(dist), gamma),
+        xs = _reading(("xs", nodes), lambda: np.linspace(econ.theta_lo, econ.theta_hi, nodes))
+        pts = _reading(("pts", nodes), lambda: np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])]))
+        cdf, pdf = _reading(("F f", nodes, id(dist)), lambda: (dist.F(pts), dist.f(pts)))
+        return xs, pts, _reading(("virtual", nodes, id(dist), gamma),
                                  lambda: _virtual(pts, cdf, pdf, gamma))
 
     def _build(self, nodes: int, pin):
@@ -207,7 +209,7 @@ class FocSchedule:
             pts = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
             g, res = self.allocation(pts), econ.reservation.slope(pts, econ.outside_g)
         else:
-            res = _reading(econ, ("slope", nodes),
+            res = _reading(("slope", nodes, econ.outside_g),
                            lambda: econ.reservation.slope(pts, econ.outside_g))
         slopes = np.asarray(econ.tech.phi_at(g), float) - np.asarray(res, float)
         s_nodes, s_mids = slopes[:xs.size], slopes[xs.size:]

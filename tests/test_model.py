@@ -48,6 +48,20 @@ def test_hazard_domain_error():
         am.virtual_value_gamma(d, 0.5, 1.5)
 
 
+def test_uniform_cdf_clamps_to_the_unit_interval():
+    """F is (x - lo)/width held to [0, 1], NaN stays NaN and -0.0 reads +0.0,
+    for a scalar and on a 63-point grid."""
+    d = am.uniform(0.0, 2.0)
+    edges = [-1.0, -0.0, 0.0, 0.3, 1.0, 1.5, 2.0, 2.5, -math.inf, math.inf]
+    want = [0.0, 0.0, 0.0, 0.15, 0.5, 0.75, 1.0, 1.0, 0.0, 1.0]
+    assert [d.F(x) for x in edges] == want
+    assert all(type(d.F(x)) is float and math.copysign(1.0, d.F(x)) == 1.0 for x in edges)
+    assert d.F(edges).tolist() == want
+    assert math.isnan(d.F(math.nan)) and np.isnan(d.F([0.5, math.nan])).tolist() == [False, True]
+    grid = np.linspace(-0.5, 2.5, 63)
+    assert d.F(grid).tobytes() == np.array([min(max(x / 2.0, 0.0), 1.0) for x in grid]).tobytes()
+
+
 DISTS = {
     "uniform": lambda: am.uniform(0.0, 1.0),
     "truncexp": lambda: am.truncated_exponential(1.3, 0.0, 1.0),

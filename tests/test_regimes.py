@@ -1,8 +1,10 @@
+import contextvars
 import dataclasses
 import json
 import random
 import math
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import agendamech as am
-from agendamech import cli, regimes
+from agendamech import cli, regimes, transfers
 from agendamech.regimes import LadderRung, ThresholdTable, _posted_solution
 from agendamech.solver_core import invert_phi, partition_types
 from agendamech.transfers import FocSchedule
@@ -968,27 +970,53 @@ def test_exclusion_candidates_read_no_distribution(request, monkeypatch, fixture
     assert callers and "agendamech.regimes" not in callers
 
 
-def test_grid_readings_are_scoped_to_one_solve(concave_window_economy, tmp_path, monkeypatch):
-    """A solve keeps its schedules' grid readings on a private copy of the
-    economy and drops them on return: after `solve`, `threshold_table` and a
-    sweep no economy of the caller's holds a table, and solves at two outside
-    levels from one economy equal fresh solves bit for bit. A `with_quota`
-    copy shares a table; a `with_outside_g` copy, whose reservation slope
-    differs, drops it."""
+def test_grid_readings_are_scoped_to_one_solve(concave_window_economy, monkeypatch):
+    """Every schedule of a solve reads the one table that `solve` opens in
+    `transfers.READINGS`, a solve inside an open table opens its own, and the
+    table's reservation-slope key carries the outside level: schedules built
+    at two levels of one economy in one table equal schedules built without
+    one, bit for bit, and solves at two levels of one economy equal fresh solves."""
     econ = concave_window_economy
-    seen = [econ]
-    solve, load_model = regimes.solve, cli.load_model
+    tables, build = [], FocSchedule._build
+    monkeypatch.setattr(FocSchedule, "_build", lambda self, *a: tables.append(
+        transfers.READINGS.get(None)) or build(self, *a))
+    outer = {}
+    in_table = contextvars.copy_context()
+    in_table.run(transfers.READINGS.set, outer)
+    in_table.run(am.solve, econ)
+    assert len(tables) > 1 and len({id(t) for t in tables}) == 1
+    assert isinstance(tables[0], dict) and tables[0] is not outer and outer == {}
 
-    def loaded(path):
-        model = load_model(path)
-        seen.append(model[0])
-        return model
+    def schedules():
+        return [FocSchedule(econ.with_outside_g(g), 1, 2.5, gam) for g in (1.3, 2.0)
+                for gam in (0.0, 1.0)]
 
-    monkeypatch.setattr(cli, "solve", lambda e: seen.append(e) or solve(e))
-    monkeypatch.setattr(cli, "load_model", loaded)
+    def floats(built):
+        reports = np.linspace(econ.theta_lo, econ.theta_hi, 9)
+        return [(s.allocation(reports).tobytes(), s.transfer(reports).tobytes(), s.anchor)
+                for s in built]
+
+    assert floats(in_table.run(schedules)) == floats(schedules())
+    assert {key[0] for key in outer} == {"xs", "pts", "F f", "virtual", "slope"}
+    assert sorted(key[2] for key in outer if key[0] == "slope") == [1.3, 2.0]
+    pairs = [(econ.with_outside_g(g), dataclasses.replace(econ, outside_g=g)) for g in (1.3, 2.0)]
+    assert [_outputs(copy) for copy, _ in pairs] == [_outputs(fresh) for _, fresh in pairs]
+
+
+def test_solve_keeps_the_callers_economy_and_closes_its_table(concave_window_economy,
+                                                              tmp_path, monkeypatch):
+    """`solve` copies no economy: its schedules hold the caller's. No table is
+    open after `solve`, `threshold_table` or a CLI sweep, in its worker
+    threads or in the caller's."""
+    econ = concave_window_economy
     sol = am.solve(econ)
-    assert "_grid_table" not in sol.schedules[0]._econ.__dict__
+    assert all(s._econ is econ for s in sol.schedules if s.kind == "foc")
+    assert transfers.READINGS.get(None) is None
     am.threshold_table(econ)
+    assert transfers.READINGS.get(None) is None
+    after, solve = [], regimes.solve
+    monkeypatch.setattr(cli, "solve", lambda e: (solve(e), after.append(
+        transfers.READINGS.get(None)))[0])
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"economy": {
         "agenda_setter_type": 0.5, "agent_types": [0.2, 0.45, 0.55, 0.9], "quota": 3,
@@ -996,16 +1024,35 @@ def test_grid_readings_are_scoped_to_one_solve(concave_window_economy, tmp_path,
         "reservation": {"family": "quadratic_share", "slope": 1.4, "curve": -0.5}}}))
     assert cli.main(["sweep", "--model", str(model), "--grid", "0:3:7",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert len(seen) == 9  # the fixture, the loaded model and 7 levels
-    assert all("_grid_table" not in e.__dict__ for e in seen)
+    assert after == [None] * 7 and transfers.READINGS.get(None) is None
 
-    pairs = [(econ.with_outside_g(g), dataclasses.replace(econ, outside_g=g)) for g in (1.3, 2.0)]
-    assert [_outputs(copy) for copy, _ in pairs] == [_outputs(fresh) for _, fresh in pairs]
 
-    tabled = econ.with_quota(econ.quota)
-    tabled.__dict__["_grid_table"] = {}  # as `solve` keeps its readings
-    assert tabled.with_quota(2).__dict__["_grid_table"] is tabled.__dict__["_grid_table"]
-    assert "_grid_table" not in tabled.with_outside_g(1.3).__dict__
+def test_threaded_solves_equal_serial_solves(concave_window_economy):
+    """Four threads solving one economy at three outside levels at once, with
+    a short switch interval, give the records and schedule floats that serial
+    solves give, bit for bit."""
+    levels = [concave_window_economy.with_outside_g(g) for g in (0.5, 1.3, 2.0)]
+    serial = [_outputs(econ) for econ in levels]
+    start, results = threading.Barrier(4, timeout=60), {}
+
+    def run(shift):
+        start.wait()
+        results[shift] = [_outputs(levels[(k + shift) % 3]) for k in range(3)]
+
+    threads = [threading.Thread(target=run, args=(shift,)) for shift in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for shift, got in results.items():
+        assert got == [serial[(k + shift) % 3] for k in range(3)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextvars
 import dataclasses
 import math
 from unittest import mock
@@ -128,16 +129,18 @@ def test_kink_guess_reads_weights_only_on_a_narrowed_bracket(log_tech, monkeypat
     reads = []
     econ = am.Economy(0.5, (0.8,), _counting_uniform(reads), log_tech,
                       am.linear_reservation(log_tech, 2), 2, 0.0)
-    econ.__dict__["_grid_table"] = {}  # as `solve` keeps its readings
-    sched = FocSchedule(econ, 1, base_weight=0.5, gamma=1.0)  # level max(0, 2x - 1.5)
+    in_table = contextvars.copy_context()
+    in_table.run(transfers.READINGS.set, {})  # a table, as `solve` opens one
+    # level max(0, 2x - 1.5)
+    sched = in_table.run(FocSchedule, econ, 1, base_weight=0.5, gamma=1.0)
     weight, sizes = FocSchedule._weight, []
     monkeypatch.setattr(FocSchedule, "_weight",
                         lambda self, x: sizes.append(np.size(x)) or weight(self, x))
     reads.clear()
     # the FOC weight 2x - 0.5 reaches 1/phi'(1e-14) = 1 + 1e-14 at 0.75
-    assert sched._kink_guess(1e-14, 0.0, 1.0) == pytest.approx(0.75, abs=1e-12)
+    assert in_table.run(sched._kink_guess, 1e-14, 0.0, 1.0) == pytest.approx(0.75, abs=1e-12)
     assert sizes == [] and reads == []
-    assert sched._kink_guess(1e-14, 0.5, 1.0) == pytest.approx(0.75, abs=1e-12)
+    assert in_table.run(sched._kink_guess, 1e-14, 0.5, 1.0) == pytest.approx(0.75, abs=1e-12)
     assert sizes == [2] and reads == [("F", 2), ("f", 2)]
 
 
