@@ -33,19 +33,22 @@ class InvalidEconomy(ModelError):
     """Economy violates a solver precondition."""
 
 
-def _as_array(f: Callable, x):
-    """Evaluate f on a scalar or array, tolerating scalar-only callables."""
+def _as_array(f: Callable, x, *args):
+    """f(x, *args) as a float at a scalar x, else as an array of x's shape, tolerating
+    scalar-only callables. A float x (np.float64 too) skips numpy's 0-d round trip."""
+    if isinstance(x, float):
+        return float(f(float(x), *args))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return float(f(float(x)))
+        return float(f(float(x), *args))
     if x.size > 1:  # a size-1 array can fool scalar-only callables
         try:
-            out = np.asarray(f(x), dtype=float)
+            out = np.asarray(f(x, *args), dtype=float)
             if out.shape == x.shape:
                 return out
         except (TypeError, ValueError):
             pass
-    return np.array([float(f(float(v))) for v in x.ravel()]).reshape(x.shape)
+    return np.array([float(f(float(v), *args)) for v in x.ravel()]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +257,10 @@ class ReservationProfile:
     name: str = "custom"
 
     def value(self, theta, g_circ: float):
-        return _as_array(lambda t: self.v_bar(t, g_circ), theta)
+        return _as_array(self.v_bar, theta, g_circ)
 
     def slope(self, theta, g_circ: float):
-        return _as_array(lambda t: self.v_bar_dtheta(t, g_circ), theta)
+        return _as_array(self.v_bar_dtheta, theta, g_circ)
 
 
 def _phi_once(tech: Technology) -> Callable:
@@ -347,9 +350,10 @@ class Economy:
 
     Agent 0 is the agenda setter with a known type; agents 1..n-1 carry the
     realized type profile at which mechanisms are evaluated, one
-    distribution each. All model objects are immutable; each agent's cdf
-    and pdf at its realized type are read once, on first use, and kept;
-    ``with_outside_g`` and ``with_quota`` copies share that reading.
+    distribution each. All model objects are immutable; the agents' type
+    order and each agent's cdf and pdf at its realized type are read once,
+    on first use, and kept; ``with_outside_g`` and ``with_quota`` copies
+    share those readings.
     """
 
     agenda_setter_type: float
@@ -432,14 +436,18 @@ class Economy:
     def theta_hi(self) -> float:
         return self.distributions[0].theta_hi
 
+    @cached_property
+    def _order(self) -> tuple:
+        return tuple(sorted(self.agents, key=lambda i: (self.type_of(i), i)))
+
     def sorted_agents(self) -> list:
-        """Non-agenda agent indices sorted by realized type, index-stable."""
-        return sorted(self.agents, key=lambda i: (self.type_of(i), i))
+        """Non-agenda agent indices sorted by realized type, index-stable; a new list."""
+        return list(self._order)
 
     def _sharing(self, name: str, value) -> "Economy":
         copy = object.__new__(type(self))  # no constructor: check only the changed field
         copy.__dict__.update(self.__dict__, _cdf_pdf=self._cdf_pdf, agents=self.agents,
-                             **{name: value})
+                             _order=self._order, **{name: value})
         copy._check(name)  # same agents: keep this reading of them
         return copy
 

@@ -1,10 +1,10 @@
 """Top-level solvers for every institutional regime.
 
 Unanimity and majority rules, linear and curved reservation profiles,
-threshold ladders, coalition choice, exclusion and bunching, plus the
-outside-option sweep and the stochastic-coalition variant. Each solver
-returns a MechanismSolution carrying the realized outcome together with the
-per-agent report schedules that certify incentive compatibility.
+threshold ladders, coalition choice, exclusion and bunching, and the
+stochastic-coalition variant (`cli.cmd_sweep` sweeps the outside option).
+Each solver returns a MechanismSolution carrying the realized outcome and
+the per-agent report schedules that certify incentive compatibility.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .model import (
     Curvature,
     Economy,
     InvalidEconomy,
+    _bits,
     _shadow_weight,
 )
 from .solver_core import (
@@ -217,7 +218,7 @@ def _one_sided(econ: Economy, side: str, k: int):
     """
     k = min(k, len(econ.agents) - 1)
     excluded = _exclusion_order(econ, side)[:k]
-    members = sorted(set(econ.agents) - set(excluded), key=lambda i: (econ.type_of(i), i))
+    members = [i for i in econ.sorted_agents() if i not in excluded]
     gamma = 1.0 if side == "low" else 0.0
     cutoff = econ.type_of(members[0] if side == "low" else members[-1]) if k else None
     weight = econ.agenda_setter_type + (k * cutoff if k else 0.0)
@@ -417,30 +418,35 @@ def _convex_ends(econ: Economy):
     """What the outside level leaves fixed in `_convex_configuration`: the levels
     at constant shadow weights 1 and 0, both sides' `_one_sided` tuples (kept
     apart: the sums weigh an agent at theta_hi differently, so their levels can
-    differ), `_constant_weight` and phi at the two levels."""
+    differ), `_constant_weight`, phi at the two levels and phi at each side's
+    level, read once per distinct float among the four levels."""
     weight = _constant_weight(econ)
     levels = tuple(solve_weighted_foc(econ.tech, weight(gam)) for gam in (1.0, 0.0))
     sides = {side: _one_sided(econ, side, 0) for side in ("low", "high")}
-    return levels, sides, weight, tuple(float(econ.tech.phi(g)) for g in levels)
+    distinct = {_bits(g): g for g in (*levels, sides["low"][5], sides["high"][5])}
+    phi = {key: float(econ.tech.phi(g)) for key, g in distinct.items()}
+    return (levels, sides, weight, tuple(phi[_bits(g)] for g in levels),
+            {side: phi[_bits(config[5])] for side, config in sides.items()})
 
 
 def _convex_configuration(econ: Economy, ends):
-    """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC
-    weight, level) at the economy's outside level, from `_convex_ends(econ)`."""
+    """(gamma, binding side or None, the side's `_one_sided` tuple or the FOC weight,
+    level, phi there) at the economy's outside level, from `_convex_ends(econ)`."""
     phi_level = lambda gam: float(econ.tech.phi(solve_weighted_foc(econ.tech, ends[2](gam))))
     gamma_const = gamma_root(rent_gap(econ, (econ.theta_lo, econ.theta_hi)), phi_level,
                              (0.0, 1.0), ends[3])
     side = "low" if gamma_const >= 1.0 - 1e-12 else "high" if gamma_const <= 1e-12 else None
     if side is not None:
         config = ends[1][side]
-        return gamma_const, side, config, config[5]
+        return gamma_const, side, config, config[5], ends[4][side]
     w_star = ends[2](gamma_const)
-    return gamma_const, side, w_star, solve_weighted_foc(econ.tech, w_star)
+    g_star = solve_weighted_foc(econ.tech, w_star)
+    return gamma_const, side, w_star, g_star, float(econ.tech.phi(g_star))
 
 
 def _convex_unanimity(econ: Economy):
     ends = _convex_ends(econ)
-    gamma_const, side, config, g_star = _convex_configuration(econ, ends)
+    gamma_const, side, config, g_star, _ = _convex_configuration(econ, ends)
     thr = Thresholds(*ends[0])
 
     def assemble(partition):
@@ -757,7 +763,8 @@ def threshold_table(econ: Economy) -> ThresholdTable:
     agent's envelope slope flips sign at the solution (positional indices
     fall), bisected on the outside level; a decreasing profile finds none: (0, 0, ()).
     A convex unanimity table reads levels, cap included, off `_convex_ends`
-    kept per table and phi once per probe's level; the rest solve in full.
+    kept per table with phi at those levels, so a probe whose shadow weight lands
+    on a bound reads phi only at its outside level; the rest solve in full.
     Linear profiles have only the two outer thresholds.
     """
     curv = econ.reservation.curvature
@@ -788,8 +795,8 @@ def threshold_table(econ: Economy) -> ThresholdTable:
 
             def flip(gc):
                 at = econ.with_outside_g(gc)
-                if ends is not None:  # no schedules; phi read once at the level
-                    phi_g = float(econ.tech.phi(_convex_configuration(at, ends)[3]))
+                if ends is not None:  # no schedules; phi at the level from the configuration
+                    phi_g = _convex_configuration(at, ends)[4]
                     _partition_at(at, phi_g)  # raises wherever solve would
                 else:
                     phi_g = float(econ.tech.phi(solve(at).g_star))

@@ -308,6 +308,106 @@ def test_economy_agents_read_once_and_shared_by_copies(log_tech):
     assert sub.agents == (1, 2) == tuple(range(1, sub.n))
 
 
+def test_economy_type_order_read_once_and_shared_by_copies(log_tech, monkeypatch):
+    """The agents' type order is sorted once per economy: outside-level and
+    quota copies reuse it without reading a type, `sorted_agents` hands out
+    a new list each call, and ties by type keep index order."""
+    econ = am.Economy(0.6, (0.5, 0.2, 0.5, 0.2, 0.9), am.uniform(0.0, 1.0), log_tech,
+                      am.quadratic_share_reservation(log_tech, 0.3, 0.5), 6, 1.0)
+    copies = (econ.with_outside_g(2.0), econ.with_quota(3), econ.with_outside_g(0.4).with_quota(2))
+    reads = []
+    type_of = am.Economy.type_of
+    monkeypatch.setattr(am.Economy, "type_of", lambda self, i: reads.append(i) or type_of(self, i))
+    for copy in (econ, *copies, copies[0].with_quota(4)):
+        assert copy.sorted_agents() == [2, 4, 1, 3, 5] and copy._order is econ._order
+    assert reads == []
+
+    first = econ.sorted_agents()
+    assert first is not econ.sorted_agents()
+    first.reverse()
+    first.append(0)
+    assert econ.sorted_agents() == [2, 4, 1, 3, 5] == copies[0].sorted_agents()
+    assert econ.restricted_to([3, 4, 5]).sorted_agents() == [2, 1, 3]
+
+
+def _as_array_before_float_path(f, x, *args):
+    """`model._as_array` as it read before its float path, with the extra
+    arguments bound by a closure as the reservation reads did."""
+    bound = lambda t: f(t, *args)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return float(bound(float(x)))
+    if x.size > 1:
+        try:
+            out = np.asarray(bound(x), dtype=float)
+            if out.shape == x.shape:
+                return out
+        except (TypeError, ValueError):
+            pass
+    return np.array([float(bound(float(v))) for v in x.ravel()]).reshape(x.shape)
+
+
+def _same_reading(got, want) -> bool:
+    """Same type and the same bits: a float, or an array of one shape and dtype."""
+    if isinstance(want, float):
+        return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    return (type(got) is np.ndarray and got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def test_as_array_float_path_reads_what_the_array_path_read():
+    """A float x (np.float64 included) goes straight to f as a Python float;
+    on Python floats, np.float64, ints, 0-d, size-1 and size-n arrays, with a
+    vectorized, a scalar-only and an argument-taking callable, `_as_array`
+    returns the float or array it returned before, bit for bit, and f sees
+    arguments of the same types."""
+    from agendamech.model import _as_array
+
+    draws = np.random.default_rng(36).uniform(0.0, 10.0, 200)
+    callables = [
+        (lambda t: np.log1p(np.asarray(t, float)) ** 0.3, ()),
+        (lambda t: t ** 0.3 + math.log1p(t), ()),
+        (lambda t, a, b: np.asarray(t, float) ** a - b, (0.3, 0.25)),
+        (lambda t, a: math.log1p(t) * a + t ** 0.3, (1.5,)),
+    ]
+    for f, args in callables:
+        for x in draws.tolist():
+            for value in (x, np.float64(x), int(x), np.array(x), np.array([x]), draws[:7]):
+                seen = {"now": [], "before": []}
+                typed = lambda side: lambda t, *a: seen[side].append(type(t)) or f(t, *a)
+                got = _as_array(typed("now"), value, *args)
+                want = _as_array_before_float_path(typed("before"), value, *args)
+                assert _same_reading(got, want), (f, value, args, got, want)
+                assert seen["now"] == seen["before"], (value, seen)
+
+
+def test_builtin_reads_at_a_float_equal_their_0d_array_reads(log_tech):
+    """Each built-in profile's `value` and `slope`, a technology's `phi_at`
+    and a distribution's F and f at a float equal the float of their read at
+    the same point as a 0-d array, bit for bit."""
+    techs = (log_tech, am.power_technology(0.3))
+    thetas = np.random.default_rng(7).uniform(0.0, 1.0, 60).tolist() + [0.0, 1.0]
+    levels = (0.0, 0.37, 1.0, 2.5, 9.0)
+    for tech in techs:
+        profiles = (am.linear_reservation(tech, 4), am.zero_reservation(),
+                    am.quadratic_share_reservation(tech, 0.3, 0.5),
+                    am.quadratic_share_reservation(tech, 1.4, -0.5),
+                    am.negative_slope_reservation(tech, 1.0, 0.5))
+        for res in profiles:
+            for gc in levels:
+                for theta in thetas:
+                    for read in (res.value, res.slope):
+                        got = read(theta, gc)
+                        assert _same_reading(got, float(read(np.array(theta), gc))), \
+                            (res.name, read, theta, gc)
+        for g in levels + tuple(thetas):
+            assert _same_reading(tech.phi_at(g), float(tech.phi_at(np.array(g))))
+    for dist in (am.uniform(0.0, 1.0), am.truncated_exponential(1.3), am.truncated_normal(0.4, 0.5)):
+        for theta in thetas:
+            for read in (dist.F, dist.f):
+                assert _same_reading(read(theta), float(read(np.array(theta))))
+
+
 def test_truncated_normal_erf_kernel_matches_math_erf():
     mu, sigma = 0.4, 0.5
     d = am.truncated_normal(mu, sigma, 0.0, 1.0)
