@@ -181,7 +181,8 @@ class Technology:
 
     ``weighted_argmax`` optionally solves W * phi'(g) = 1 in closed form
     (vectorized over W); ``phi_inverse`` optionally inverts phi. Both are
-    used as fast paths; the solver falls back to bisection when absent.
+    used as fast paths; the solver falls back to bisection when absent. The
+    built-in closed forms read a float W in Python, with numpy's bits.
     """
 
     phi: Callable
@@ -210,7 +211,8 @@ def log_technology() -> Technology:
         phi=lambda g: np.log1p(np.asarray(g, float)),
         phi_prime=lambda g: 1.0 / (1.0 + np.asarray(g, float)),
         name="log",
-        weighted_argmax=lambda w: np.maximum(np.asarray(w, float) - 1.0, 0.0),
+        weighted_argmax=lambda w: (max(w - 1.0, 0.0) if isinstance(w, float)
+                                   else np.maximum(np.asarray(w, float) - 1.0, 0.0)),
         phi_inverse=lambda y: np.expm1(np.asarray(y, float)),
     )
 
@@ -221,6 +223,11 @@ def power_technology(alpha: float) -> Technology:
         raise ModelError("alpha must lie in (0, 1)")
 
     def weighted_argmax(w):
+        if isinstance(w, float):
+            try:
+                return (alpha * w) ** (1.0 / (1.0 - alpha)) if w > 0.0 else 0.0
+            except OverflowError:
+                return math.inf
         w = np.asarray(w, float)
         return np.where(w > 0.0, (alpha * np.maximum(w, 0.0)) ** (1.0 / (1.0 - alpha)), 0.0)
 

@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import math
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +46,11 @@ from .transfers import FlatSchedule, FocSchedule, READINGS, agenda_setter_payoff
 
 BRANCH_TOL = 1e-12
 CONSISTENCY_TOL = 1e-9
+TALLY = ContextVar("outbid_tally")  # [bound left, floor] of the assembly `_better_of` runs
+
+
+class _Outbid(Exception):
+    """The rents an assembly has charged sink its payoff bound below the floor."""
 
 
 class Regime(Enum):
@@ -169,9 +175,17 @@ def _solution(econ: Economy, g_star: float, regime: Regime, schedules: dict,
 
 def _foc_schedules(econ: Economy, agents, weight: float, gamma: float, **kw) -> dict:
     """FOC schedule of each agent at the common weight minus its own virtual
-    type under the shadow weight gamma."""
-    return {i: FocSchedule(econ, i, weight - econ.virtual_type(i, gamma), gamma, **kw)
-            for i in agents}
+    type under the shadow weight gamma. In an assembly `_better_of` checks, each
+    unpinned schedule's rent at its agent's type is charged to the open `TALLY`
+    as it is built, and `_Outbid` raised once the bound left falls below the floor."""
+    tally, schedules = None if "pin" in kw else TALLY.get(None), {}
+    for i in agents:
+        schedules[i] = s = FocSchedule(econ, i, weight - econ.virtual_type(i, gamma), gamma, **kw)
+        if tally is not None:
+            tally[0] -= s.rent(econ.type_of(i))
+            if tally[0] < tally[1]:
+                raise _Outbid
+    return schedules
 
 
 def _pool(econ: Economy, schedules: dict, tail, donor: int, theta: float, g_star: float):
@@ -345,7 +359,7 @@ def _concave_unanimity(econ: Economy):
 
     if found is not None:
         s = found
-        g_star, w_star = levels[s], weights[s]
+        g_star, w_star, phi_g = levels[s], weights[s], phis[s]
         if s == 0 and phis[0] >= edges[0]:
             anchor, gamma = econ.theta_lo, GammaRepresentation.point_mass_at_low()
         elif s == r and phis[r] <= edges[r + 1]:
@@ -375,6 +389,7 @@ def _concave_unanimity(econ: Economy):
         gamma_s = bisect(lambda gam: phi_at(gam) > target, 0.0, 1.0, 200)
         w_star = base + econ.virtual_type(j, gamma_s)
         g_star = solve_weighted_foc(econ.tech, w_star)
+        phi_g = float(econ.tech.phi(g_star))
         anchor = t_j
         gamma = GammaRepresentation.interior_mass(t_j, at_star=gamma_s)
 
@@ -392,7 +407,7 @@ def _concave_unanimity(econ: Economy):
         return _solution(econ, g_star, regime, schedules, _pick_coalition(econ, order, order),
                          gamma, (anchor,), thresholds=thr, partition=partition)
 
-    return _candidate(econ, assemble, g_star, types)
+    return _candidate(econ, assemble, g_star, phi_g, types)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +461,7 @@ def _convex_configuration(econ: Economy, ends):
 
 def _convex_unanimity(econ: Economy):
     ends = _convex_ends(econ)
-    gamma_const, side, config, g_star, _ = _convex_configuration(econ, ends)
+    gamma_const, side, config, g_star, phi_g = _convex_configuration(econ, ends)
     thr = Thresholds(*ends[0])
 
     def assemble(partition):
@@ -459,7 +474,7 @@ def _convex_unanimity(econ: Economy):
                          GammaRepresentation.constant(gamma_const),
                          (econ.theta_lo, econ.theta_hi), thresholds=thr, partition=partition)
 
-    return _candidate(econ, assemble, g_star, econ.agent_types)
+    return _candidate(econ, assemble, g_star, phi_g, econ.agent_types)
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +498,23 @@ def _payoff_bound(econ: Economy, g_star: float, phi_g: float, payers, dips=()) -
     """Bound on a candidate's payoff theta_a phi(g*) - g* + sum of transfers
     theta phi(g*) - v_bar(theta) - rent, read at each type in `payers` (a
     pooled tail's is its donor's): a rent is >= 0, or its pinned dip in `dips`.
-    phi_g is phi(g*). A slack of 1e-9 times the size of the terms covers rounding."""
+    phi_g is phi(g*). A slack of 1e-9 times the size of the terms covers rounding.
+    Less the rents of unpinned schedules built so far it is still a bound, which
+    lets `_better_of` abandon an assembly that falls below its floor."""
     theta = np.asarray(payers, float)
     terms = [econ.agenda_setter_type * phi_g, -g_star, *(-d for d in dips),
              *(theta * phi_g - np.asarray(econ.reservation.value(theta, econ.outside_g), float))]
     return math.fsum(terms) + 1e-9 * (1.0 + math.fsum(map(abs, terms)))
 
 
-def _candidate(econ: Economy, assemble, g_star: float, payers, dips=()):
+def _candidate(econ: Economy, assemble, g_star: float, phi_g: float, payers, dips=()):
     """(`_payoff_bound`, assembly) thunks of a candidate whose `assemble` takes
-    the partition, checked here. Bisected levels (no closed form) can raise in
-    a build, so those candidates are assembled here, in their old order."""
+    the partition, checked here at phi_g = phi(g*). Bisected levels (no closed
+    form) can raise in a build, so those candidates are assembled here, in
+    their old order, and never charged."""
     if econ.tech.weighted_argmax is None:
         sol = assemble(None)
         return lambda: math.inf, lambda: sol
-    phi_g = float(econ.tech.phi(g_star))  # read once for the partition and the bound
     partition = _partition_at(econ, phi_g)
     return lambda: _payoff_bound(econ, g_star, phi_g, payers, dips), lambda: assemble(partition)
 
@@ -507,12 +524,21 @@ def _better_of(econ: Economy, candidates: list) -> MechanismSolution | None:
     (bound, assembly) thunk pairs assembled by decreasing bound, skipping any more
     than `slack` below the best payoff so far. Every payoff within `slack` of
     the top is assembled; fewer than len(candidates) steps of 1e-12 cannot span
-    that window, so a gap above 1e-12 cuts it and above it the rule runs as over all."""
+    that window, so a gap above 1e-12 cuts it and above it the rule runs as over all.
+    An assembly after the first is abandoned where its bound less the rents of the
+    schedules built so far (see `_foc_schedules`) falls below that floor: a bound
+    still, so it drops only what the skip could have dropped."""
     slack, built, top = 1e-12 * len(candidates), {}, -math.inf
     bounds = [bound() for bound, _ in candidates]
     for pos in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
         if not bounds[pos] < top - slack:
-            sol = candidates[pos][1]()
+            token = TALLY.set([bounds[pos], top - slack] if top > -math.inf else None)
+            try:
+                sol = candidates[pos][1]()
+            except _Outbid:
+                continue
+            finally:
+                TALLY.reset(token)
             built[pos] = agenda_setter_payoff(econ, sol), sol
             top = max(top, built[pos][0])  # a NaN payoff leaves top as it is
     best, best_pay = None, -math.inf
@@ -591,7 +617,7 @@ def _concave_window_candidate(econ: Economy, start: int, width: int):
                          (theta_p, theta_q), excluded=window, partition=partition,
                          notes=(f"excluded interior window of {width} agent(s)",))
 
-    return _candidate(econ, assemble, g_star, [econ.type_of(i) for i in order], dips)
+    return _candidate(econ, assemble, g_star, phi_g, [econ.type_of(i) for i in order], dips)
 
 
 def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int):
@@ -641,7 +667,7 @@ def _convex_tail_candidate(econ: Economy, k_lo: int, k_hi: int):
                          transfers=transfers, partition=partition)
 
     payers = [econ.type_of(i) for i in members] + [theta_p] * k_lo + [theta_q] * k_hi
-    return _candidate(econ, assemble, g_star, payers)
+    return _candidate(econ, assemble, g_star, phi_g, payers)
 
 
 def solve(econ: Economy) -> MechanismSolution:

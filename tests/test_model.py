@@ -408,6 +408,26 @@ def test_builtin_reads_at_a_float_equal_their_0d_array_reads(log_tech):
                 assert _same_reading(read(theta), float(read(np.array(theta))))
 
 
+@pytest.mark.parametrize("tech", [am.log_technology()] + [
+    am.power_technology(alpha) for alpha in (0.05, 0.3, 0.5, 0.7, 0.95)], ids=lambda t: t.name)
+def test_closed_form_level_at_a_float_equals_its_array_read(tech):
+    """A built-in `weighted_argmax` at a Python float or an np.float64 returns
+    the float of its read at the same weight as a 0-d array, bits and sign of
+    zero included: seeded draws on [-1, 10], +-0, NaN, +-inf, a subnormal and a
+    weight whose level overflows at alpha 0.95 (inf on both paths)."""
+    draws = np.random.default_rng(37).uniform(-1.0, 10.0, 2000).tolist()
+    draws += [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]
+    bits = lambda v: np.float64(v).tobytes()
+    for w in draws:
+        with np.errstate(over="ignore"):  # numpy warns where the float path maps OverflowError
+            want = float(tech.weighted_argmax(np.array(w)))  # the numpy path
+            for value in (w, np.float64(w)):
+                got = tech.weighted_argmax(value)
+                assert isinstance(got, float) and bits(got) == bits(want), (value, got, want)
+    if tech.name == "power(0.95)":
+        assert tech.weighted_argmax(1e300) == math.inf
+
+
 def test_truncated_normal_erf_kernel_matches_math_erf():
     mu, sigma = 0.4, 0.5
     d = am.truncated_normal(mu, sigma, 0.0, 1.0)
